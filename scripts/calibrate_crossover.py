@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Calibrate the series/contour dispatch threshold on |z_1|.
+"""Calibrate the series/contour dispatch threshold of ``mml_eval``.
 
-For each representative solver-family parameter set this script scans |z_1|
-upward and records the first point at which the power series either
+``mml_eval`` compares the threshold against sum_j |z_j|, and it is the only
+evaluator that uses it.  For each representative solver-family parameter set
+this script scans |z_1| upward, with z_2..z_m held fixed, and records the
+first point at which the power series either
 
 * needs more than 400 shells to meet a truncation tolerance of 1e-12, or
 * loses alternating-sum accuracy in double precision: the rounding floor

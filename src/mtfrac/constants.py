@@ -37,12 +37,15 @@ COMPOSITION_BUDGET = 2_000_000
 # dispatcher falls back to the contour when the arguments allow it).
 SERIES_COMP_BUDGET = 1_500_000
 
-# Dispatch threshold on |z_1| between the series and the contour integral.
-# Calibrated by scripts/calibrate_crossover.py: the smallest |z_1| over the
-# representative solver-family parameter sets at which the series either
-# needs more than 400 shells at tol 1e-12 or loses alternating-sum accuracy
-# in double precision (rounding floor above 1e-9 relative).  The binding set
-# is m=1, a=0.3, where cancellation bites first; rounded down for safety.
+# Dispatch threshold of mml_eval between the series and the contour
+# integral, compared against sum_j |z_j|; no other evaluator uses it (the
+# solver-family E^{(n)} always goes through the contour).  Calibrated by
+# scripts/calibrate_crossover.py, which scans |z_1| with z_2..z_m held fixed:
+# the smallest |z_1| over the representative solver-family parameter sets at
+# which the series either needs more than 400 shells at tol 1e-12 or loses
+# alternating-sum accuracy in double precision (rounding floor above 1e-9
+# relative).  The binding set is m=1, a=0.3, where z_1 is the only argument
+# and cancellation bites first; rounded down for safety.
 SERIES_CONTOUR_CROSSOVER = 2.1
 
 # Contour quadrature: refinement disagreement above this relative tolerance

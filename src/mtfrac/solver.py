@@ -21,12 +21,7 @@ from scipy.special import betainc, betaln
 
 from . import spectral
 from .spectral import Operator1D, Spectrum
-from .specfun import (
-    e_solver,
-    e_solver_many,
-    e_solver_time_batch,
-    gamma_real,
-)
+from .specfun import e_solver_many, gamma_real
 
 __all__ = [
     "FracOrders",
@@ -36,14 +31,12 @@ __all__ = [
     "QuadConfig",
     "mode_amplitude",
     "mode_amplitudes",
-    "mode_amplitude_history",
     "solve_homogeneous",
     "solve_source",
     "time_derivative",
     "caputo_derivative",
     "caputo_quadrature",
     "mode_ode_residual",
-    "graded_mesh",
 ]
 
 
@@ -170,31 +163,18 @@ class Problem:
 # Homogeneous solution
 
 def mode_amplitude(orders: FracOrders, lam: float, t: float) -> float:
-    """Per-mode amplitude 1 - lam t^{a_1} E^{(n)}_{1+a_1}(t); exactly 1 at t=0."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if t == 0.0:
-        return 1.0
-    a1 = orders.alphas[0]
-    return 1.0 - lam * t ** a1 * e_solver(lam, orders, 1.0 + a1, t)
+    """Scalar view of :func:`mode_amplitudes`."""
+    return float(mode_amplitudes(orders, lam, t))
 
 
-def mode_amplitudes(orders: FracOrders, lams, t: float) -> np.ndarray:
-    """Vectorized :func:`mode_amplitude` over eigenvalues."""
+def mode_amplitudes(orders: FracOrders, lams, ts) -> np.ndarray:
+    """Per-mode amplitude 1 - lam t^{a_1} E^{(n)}_{1+a_1}(t) for ``lams``
+    broadcast against ``ts``; exactly 1 at t = 0."""
     lams = np.asarray(lams, dtype=float)
-    if t == 0.0:
-        return np.ones(lams.shape)
-    a1 = orders.alphas[0]
-    e = e_solver_many(lams, orders, 1.0 + a1, t)
-    return 1.0 - lams * t ** a1 * e
-
-
-def mode_amplitude_history(orders: FracOrders, lam: float, ts) -> np.ndarray:
-    """Vectorized :func:`mode_amplitude` over a time grid."""
     ts = np.asarray(ts, dtype=float)
     a1 = orders.alphas[0]
-    e = e_solver_time_batch(lam, orders, 1.0 + a1, ts)
-    return 1.0 - lam * ts ** a1 * e
+    e = e_solver_many(lams, orders, 1.0 + a1, ts)
+    return 1.0 - lams * ts ** a1 * e
 
 
 class ModalSolution:
@@ -280,11 +260,6 @@ class QuadConfig:
         return t * (k / n) ** g
 
 
-def graded_mesh(t: float, n: int, grading: float) -> np.ndarray:
-    k = np.arange(n + 1, dtype=float)
-    return t * (k / n) ** grading
-
-
 def _beta_moments(mesh, t, a, b):
     """Panel moments int_{s_i}^{s_i+1} s^{a-1} (t-s)^{b-1} ds for all panels.
 
@@ -356,7 +331,7 @@ def caputo_derivative_modal(p: Problem, beta: float, t: float,
         mesh = quad.mesh(t, a1, factor)
         vals = np.empty(p.spectrum.n_modes)
         for i, lam in enumerate(p.spectrum.lambdas):
-            evals = e_solver_time_batch(lam, p.orders, a1, mesh)
+            evals = e_solver_many(lam, p.orders, a1, mesh)
             vals[i] = (-lam * p.modal_initial[i] * inv_g
                        * _product_panels(mesh, evals, t, a1 - 1.0, beta))
         return vals
@@ -386,7 +361,7 @@ def mode_ode_residual(orders: FracOrders, lam: float, t: float,
     with each Caputo term computed by independent product quadrature."""
     a1 = orders.alphas[0]
     mesh = quad.mesh(t, a1)
-    evals = e_solver_time_batch(lam, orders, a1, mesh)
+    evals = e_solver_many(lam, orders, a1, mesh)
     u_t = mode_amplitude(orders, lam, t)
     total = lam * u_t
     for a_j, q_j in zip(orders.alphas, orders.qs):
@@ -445,7 +420,7 @@ def solve_source(p: Problem, t: float, quad: QuadConfig = QuadConfig()) -> np.nd
     m0, m1 = _power_moments(mesh, a1)
     for i in active:
         lam = p.spectrum.lambdas[i]
-        evals = e_solver_time_batch(lam, p.orders, a1, mesh)
+        evals = e_solver_many(lam, p.orders, a1, mesh)
         fvals = np.interp(t - mesh, src.times, hist[:, i])
         g = evals * fvals
         slope = (g[1:] - g[:-1]) / (s1 - s0)

@@ -53,7 +53,6 @@ __all__ = [
     "mml_eval",
     "e_solver",
     "e_solver_many",
-    "e_solver_time_batch",
     "lemma31_residual",
     "solver_params",
     "solver_args",
@@ -635,10 +634,7 @@ def _contour_eval(alphas, beta0, cfg, z1_arr, z_rest_arr):
                                           cfg.theta, qp, cfg.tail_cutoff)
         denom = zeta[None, :] - z1_arr[:, None]
         if pows.shape[0]:
-            if z_rest_arr.ndim == 1:
-                denom = denom - np.tensordot(z_rest_arr, pows, axes=(0, 0))[None, :]
-            else:
-                denom = denom - np.einsum("bj,jn->bn", z_rest_arr, pows)
+            denom = denom - z_rest_arr @ pows
         dmin = np.abs(denom).min()
         if dmin <= 1e-300:
             raise QuadratureError("contour passes through a zero of the denominator")
@@ -780,17 +776,7 @@ def solver_args(orders, lam: float, t: float) -> MLArgs:
     return MLArgs(z=tuple(z))
 
 
-def _check_real(value, est, context):
-    tol = max(REAL_RESIDUE_TOL * (1.0 + abs(value)), 8.0 * est + 1e-12)
-    if abs(value.imag) > tol:
-        raise ArithmeticError(
-            f"{context}: imaginary residue {value.imag:.3g} above tolerance")
-    return value.real
-
-
-def _check_real_vec(values, ests, context):
-    values = np.atleast_1d(values)
-    ests = np.broadcast_to(np.atleast_1d(ests), values.shape)
+def _check_real(values, ests, context):
     tol = np.maximum(REAL_RESIDUE_TOL * (1.0 + np.abs(values)),
                      8.0 * ests + 1e-12)
     bad = np.abs(values.imag) > tol
@@ -802,96 +788,45 @@ def _check_real_vec(values, ests, context):
 
 
 def e_solver(lam: float, orders, beta0: float, t: float) -> float:
-    """E^{(n)}(t) with z_1 = -lam t^{a_1}, z_j = -q_j t^{a_1-a_j}.
+    """Scalar view of :func:`e_solver_many`."""
+    return float(e_solver_many(lam, orders, beta0, t))
 
-    Real-valued by construction; the imaginary residue of the numerical
-    evaluation is asserted to be below tolerance.
+
+def e_solver_many(lams, orders, beta0: float, ts) -> np.ndarray:
+    """E^{(n)}(t) with z_1 = -lam t^{a_1}, z_j = -q_j t^{a_1-a_j}, for
+    ``lams`` broadcast against ``ts``.
+
+    Every positive time goes through the wedge contour, which is valid for
+    every solver-family argument; t = 0 entries return the exact limit
+    1/Gamma(beta0).  Real-valued by construction; the imaginary residue of
+    the numerical evaluation is asserted to be below tolerance.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if t == 0.0:
-        return 1.0 / gamma_real(beta0)
-    params = solver_params(orders, beta0)
-    args = solver_args(orders, lam, t)
-    res = mml_eval(params, args)
-    return _check_real(res.value, res.abs_error_estimate, "e_solver")
-
-
-def e_solver_many(lams, orders, beta0: float, t: float) -> np.ndarray:
-    """Vectorized :func:`e_solver` over a family of eigenvalues at fixed t."""
-    lams = np.asarray(lams, dtype=float)
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if t == 0.0:
-        return np.full(lams.shape, 1.0 / gamma_real(beta0))
-    params = solver_params(orders, beta0)
-    args0 = solver_args(orders, 0.0, t)
-    z_rest = np.asarray(args0.z[1:], dtype=complex)
-    a1 = orders.alphas[0]
-    z1 = -lams * t ** a1
-
-    out = np.empty(lams.shape, dtype=float)
-    rest_total = float(np.abs(z_rest).sum())
-    small = np.abs(z1) + rest_total <= SERIES_CONTOUR_CROSSOVER
-    if np.any(small):
-        try:
-            zs = z1[small]
-            W, absW, _, tail = _series_weights(params.beta0, params.betas,
-                                               tuple(z_rest),
-                                               float(np.abs(zs).max()),
-                                               SERIES_TOL, SERIES_MAX_SHELLS)
-            vals = _polyval(W, zs)
-            floors = _rounding_floor(absW, np.abs(zs))
-            out[small] = _check_real_vec(vals, tail + np.atleast_1d(floors),
-                                         "e_solver_many")
-        except SeriesConvergenceError:
-            small = np.zeros(lams.shape, dtype=bool)  # contour for everything
-    if np.any(~small):
-        alphas = _family_alphas(params)
-        cfg = default_contour_config(
-            params, MLArgs(z=(complex(z1[~small][0]),) + tuple(z_rest)))
-        vals, errs, scales = _contour_eval(alphas, beta0, cfg, z1[~small],
-                                           z_rest.real)
-        scale = np.maximum(np.abs(vals), 1e-2 * scales)
-        if np.any(errs > CONTOUR_REFINE_RTOL * scale + 1e-15):
-            raise QuadratureError("contour refinement disagreement in batch")
-        ests = errs + 16.0 * np.finfo(float).eps * scales
-        out[~small] = _check_real_vec(vals, ests, "e_solver_many")
-    return out
-
-
-def e_solver_time_batch(lam: float, orders, beta0: float, ts) -> np.ndarray:
-    """Vectorized :func:`e_solver` over a time grid at fixed eigenvalue.
-
-    All positive times are evaluated through the contour representation,
-    which is valid for every solver-family argument; t = 0 entries return
-    the exact limit 1/Gamma(beta0).
-    """
-    ts = np.asarray(ts, dtype=float)
+    ts_in = np.asarray(ts, dtype=float)
+    lams, ts = np.broadcast_arrays(np.asarray(lams, dtype=float), ts_in)
     if np.any(ts < 0):
-        raise ValueError("times must be non-negative")
-    out = np.empty(ts.shape, dtype=float)
-    zero = ts == 0.0
-    out[zero] = 1.0 / gamma_real(beta0)
-    if np.all(zero):
+        raise ValueError("t must be non-negative")
+    if np.any(lams < 0):
+        raise ValueError("eigenvalues must be non-negative")
+    out = np.full(ts.shape, 1.0 / gamma_real(beta0))
+    pos = ts > 0.0
+    if not np.any(pos):
         return out
-    tpos = ts[~zero]
-    params = solver_params(orders, beta0)
     alphas = orders.alphas
     a1 = alphas[0]
-    z1 = -lam * tpos ** a1
-    z_rest = np.column_stack([
-        -orders.qs[j] * tpos ** (a1 - alphas[j]) for j in range(1, len(alphas))
-    ]) if len(alphas) > 1 else np.zeros((tpos.size, 0))
-    cfg = default_contour_config(
-        params, MLArgs(z=(complex(z1[0]),) + tuple(z_rest[0] if z_rest.size else ())))
-    vals, errs, scales = _contour_eval(_family_alphas(params), beta0, cfg,
-                                       z1, z_rest)
+    # A single time shares z_2..z_m across the batch, the cheaper contour sum.
+    t_rest = ts_in if ts_in.ndim == 0 else ts[pos][:, None]
+    z_rest = -np.asarray(orders.qs[1:]) * t_rest ** (a1 - np.asarray(alphas[1:]))
+    z1 = -lams[pos] * ts[pos] ** a1
+    # Every z_1 <= 0 lies in the wedge |arg z_1| >= mu, where the contour of
+    # any one such argument serves all of them.
+    params = solver_params(orders, beta0)
+    cfg = default_contour_config(params, solver_args(orders, 1.0, 1.0))
+    vals, errs, scales = _contour_eval(alphas, beta0, cfg, z1, z_rest)
     scale = np.maximum(np.abs(vals), 1e-2 * scales)
     if np.any(errs > CONTOUR_REFINE_RTOL * scale + 1e-15):
-        raise QuadratureError("contour refinement disagreement in time batch")
+        raise QuadratureError("contour refinement disagreement in e_solver_many")
     ests = errs + 16.0 * np.finfo(float).eps * scales
-    out[~zero] = _check_real_vec(vals, ests, "e_solver_time_batch")
+    out[pos] = _check_real(vals, ests, "e_solver_many")
     return out
 
 

@@ -286,17 +286,48 @@ def test_e_solver_decay_bound():
     assert max(prods) < 5.0
 
 
-def test_e_solver_batches_match_scalar():
+def test_e_solver_many_broadcasts_like_scalar():
     orders = FracOrders(alphas=(0.9, 0.3), qs=(1.0, 1.5))
-    lams = np.array([0.5, 1.0, 5.0, 50.0, 5000.0])
-    batch = sf.e_solver_many(lams, orders, 1.9, 1.3)
-    scalar = np.array([sf.e_solver(float(l), orders, 1.9, 1.3) for l in lams])
-    np.testing.assert_allclose(batch, scalar, rtol=1e-12)
+    lams = np.array([0.0, 0.5, 1.0, 5.0, 50.0, 5000.0])
+    ts = np.array([0.0, 1e-8, 0.01, 0.5, 1.3, 20.0])
+    grid = sf.e_solver_many(lams[None, :], orders, 1.9, ts[:, None])
+    assert grid.shape == (ts.size, lams.size)
+    scalar = np.array([[sf.e_solver(float(l), orders, 1.9, float(t)) for l in lams]
+                       for t in ts])
+    np.testing.assert_allclose(grid, scalar, rtol=1e-12, atol=1e-15)
+    assert np.all(grid[0] == 1.0 / sf.gamma_real(1.9))
 
-    ts = np.array([0.0, 0.01, 0.5, 2.0, 20.0])
-    batch_t = sf.e_solver_time_batch(2.0, orders, 1.9, ts)
-    scalar_t = np.array([sf.e_solver(2.0, orders, 1.9, float(t)) for t in ts])
-    np.testing.assert_allclose(batch_t, scalar_t, rtol=1e-10, atol=1e-14)
+    with pytest.raises(ValueError):
+        sf.e_solver_many(lams, orders, 1.9, np.where(lams == 5.0, -1e-3, 1.0))
+    with pytest.raises(ValueError):
+        sf.e_solver(1.0, orders, 1.9, -1.0)
+    with pytest.raises(ValueError):
+        sf.e_solver(-1.0, orders, 1.9, 1.0)
+
+
+def test_e_solver_many_matches_extended_precision_below_crossover():
+    # The solver evaluates small arguments, sum |z_j| <= the series/contour
+    # crossover of mml_eval, by the contour as well.
+    from mtfrac.constants import SERIES_CONTOUR_CROSSOVER as XC
+    from mtfrac.oracle import highprec_series
+    cases = [  # alphas, qs, lam, t, beta0 - a_1
+        ((0.5,), (1.0,), 2.1, 1.0, 0.0),
+        ((0.8,), (1.0,), 2.0, 1.0, 1.0),
+        ((0.8,), (1.0,), 1e3, 1e-8, 0.0),
+        ((0.8, 0.5), (1.0, 1.0), 1.0, 1.0, 0.0),
+        ((0.9, 0.3), (1.0, 0.5), 3.0, 0.3, 1.0),
+        ((0.85, 0.45), (1.0, 1.0), 100.0, 1e-4, 0.0),
+        ((0.9, 0.5, 0.2), (1.0, 0.3, 0.2), 1.0, 0.3, 1.0),
+        ((0.9, 0.6, 0.3), (1.0, 1.0, 1.0), 10.0, 1e-8, 0.0),
+    ]
+    for alphas, qs, lam, t, shift in cases:
+        orders = FracOrders(alphas=alphas, qs=qs)
+        beta0 = alphas[0] + shift
+        args = sf.solver_args(orders, lam, t)
+        assert sum(abs(z) for z in args.z) <= XC
+        ref = highprec_series(sf.solver_params(orders, beta0), args, digits=20).value.real
+        val = float(sf.e_solver_many(lam, orders, beta0, t))
+        assert abs(val - ref) <= 1e-12 * abs(ref), (alphas, lam, t, beta0)
 
 
 # ---------------------------------------------------------------------------
