@@ -128,6 +128,11 @@ def highprec_series(params: MLParams, args: MLArgs, digits: int = 30) -> HighPre
 
     with mp.workdps(digits + 10):
         zs = [mp.mpc(z) for z in args.z]
+        # The Gamma argument b_0 + sum_j b_j k_j is formed at working
+        # precision: rounded to double it moves 1/Gamma by about eps k,
+        # which a cancelling series amplifies far past the target.
+        b0_mp = mp.mpf(beta0)
+        betas_mp = [mp.mpf(b) for b in betas]
         total = mp.mpc(0)
         target = mp.mpf(10) ** (-(digits + 5))
         tail = None
@@ -141,8 +146,8 @@ def highprec_series(params: MLParams, args: MLArgs, digits: int = 30) -> HighPre
                 for zj, kj in zip(zs, comp):
                     if kj:
                         term *= zj ** kj
-                g = beta0
-                for bj, kj in zip(betas, comp):
+                g = b0_mp
+                for bj, kj in zip(betas_mp, comp):
                     g += bj * kj
                 shell += term / mp.gamma(g)
             total += shell

@@ -4,12 +4,14 @@ Homogeneous solutions use the closed per-mode amplitude
 
     u_n(t) = (1 - lambda_n t^{a_1} E^{(n)}_{1+a_1}(t)) (a, phi_n),
 
-forced solutions the Duhamel convolution of the per-mode propagator
-s^{a_1-1} E^{(n)}_{a_1}(s) against the modal source history.  Caputo
-derivatives of solutions are computed by product integration: the smooth
-special-function factor is interpolated piecewise linearly while both
-endpoint singularities s^{a_1-1} and (t-s)^{-beta} go into the weight,
-whose panel moments are incomplete-beta integrals.
+computed from the amplitude's own Laplace transform (the difference cancels
+once lambda_n t^{a_1} is large, so it is never formed); forced solutions
+the Duhamel convolution of the per-mode propagator s^{a_1-1} E^{(n)}_{a_1}(s)
+against the modal source history.  Caputo derivatives of solutions are
+computed by product integration: the smooth special-function factor is
+interpolated piecewise linearly while both endpoint singularities s^{a_1-1}
+and (t-s)^{-beta} go into the weight, whose panel moments are
+incomplete-beta integrals.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from scipy.special import betainc, betaln
 
 from . import spectral
 from .spectral import Operator1D, Spectrum
-from .specfun import e_solver_many, gamma_real
+from .specfun import amplitude_many, e_solver_many, gamma_real
 
 __all__ = [
     "FracOrders",
@@ -168,13 +170,13 @@ def mode_amplitude(orders: FracOrders, lam: float, t: float) -> float:
 
 
 def mode_amplitudes(orders: FracOrders, lams, ts) -> np.ndarray:
-    """Per-mode amplitude 1 - lam t^{a_1} E^{(n)}_{1+a_1}(t) for ``lams``
-    broadcast against ``ts``; exactly 1 at t = 0."""
-    lams = np.asarray(lams, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    a1 = orders.alphas[0]
-    e = e_solver_many(lams, orders, 1.0 + a1, ts)
-    return 1.0 - lams * ts ** a1 * e
+    """Per-mode amplitude u(t) = 1 - lam t^{a_1} E^{(n)}_{1+a_1}(t) for
+    ``lams`` broadcast against ``ts``; exactly 1 at t = 0.
+
+    Inverted from the amplitude's own Laplace transform by
+    :func:`mtfrac.specfun.amplitude_many`, so the difference, which cancels
+    for large lam t^{a_1}, is never formed."""
+    return amplitude_many(lams, orders, ts)
 
 
 class ModalSolution:

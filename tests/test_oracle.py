@@ -44,6 +44,16 @@ def test_highprec_precision_self_consistency():
         assert diff < mp.mpf(10) ** -29 * abs(r60.mp_value)
 
 
+def test_highprec_gamma_argument_at_working_precision():
+    # E_{0.3,0.3}(-2.1): the series cancels from terms near 1e5 down to
+    # 0.03, so a Gamma argument 0.3 + 0.3 k rounded to double would cost
+    # about nine digits (it returned 0.02986561852734586).
+    params = sf.MLParams(beta0=0.3, betas=(0.3,))
+    res = orc.highprec_series(params, sf.MLArgs(z=(-2.1,)), digits=30)
+    ref = 0.02986561859323392420
+    assert abs(res.value.real - ref) <= 1e-15 * ref
+
+
 def test_highprec_rejects_hopeless_args():
     params = sf.MLParams(beta0=1.0, betas=(0.1,))
     with pytest.raises(ArithmeticError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mtfrac import solver as sv, spectral as sp
-from mtfrac.specfun import e_solver, gamma_real
+from mtfrac.specfun import e_solver, e_solver_many, gamma_real
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +52,23 @@ def test_mode_amplitude_long_time_leading_term():
         vals.append(amp * lam * gamma_real(0.6) * t ** 0.4)
     assert abs(vals[-1] - 1.7) < 0.02
     assert abs(vals[-1] - 1.7) < abs(vals[0] - 1.7)
+
+
+def test_amplitude_properties_on_thm23_grid(laplace_spectrum):
+    # 0 < u_n(t) <= 1 for every mode of the thm23 run; where
+    # lam t^{a_1} <= 1 the difference 1 - lam t^{a_1} E_{1+a_1} does not
+    # cancel, and the directly inverted amplitude must match it.
+    orders = sv.FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
+    a1 = orders.alphas[0]
+    lams = laplace_spectrum.lambdas[None, :]
+    ts = (2.0 * (np.arange(1, 26) / 25) ** 2)[:, None]
+    amps = sv.mode_amplitudes(orders, lams, ts)
+    assert np.all(amps > 0.0) and np.all(amps <= 1.0)
+    x = lams * ts ** a1
+    diff_form = 1.0 - x * e_solver_many(lams, orders, 1.0 + a1, ts)
+    small = x <= 1.0
+    assert small.any()
+    assert np.max(np.abs(amps - diff_form)[small]) <= 1e-12
 
 
 def test_solve_homogeneous_initial_value(homog_problem):

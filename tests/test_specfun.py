@@ -1,10 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtfrac import specfun as sf
+from mtfrac.constants import SERIES_CONTOUR_CROSSOVER as XC
 from mtfrac.solver import FracOrders
 
 # Classical two-parameter value E_{1/2,1}(-1) = e * erfc(1).
@@ -308,10 +310,10 @@ def test_e_solver_many_broadcasts_like_scalar():
 def test_e_solver_many_matches_extended_precision_below_crossover():
     # The solver evaluates small arguments, sum |z_j| <= the series/contour
     # crossover of mml_eval, by the contour as well.
-    from mtfrac.constants import SERIES_CONTOUR_CROSSOVER as XC
     from mtfrac.oracle import highprec_series
     cases = [  # alphas, qs, lam, t, beta0 - a_1
         ((0.5,), (1.0,), 2.1, 1.0, 0.0),
+        ((0.3,), (1.0,), 2.1, 1.0, 0.0),
         ((0.8,), (1.0,), 2.0, 1.0, 1.0),
         ((0.8,), (1.0,), 1e3, 1e-8, 0.0),
         ((0.8, 0.5), (1.0, 1.0), 1.0, 1.0, 0.0),
@@ -328,6 +330,90 @@ def test_e_solver_many_matches_extended_precision_below_crossover():
         ref = highprec_series(sf.solver_params(orders, beta0), args, digits=20).value.real
         val = float(sf.e_solver_many(lam, orders, beta0, t))
         assert abs(val - ref) <= 1e-12 * abs(ref), (alphas, lam, t, beta0)
+
+
+def _talbot(orders, lam, t, beta0, dps=30):
+    """mpmath Talbot inversion of s^{a_1-beta0} / (w(s) + lam), scaled by
+    t^{1-beta0}: E^{(n)}_{beta0}(t) with no code shared with specfun."""
+    with mp.workdps(dps):
+        alphas = [mp.mpf(a) for a in orders.alphas]
+        qs = [mp.mpf(q) for q in orders.qs]
+        b0 = mp.mpf(beta0)
+
+        def transform(s):
+            w = sum(q * s ** a for a, q in zip(alphas, qs))
+            return s ** (alphas[0] - b0) / (w + lam)
+
+        f = mp.invertlaplace(transform, mp.mpf(t), method="talbot")
+        return float(f * mp.mpf(t) ** (1 - b0))
+
+
+def test_solver_family_accuracy_map(laplace_spectrum):
+    # The (lam, t) range the solver visits: the whole n_interior = 255
+    # spectrum (lam from about 1 to 2.66e4) and t over [1e-8, 1e4].  An
+    # entry passes when its relative error is within max(1e-12, its own
+    # reported estimate).
+    from mtfrac.oracle import highprec_series, laplace_mode_eval
+    orders = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
+    a1 = orders.alphas[0]
+    lams = laplace_spectrum.lambdas
+    ts = np.logspace(-8, 4, 13)
+
+    def check(value, est, ref, where):
+        assert abs(value - ref) <= max(1e-12, est / abs(ref)) * abs(ref), where
+
+    # Amplitudes, whole spectrum x time grid, against every 16th mode and
+    # the last.  Hankel inversion is the reference where it does not cancel
+    # (lam t^{a_1} >= 1e-4); below that, 1 + z_1 E_{1+a_1} from the
+    # extended-precision series.
+    amps, ests, fell_back = sf._solver_family(lams[None, :], orders, 1.0 + a1,
+                                              ts[:, None], amplitude=True)
+    assert not fell_back.any()
+    for i, t in enumerate(ts):
+        for n in list(range(0, lams.size, 16)) + [lams.size - 1]:
+            lam = float(lams[n])
+            if lam * t ** a1 >= 1e-4:
+                ref = laplace_mode_eval(lam, orders, 1.0, float(t))
+            else:
+                args = sf.solver_args(orders, lam, float(t))
+                e = highprec_series(sf.solver_params(orders, 1.0 + a1), args,
+                                    digits=20).mp_value
+                ref = float((1 + args.z[0] * e).real)
+            check(amps[i, n], ests[i, n], ref, ("amplitude", lam, t))
+
+    # E^{(n)} against the extended-precision series below the series /
+    # contour crossover: per mode, the latest grid time below it.
+    for n in (0, 63, 127, 191, 254):
+        lam = float(lams[n])
+        t = max(t for t in ts
+                if sum(abs(z) for z in sf.solver_args(orders, lam, t).z) <= XC)
+        for beta0 in (a1, 1.0 + a1):
+            value, est, _ = sf._solver_family(lam, orders, beta0, t)
+            ref = highprec_series(sf.solver_params(orders, beta0),
+                                  sf.solver_args(orders, lam, t),
+                                  digits=20).value.real
+            check(float(value), float(est), ref, ("series", lam, t, beta0))
+
+    # ... and against Talbot inversion above it.  The propagator at the top
+    # of the spectrum and late times is the region where the parabola's
+    # rounding floor exceeds its tolerance, so the wedge contour must take
+    # over there.
+    lam_max = float(lams[-1])
+    hard = [(lam_max, 3e2, a1), (lam_max, 1e4, a1)]
+    for lam, t, beta0 in hard + [(lam_max, 1e4, 1.0 + a1), (1.0, 1e4, a1),
+                                 (float(lams[127]), 1.0, a1),
+                                 (float(lams[63]), 1e-2, 1.0 + a1)]:
+        value, est, fb = sf._solver_family(lam, orders, beta0, t)
+        check(float(value), float(est), _talbot(orders, lam, t, beta0),
+              ("talbot", lam, t, beta0))
+        if (lam, t, beta0) in hard:
+            assert fb
+
+    # The thm23 time grid needs no fallback for any mode.
+    grid = 2.0 * (np.arange(1, 26) / 25) ** 2
+    _, _, fell_back = sf._solver_family(lams[None, :], orders, 1.0 + a1,
+                                        grid[:, None], amplitude=True)
+    assert not fell_back.any()
 
 
 # ---------------------------------------------------------------------------
