@@ -4,14 +4,16 @@ Homogeneous solutions use the closed per-mode amplitude
 
     u_n(t) = (1 - lambda_n t^{a_1} E^{(n)}_{1+a_1}(t)) (a, phi_n),
 
-computed from the amplitude's own Laplace transform (the difference cancels
-once lambda_n t^{a_1} is large, so it is never formed); forced solutions
-the Duhamel convolution of the per-mode propagator s^{a_1-1} E^{(n)}_{a_1}(s)
-against the modal source history.  Caputo derivatives of solutions are
-computed by product integration: the smooth special-function factor is
-interpolated piecewise linearly while both endpoint singularities s^{a_1-1}
-and (t-s)^{-beta} go into the weight, whose panel moments are
-incomplete-beta integrals.
+evaluated as the sum of positive terms
+E^{(n)}_1(t) + sum_{j>=2} q_j t^{a_1-a_j} E^{(n)}_{1+a_1-a_j}(t), the
+inverse of its Laplace transform sum_j q_j s^{a_j-1} / (sum_j q_j s^{a_j} +
+lambda_n) (the difference cancels once lambda_n t^{a_1} is large, so it is
+never formed); forced solutions the Duhamel convolution of the per-mode
+propagator s^{a_1-1} E^{(n)}_{a_1}(s) against the modal source history.
+Caputo derivatives of solutions are computed by product integration: the
+smooth special-function factor is interpolated piecewise linearly while both
+endpoint singularities s^{a_1-1} and (t-s)^{-beta} go into the weight, whose
+panel moments are incomplete-beta integrals.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from scipy.special import betainc, betaln
 
 from . import spectral
 from .spectral import Operator1D, Spectrum
-from .specfun import amplitude_many, e_solver_many, gamma_real
+from .specfun import e_solver_many, gamma_real
 
 __all__ = [
     "FracOrders",
@@ -173,10 +175,19 @@ def mode_amplitudes(orders: FracOrders, lams, ts) -> np.ndarray:
     """Per-mode amplitude u(t) = 1 - lam t^{a_1} E^{(n)}_{1+a_1}(t) for
     ``lams`` broadcast against ``ts``; exactly 1 at t = 0.
 
-    Inverted from the amplitude's own Laplace transform by
-    :func:`mtfrac.specfun.amplitude_many`, so the difference, which cancels
-    for large lam t^{a_1}, is never formed."""
-    return amplitude_many(lams, orders, ts)
+    Evaluated as E^{(n)}_1(t) + sum_{j>=2} q_j t^{a_1-a_j}
+    E^{(n)}_{1+a_1-a_j}(t), the inverse of the amplitude's Laplace transform
+    sum_j q_j s^{a_j-1} / (sum_j q_j s^{a_j} + lam): every term is positive,
+    so the difference, which cancels for large lam t^{a_1}, is never formed.
+    All m functions come from one :func:`e_solver_many` call."""
+    ts = np.asarray(ts, dtype=float)
+    a1 = orders.alphas[0]
+    shifts = [a1 - a for a in orders.alphas[1:]]
+    e = e_solver_many(lams, orders, [1.0] + [1.0 + d for d in shifts], ts)
+    u = e[0]
+    for q, d, e_j in zip(orders.qs[1:], shifts, e[1:]):
+        u = u + q * ts ** d * e_j
+    return u
 
 
 class ModalSolution:

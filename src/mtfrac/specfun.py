@@ -13,11 +13,12 @@ contour-integral representation along a wedge path that is valid for the
 "solver family" of parameters b_1 = a_1, b_j = a_1 - a_j with decreasing
 orders a_j, together with an adaptive dispatcher between the two.
 
-The modal solver's kernels, :func:`e_solver_many` and :func:`amplitude_many`,
-invert the Laplace transforms of the solver family on a fixed parabolic
-Bromwich contour instead: every eigenvalue at one time shares the same
-symbol evaluations sum_j q_j s^{a_j} at the contour nodes.  An entry the
-parabola cannot resolve to its tolerance is recomputed on the wedge contour.
+The modal solver's kernel, :func:`e_solver_many`, inverts the Laplace
+transforms of the solver family on a fixed parabolic Bromwich contour
+instead: every eigenvalue at one time shares the same symbol evaluations
+sum_j q_j s^{a_j} at the contour nodes, and several b_0 at one (lam, t)
+share the resolvent.  An entry the parabola cannot resolve to its tolerance
+is recomputed on the wedge contour.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ __all__ = [
     "mml_eval",
     "e_solver",
     "e_solver_many",
-    "amplitude_many",
     "lemma31_residual",
     "solver_params",
     "solver_args",
@@ -791,7 +791,7 @@ def _check_real(values, ests, context):
     if np.any(bad):
         i = int(np.argmax(bad))
         raise ArithmeticError(
-            f"{context}: imaginary residue {values.imag[i]:.3g} above tolerance")
+            f"{context}: imaginary residue {values.imag.flat[i]:.3g} above tolerance")
     return values.real
 
 
@@ -806,55 +806,53 @@ def _check_real(values, ests, context):
 #     c_k = e^{z_k} z'(theta_k) z_k^{a_1-beta0} / (iN),
 #     P_k = t^{a_1} w(z_k/t) = z_k^{a_1} - sum_{j>=2} z_j z_k^{a_j}.
 #
-# The symbol P_k depends on t alone and is shared by every lam at that time.
-# The first node count gives the value; the second, finer one checks it, and
-# their difference is the refinement estimate.  The value comes from the
-# coarser sum because its weights e^{z_k} are smaller (max e^{0.1309 N}), so
-# it carries less rounding noise, while its discretization error is already
-# near the rounding level.  Both sums run over the full node set, so the
-# imaginary part of the value is the real-value check.
+# The symbol P_k depends on t alone and is shared by every lam at that time,
+# and the resolvent 1 / (P_k - z_1) by every beta0.  The first node count
+# gives the value; the second, finer one checks it, and their difference is
+# the refinement estimate.  The value comes from the coarser sum because its
+# weights e^{z_k} are smaller (max e^{0.1309 N}), so it carries less
+# rounding noise, while its discretization error is already near the
+# rounding level.  Both sums run over the full node set, so the imaginary
+# part of the value is the real-value check.
 _PARABOLA_NODES = (32, 40)
 
 
 @lru_cache(maxsize=16)
-def _parabola_plan(alphas, beta0):
-    """Nodes of both node counts, concatenated: returns (c, zpows) with the
-    weights c_k above and zpows[j] = z_k^{a_{j+1}}."""
+def _parabola_plan(alphas, beta0s):
+    """Nodes of both node counts, concatenated: returns (c, zpows) with
+    c[k, i] the weight c_k above for beta0s[i] and zpows[j] = z_k^{a_{j+1}}."""
     zs, cs = [], []
     for n in _PARABOLA_NODES:
         theta = -math.pi + (2.0 * np.arange(1, n + 1) - 1.0) * math.pi / n
         z = n * (0.1309 - 0.1194 * theta ** 2 + 0.25j * theta)
         dz = n * (-0.2388 * theta + 0.25j)
         zs.append(z)
-        cs.append(np.exp(z) * dz * z ** (alphas[0] - beta0) / (1j * n))
+        cs.append((np.exp(z) * dz / (1j * n))[:, None]
+                  * z[:, None] ** (alphas[0] - np.array(beta0s)))
     z = np.concatenate(zs)
     return np.concatenate(cs), np.array([z ** a for a in alphas])
 
 
-def _parabola_eval(alphas, beta0, z1, z_rest, t_index, amplitude):
-    """Evaluate the parabola sum for a batch.
+def _parabola_eval(alphas, beta0s, z1, z_rest, t_index):
+    """Evaluate the parabola sum for a batch and several beta0.
 
     z1 has shape (B,); z_rest has shape (T, m-1), one row per distinct time,
-    and t_index (B,) picks each entry's row.  With ``amplitude`` the
-    numerator carries the symbol, P_k / (P_k - z_1): that inverts the
-    transform w(s) / (s (w(s) + lam)) of 1 + z_1 E^{(n)}_{1+a_1}(t) (pass
-    beta0 = 1 + a_1) without forming the cancelling difference.  Returns
-    (values, refinement_error, scale) like :func:`_contour_eval`.
+    and t_index (B,) picks each entry's row.  Returns (values,
+    refinement_error, scale) of shape (B, len(beta0s)), scale being the sum
+    of the value's node-contribution magnitudes as in :func:`_contour_eval`.
     """
-    c, zpows = _parabola_plan(tuple(alphas), beta0)
+    c, zpows = _parabola_plan(tuple(alphas), beta0s)
     symbol = (zpows[0] - z_rest @ zpows[1:])[t_index]
-    terms = c / (symbol - z1[:, None])
-    if amplitude:
-        terms *= symbol
-    value_terms = terms[:, :_PARABOLA_NODES[0]]
-    value = value_terms.sum(axis=1)
-    check = terms[:, _PARABOLA_NODES[0]:].sum(axis=1)
-    return value, np.abs(check - value), np.abs(value_terms).sum(axis=1)
+    resolvent = 1.0 / (symbol - z1[:, None])
+    n = _PARABOLA_NODES[0]
+    value = resolvent[:, :n] @ c[:n]
+    check = resolvent[:, n:] @ c[n:]
+    return value, np.abs(check - value), np.abs(resolvent[:, :n]) @ np.abs(c[:n])
 
 
-def _solver_family(lams, orders, beta0, ts, amplitude=False):
-    """E^{(n)}_{beta0}(t), or with ``amplitude`` 1 + z_1 E^{(n)}_{beta0}(t)
-    at beta0 = 1 + a_1, for ``lams`` broadcast against ``ts``.
+def _solver_family(lams, orders, beta0, ts):
+    """E^{(n)}_{beta0}(t) for ``lams`` broadcast against ``ts``; a sequence
+    ``beta0`` adds a leading axis over its entries.
 
     Returns (values, abs_error_estimates, fell_back).  Positive times go
     through the parabola; an entry whose estimate exceeds
@@ -867,42 +865,43 @@ def _solver_family(lams, orders, beta0, ts, amplitude=False):
         raise ValueError("t must be non-negative")
     if np.any(lams < 0):
         raise ValueError("eigenvalues must be non-negative")
+    beta0s = tuple(float(b) for b in np.ravel(beta0))
     alphas = orders.alphas
     a1 = alphas[0]
-    values = np.full(ts.shape, 1.0 if amplitude else 1.0 / gamma_real(beta0))
-    ests = np.zeros(ts.shape)
-    fell_back = np.zeros(ts.shape, dtype=bool)
+    shape = (len(beta0s),) + ts.shape
+    inv_gamma = 1.0 / gamma_real(np.array(beta0s))
+    values = np.empty(shape)
+    values[...] = inv_gamma.reshape((-1,) + (1,) * ts.ndim)
+    ests = np.zeros(shape)
+    fell_back = np.zeros(shape, dtype=bool)
     pos = ts > 0.0
-    if not np.any(pos):
-        return values, ests, fell_back
-    t_uniq, t_index = np.unique(ts[pos], return_inverse=True)
-    z_rest = (-np.asarray(orders.qs[1:])
-              * t_uniq[:, None] ** (a1 - np.asarray(alphas[1:])))
-    z1 = -lams[pos] * ts[pos] ** a1
-    vals, errs, scales = _parabola_eval(alphas, beta0, z1, z_rest, t_index,
-                                        amplitude)
-    eps16 = 16.0 * np.finfo(float).eps
-    redo = errs + eps16 * scales > PARABOLA_FALLBACK_RTOL * np.abs(vals)
-    if np.any(redo):
-        # Every z_1 <= 0 lies in the wedge |arg z_1| >= mu, where the contour
-        # of any one such argument serves all of them.
-        cfg = default_contour_config(solver_params(orders, beta0),
-                                     solver_args(orders, 1.0, 1.0))
-        z1_redo = z1[redo]
-        v, e, sc = _contour_eval(alphas, beta0, cfg, z1_redo,
-                                 z_rest[t_index[redo]])
-        if amplitude:
-            big = np.abs(z1_redo)
-            v, e, sc = 1.0 + z1_redo * v, big * e, 1.0 + big * sc
-        vals[redo], errs[redo], scales[redo] = v, e, sc
-    scale = np.maximum(np.abs(vals), 1e-2 * scales)
-    if np.any(errs > CONTOUR_REFINE_RTOL * scale + 1e-15):
-        raise QuadratureError("contour refinement disagreement in the solver family")
-    est = errs + eps16 * scales
-    values[pos] = _check_real(vals, est, "solver family")
-    ests[pos] = est
-    fell_back[pos] = redo
-    return values, ests, fell_back
+    if np.any(pos):
+        t_uniq, t_index = np.unique(ts[pos], return_inverse=True)
+        z_rest = (-np.asarray(orders.qs[1:])
+                  * t_uniq[:, None] ** (a1 - np.asarray(alphas[1:])))
+        z1 = -lams[pos] * ts[pos] ** a1
+        vals, errs, scales = _parabola_eval(alphas, beta0s, z1, z_rest, t_index)
+        eps16 = 16.0 * np.finfo(float).eps
+        redo = errs + eps16 * scales > PARABOLA_FALLBACK_RTOL * np.abs(vals)
+        for i in np.flatnonzero(redo.any(axis=0)):
+            # Every z_1 <= 0 lies in the wedge |arg z_1| >= mu, where the
+            # contour of any one such argument serves all of them.
+            cfg = default_contour_config(solver_params(orders, beta0s[i]),
+                                         solver_args(orders, 1.0, 1.0))
+            r = redo[:, i]
+            vals[r, i], errs[r, i], scales[r, i] = _contour_eval(
+                alphas, beta0s[i], cfg, z1[r], z_rest[t_index[r]])
+        scale = np.maximum(np.abs(vals), 1e-2 * scales)
+        if np.any(errs > CONTOUR_REFINE_RTOL * scale + 1e-15):
+            raise QuadratureError(
+                "contour refinement disagreement in the solver family")
+        est = errs + eps16 * scales
+        values[:, pos] = _check_real(vals, est, "solver family").T
+        ests[:, pos] = est.T
+        fell_back[:, pos] = redo.T
+    out_shape = np.shape(beta0) + ts.shape
+    return (values.reshape(out_shape), ests.reshape(out_shape),
+            fell_back.reshape(out_shape))
 
 
 def e_solver(lam: float, orders, beta0: float, t: float) -> float:
@@ -910,9 +909,10 @@ def e_solver(lam: float, orders, beta0: float, t: float) -> float:
     return float(e_solver_many(lam, orders, beta0, t))
 
 
-def e_solver_many(lams, orders, beta0: float, ts) -> np.ndarray:
-    """E^{(n)}(t) with z_1 = -lam t^{a_1}, z_j = -q_j t^{a_1-a_j}, for
-    ``lams`` broadcast against ``ts``.
+def e_solver_many(lams, orders, beta0, ts) -> np.ndarray:
+    """E^{(n)}_{beta0}(t) with z_1 = -lam t^{a_1}, z_j = -q_j t^{a_1-a_j},
+    for ``lams`` broadcast against ``ts``.  A sequence ``beta0`` adds a
+    leading axis over its entries, which share the contour work.
 
     Positive times go through the parabolic Bromwich contour, which shares
     one symbol evaluation per time across every lam; entries it cannot
@@ -922,19 +922,6 @@ def e_solver_many(lams, orders, beta0: float, ts) -> np.ndarray:
     asserted to be below tolerance.
     """
     return _solver_family(lams, orders, beta0, ts)[0]
-
-
-def amplitude_many(lams, orders, ts) -> np.ndarray:
-    """Mode amplitude u(t) = 1 - lam t^{a_1} E^{(n)}_{1+a_1}(t) for ``lams``
-    broadcast against ``ts``; exactly 1 at t = 0.
-
-    Inverted from its own Laplace transform
-    sum_j q_j s^{a_j-1} / (sum_j q_j s^{a_j} + lam), which avoids the
-    cancellation of the difference where lam t^{a_1} is large.  Same
-    contours and checks as :func:`e_solver_many`.
-    """
-    return _solver_family(lams, orders, 1.0 + orders.alphas[0], ts,
-                          amplitude=True)[0]
 
 
 # ---------------------------------------------------------------------------

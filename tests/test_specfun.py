@@ -299,6 +299,14 @@ def test_e_solver_many_broadcasts_like_scalar():
     np.testing.assert_allclose(grid, scalar, rtol=1e-12, atol=1e-15)
     assert np.all(grid[0] == 1.0 / sf.gamma_real(1.9))
 
+    # A sequence of beta0 adds a leading axis and matches one call per beta0.
+    beta0s = [0.9, 1.0, 1.9]
+    stacked = sf.e_solver_many(lams[None, :], orders, beta0s, ts[:, None])
+    assert stacked.shape == (len(beta0s), ts.size, lams.size)
+    for b, e in zip(beta0s, stacked):
+        single = sf.e_solver_many(lams[None, :], orders, b, ts[:, None])
+        np.testing.assert_allclose(e, single, rtol=1e-12, atol=1e-15)
+
     with pytest.raises(ValueError):
         sf.e_solver_many(lams, orders, 1.9, np.where(lams == 5.0, -1e-3, 1.0))
     with pytest.raises(ValueError):
@@ -348,7 +356,23 @@ def _talbot(orders, lam, t, beta0, dps=30):
         return float(f * mp.mpf(t) ** (1 - b0))
 
 
-def test_solver_family_accuracy_map(laplace_spectrum):
+def _amplitudes(orders, lams, ts):
+    """Mode amplitudes with their error estimates and fallback flags: the
+    sum E_1 + sum_{j>=2} q_j t^{a_1-a_j} E_{1+a_1-a_j} that
+    solver.mode_amplitudes evaluates, with the estimates of its terms added
+    up likewise."""
+    from mtfrac.solver import mode_amplitudes
+    a1 = orders.alphas[0]
+    shifts = [a1 - a for a in orders.alphas[1:]]
+    _, ests, fell_back = sf._solver_family(lams, orders,
+                                           [1.0] + [1.0 + d for d in shifts], ts)
+    est = ests[0]
+    for q, d, e_j in zip(orders.qs[1:], shifts, ests[1:]):
+        est = est + q * ts ** d * e_j
+    return mode_amplitudes(orders, lams, ts), est, fell_back.any(axis=0)
+
+
+def test_solver_family_accuracy_map(laplace_spectrum, monkeypatch):
     # The (lam, t) range the solver visits: the whole n_interior = 255
     # spectrum (lam from about 1 to 2.66e4) and t over [1e-8, 1e4].  An
     # entry passes when its relative error is within max(1e-12, its own
@@ -366,8 +390,7 @@ def test_solver_family_accuracy_map(laplace_spectrum):
     # the last.  Hankel inversion is the reference where it does not cancel
     # (lam t^{a_1} >= 1e-4); below that, 1 + z_1 E_{1+a_1} from the
     # extended-precision series.
-    amps, ests, fell_back = sf._solver_family(lams[None, :], orders, 1.0 + a1,
-                                              ts[:, None], amplitude=True)
+    amps, ests, fell_back = _amplitudes(orders, lams[None, :], ts[:, None])
     assert not fell_back.any()
     for i, t in enumerate(ts):
         for n in list(range(0, lams.size, 16)) + [lams.size - 1]:
@@ -411,9 +434,21 @@ def test_solver_family_accuracy_map(laplace_spectrum):
 
     # The thm23 time grid needs no fallback for any mode.
     grid = 2.0 * (np.arange(1, 26) / 25) ** 2
-    _, _, fell_back = sf._solver_family(lams[None, :], orders, 1.0 + a1,
-                                        grid[:, None], amplitude=True)
+    _, _, fell_back = _amplitudes(orders, lams[None, :], grid[:, None])
     assert not fell_back.any()
+
+    # With a zero tolerance every entry goes through the wedge-contour
+    # fallback; its values must agree with the parabola's within the sum of
+    # the two reported estimates.
+    lams = lams[::16][None, :]
+    ts = np.array([1e-6, 1e-2, 0.5, 2.0, 1e2])[:, None]
+    parabola = [_amplitudes(orders, lams, ts), sf._solver_family(lams, orders, a1, ts)]
+    monkeypatch.setattr(sf, "PARABOLA_FALLBACK_RTOL", 0.0)
+    wedge = [_amplitudes(orders, lams, ts), sf._solver_family(lams, orders, a1, ts)]
+    for (ref, ref_est, _), (value, est, fell_back) in zip(parabola, wedge):
+        assert fell_back.all()
+        bound = np.maximum(1e-12 * np.abs(ref), est + ref_est)
+        assert np.all(np.abs(value - ref) <= bound)
 
 
 # ---------------------------------------------------------------------------
