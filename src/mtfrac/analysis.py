@@ -324,6 +324,10 @@ def perturbed_problem(base: Problem, channel: str, eps: float) -> Problem:
     alphas = tuple(a - e_a * (j + 1) / (2.0 * m) for j, a in enumerate(orders.alphas))
     qs = (1.0,) + tuple(q + e_q / max(m - 1, 1) for q in orders.qs[1:])
     new_orders = FracOrders(alphas=alphas, qs=qs)
+    if e_d == 0.0:
+        # Same operator, so the base spectrum serves: no second decomposition.
+        return Problem(orders=new_orders, operator=op, spectrum=base.spectrum,
+                       initial=base.initial)
 
     xs = op.full_x
     length = op.x_right - op.x_left

@@ -1,10 +1,14 @@
 """Command-line driver: config parsing, experiment dispatch, CSV reports.
 
 Configs are INI files with sections [orders], [operator], [initial],
-[source], [numerics], [output]; parsing is strict (unknown keys are
-errors).  Every run writes a CSV data file plus a manifest echoing the
-config, the package constants, and library versions, so identical configs
-reproduce byte-identical data files.
+[source], [numerics], [output].  Each key is declared once, as a
+``RunConfig`` field whose metadata gives its section, INI name, converter,
+sign check and ``--tol-profile fast`` divisor; parsing, validation, the
+manifest echo and the fast profile all read that table.  Parsing is
+strict: unknown sections and keys and empty values are errors.  Every run
+writes a CSV data file plus a manifest echoing every config key, the
+package constants, and library versions, so identical configs reproduce
+byte-identical data files.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import datetime
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,17 +27,6 @@ from . import __version__, analysis, constants, oracle, solver, spectral, specfu
 
 __all__ = ["RunConfig", "parse_config", "run", "main", "PRESETS"]
 
-
-_SECTION_KEYS = {
-    "orders": {"alphas", "qs"},
-    "operator": {"interval", "n_interior", "diffusion", "potential"},
-    "initial": {"kind"},
-    "source": {"kind", "t_final", "n_samples"},
-    "numerics": {"t_grid", "quad_panels", "l1_steps", "l1_grading", "gamma",
-                 "tau", "lam", "beta0", "levels", "perturb_eps", "threads",
-                 "tol"},
-    "output": {"path"},
-}
 
 _COMMANDS = ("mml-eval", "eigen", "solve", "asymptotics", "stability",
              "counterexample", "verify")
@@ -43,74 +36,75 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
+def _floats(text):
+    return tuple(float(v) for v in text.split(","))
+
+
+_POSITIVE = ("positive", lambda v: v > 0)
+_NON_NEGATIVE = ("non-negative", lambda v: v >= 0)
+
+
+def _key(default, section, conv, *, ini=None, check=None, fast=None):
+    """Declare a config key: its default, INI section, INI name (when it
+    differs from the attribute), converter from INI text, optional
+    (word, predicate) sign check, and ``--tol-profile fast`` divisor."""
+    return field(default=default, metadata={
+        "section": section, "ini": ini, "conv": conv, "check": check,
+        "fast": fast})
+
+
 @dataclass
 class RunConfig:
     command: str = "solve"
-    # problem
-    alphas: tuple = (0.5,)
-    qs: tuple = (1.0,)
-    interval: tuple = (0.0, math.pi)
-    n_interior: int = 255
-    diffusion: str = "constant:1.0"
-    potential: str = "constant:0.0"
-    initial_kind: str = "mode:1"
-    source_kind: str = "none"
-    source_t_final: float = 2.0
-    source_n_samples: int = 257
+    # problem; orders and operator invariants are checked by FracOrders
+    # and Operator1D themselves
+    alphas: tuple = _key((0.5,), "orders", _floats)
+    qs: tuple = _key((1.0,), "orders", _floats)
+    interval: tuple = _key((0.0, math.pi), "operator", _floats)
+    n_interior: int = _key(255, "operator", int)
+    diffusion: str = _key("constant:1.0", "operator", str)
+    potential: str = _key("constant:0.0", "operator", str)
+    initial_kind: str = _key("mode:1", "initial", str, ini="kind")
+    source_kind: str = _key("none", "source", str, ini="kind")
+    source_t_final: float = _key(2.0, "source", float, ini="t_final",
+                                 check=_POSITIVE)
+    source_n_samples: int = _key(257, "source", int, ini="n_samples",
+                                 check=_POSITIVE)
     # numerics
-    t_grid: str = "0.01:2:9:log"
-    quad_panels: int = 256
-    l1_steps: int = 4096
-    l1_grading: float = 4.0
-    gamma: float = 0.75
-    tau: float = 0.8
-    lam: float = 10.0
-    beta0: float = 1.0
-    levels: int = 7
-    perturb_eps: float = 0.2
-    threads: int = 1
-    tol: float = 1e-12
+    t_grid: str = _key("0.01:2:9:log", "numerics", str)
+    quad_panels: int = _key(256, "numerics", int, check=_POSITIVE, fast=4)
+    l1_steps: int = _key(4096, "numerics", int, check=_POSITIVE, fast=4)
+    l1_grading: float = _key(4.0, "numerics", float, check=_POSITIVE)
+    gamma: float = _key(0.75, "numerics", float, check=_NON_NEGATIVE)
+    tau: float = _key(0.8, "numerics", float, check=_POSITIVE)
+    lam: float = _key(10.0, "numerics", float, check=_POSITIVE)
+    beta0: float = _key(1.0, "numerics", float, check=_POSITIVE)
+    levels: int = _key(7, "numerics", int, check=_POSITIVE, fast=2)
+    perturb_eps: float = _key(0.2, "numerics", float, check=_POSITIVE)
+    threads: int = _key(1, "numerics", int, check=_POSITIVE)
+    tol: float = _key(1e-12, "numerics", float, check=_POSITIVE)
     # output
-    out_path: str = "out.csv"
+    out_path: str = _key("out.csv", "output", str, ini="path")
 
     def orders(self) -> solver.FracOrders:
         return solver.FracOrders(alphas=self.alphas, qs=self.qs)
 
     def validate(self):
+        """Check every key, then build the orders, time grid and operator,
+        so their invariants surface here and never mid-run."""
         if self.command not in _COMMANDS:
             raise ConfigError(f"command must be one of {_COMMANDS}")
-        if any(not 0.0 < a < 1.0 for a in self.alphas):
-            raise ConfigError("alphas must be strictly decreasing in (0,1)")
-        if any(a1 <= a2 for a1, a2 in zip(self.alphas, self.alphas[1:])):
-            raise ConfigError("alphas must be strictly decreasing in (0,1)")
-        if len(self.qs) != len(self.alphas):
-            raise ConfigError("qs must match alphas in length")
-        if self.qs[0] != 1.0:
-            raise ConfigError("q_1 must equal 1")
-        if any(q <= 0 for q in self.qs):
-            raise ConfigError("qs must be positive")
-        if self.n_interior < 1:
-            raise ConfigError("n_interior must be positive")
-        if self.interval[1] <= self.interval[0]:
-            raise ConfigError("interval must be increasing")
-        for name in ("quad_panels", "l1_steps", "levels", "threads",
-                     "source_n_samples"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
-        for name in ("l1_grading", "tau", "lam", "beta0",
-                     "perturb_eps", "tol", "source_t_final"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.gamma < 0:
-            raise ConfigError("gamma must be non-negative")
-        d_kind = self.diffusion.split(":")[0]
-        if d_kind != "table" and d_kind not in spectral.DIFFUSION_BUILTINS:
-            raise ConfigError(f"unknown diffusion builtin: {self.diffusion}")
-        c_kind = self.potential.split(":")[0]
-        if c_kind != "table" and c_kind not in spectral.POTENTIAL_BUILTINS:
-            raise ConfigError(f"unknown potential builtin: {self.potential}")
-        # Coefficient invariants (D > 0, c <= 0, table lengths) must surface
-        # at validation time, never mid-run: sampling the operator is cheap.
+        for f in _CONFIG_FIELDS:
+            check = f.metadata["check"]
+            if check and not check[1](getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be {check[0]}")
+        if len(self.interval) != 2:
+            raise ConfigError("interval must have two endpoints")
+        try:
+            self.orders()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        _parse_grid(self.t_grid)
         _build_operator(self)
         kind = self.initial_kind.split(":")[0]
         if kind not in ("zero", "mode", "modal-decay", "bump"):
@@ -121,11 +115,7 @@ class RunConfig:
         return self
 
 
-def _parse_floats(text, key):
-    try:
-        return tuple(float(v.strip()) for v in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected comma-separated numbers, got {text!r}") from exc
+_CONFIG_FIELDS = tuple(f for f in fields(RunConfig) if f.metadata)
 
 
 def parse_config(path) -> RunConfig:
@@ -138,77 +128,26 @@ def parse_config(path) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
+    table = {(f.metadata["section"], f.metadata["ini"] or f.name): f
+             for f in _CONFIG_FIELDS}
+    sections = {section for section, _ in table}
     cfg = RunConfig()
     for section in cp.sections():
-        if section not in _SECTION_KEYS:
+        if section not in sections:
             raise ConfigError(f"unknown section [{section}]")
-        for key in cp[section]:
-            if key not in _SECTION_KEYS[section]:
+        for key, text in cp[section].items():
+            f = table.get((section, key))
+            if f is None:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-
-    def get(section, key, default=None):
-        if cp.has_option(section, key):
-            return cp.get(section, key)
-        return default
-
-    if cp.has_section("orders"):
-        if get("orders", "alphas") is not None:
-            cfg.alphas = _parse_floats(get("orders", "alphas"), "alphas")
-        if get("orders", "qs") is not None:
-            cfg.qs = _parse_floats(get("orders", "qs"), "qs")
-        elif get("orders", "alphas") is not None:
-            cfg.qs = (1.0,) * len(cfg.alphas)
-    if cp.has_section("operator"):
-        if get("operator", "interval"):
-            iv = _parse_floats(get("operator", "interval"), "interval")
-            if len(iv) != 2:
-                raise ConfigError("interval must have two endpoints")
-            cfg.interval = iv
-        if get("operator", "n_interior"):
-            cfg.n_interior = _parse_int(get("operator", "n_interior"), "n_interior")
-        if get("operator", "diffusion"):
-            cfg.diffusion = get("operator", "diffusion")
-        if get("operator", "potential"):
-            cfg.potential = get("operator", "potential")
-    if cp.has_section("initial") and get("initial", "kind"):
-        cfg.initial_kind = get("initial", "kind")
-    if cp.has_section("source"):
-        if get("source", "kind"):
-            cfg.source_kind = get("source", "kind")
-        if get("source", "t_final"):
-            cfg.source_t_final = _parse_float(get("source", "t_final"), "t_final")
-        if get("source", "n_samples"):
-            cfg.source_n_samples = _parse_int(get("source", "n_samples"), "n_samples")
-    if cp.has_section("numerics"):
-        num = cp["numerics"]
-        for key in ("t_grid",):
-            if key in num:
-                cfg.t_grid = num[key]
-        for key, conv in (("quad_panels", int), ("l1_steps", int),
-                          ("levels", int), ("threads", int)):
-            if key in num:
-                setattr(cfg, key, _parse_int(num[key], key))
-        for key in ("l1_grading", "gamma", "tau", "lam", "beta0",
-                    "perturb_eps", "tol"):
-            if key in num:
-                setattr(cfg, key, _parse_float(num[key], key))
-    if cp.has_section("output") and get("output", "path"):
-        cfg.out_path = get("output", "path")
+            if not text:
+                raise ConfigError(f"[{section}] {key}: empty value")
+            try:
+                setattr(cfg, f.name, f.metadata["conv"](text))
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from exc
+    if cp.has_option("orders", "alphas") and not cp.has_option("orders", "qs"):
+        cfg.qs = (1.0,) * len(cfg.alphas)
     return cfg.validate()
-
-
-def _parse_int(text, key):
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected an integer, got {text!r}") from exc
-
-
-def _parse_float(text, key):
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected a number, got {text!r}") from exc
 
 
 def _parse_grid(spec) -> np.ndarray:
@@ -216,8 +155,12 @@ def _parse_grid(spec) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) != 4:
         raise ConfigError(f"t_grid must be start:stop:count:scale, got {spec!r}")
-    start, stop = float(parts[0]), float(parts[1])
-    count = int(parts[2])
+    try:
+        start, stop = float(parts[0]), float(parts[1])
+        count = int(parts[2])
+    except ValueError as exc:
+        raise ConfigError(
+            f"t_grid: start, stop and count must be numbers, got {spec!r}") from exc
     scale = parts[3].strip().lower()
     if count < 2:
         raise ConfigError("t_grid count must be at least 2")
@@ -240,15 +183,20 @@ def _coefficient(spec_text, builtins, key):
         try:
             return np.array([float(v) for v in rest.split(",")])
         except ValueError as exc:
-            raise ConfigError(f"{key}: malformed table values") from exc
-    args = [float(v) for v in rest.split(":")] if rest else []
-    return builtins[name](*args)
+            raise ValueError(f"{key}: malformed table values") from exc
+    if name not in builtins:
+        raise ValueError(f"unknown {key} builtin: {spec_text}")
+    try:
+        args = [float(v) for v in rest.split(":")] if rest else []
+        return builtins[name](*args)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: bad builtin parameters in {spec_text!r}") from exc
 
 
 def _build_operator(cfg: RunConfig) -> spectral.Operator1D:
-    d = _coefficient(cfg.diffusion, spectral.DIFFUSION_BUILTINS, "diffusion")
-    c = _coefficient(cfg.potential, spectral.POTENTIAL_BUILTINS, "potential")
     try:
+        d = _coefficient(cfg.diffusion, spectral.DIFFUSION_BUILTINS, "diffusion")
+        c = _coefficient(cfg.potential, spectral.POTENTIAL_BUILTINS, "potential")
         return spectral.Operator1D.from_callables(cfg.interval, cfg.n_interior,
                                                   diffusion=d, potential=c)
     except ValueError as exc:
@@ -333,11 +281,7 @@ def _write_manifest(path, cfg: RunConfig, results: dict):
         "algebraic_tol": _fmt(constants.ALGEBRAIC_TOL),
         "specfun_cross_tol": _fmt(constants.SPECFUN_CROSS_TOL),
     }
-    cp["config"] = {k: _fmt(getattr(cfg, k)) for k in (
-        "alphas", "qs", "interval", "n_interior", "diffusion", "potential",
-        "initial_kind", "source_kind", "t_grid", "quad_panels", "l1_steps",
-        "l1_grading", "gamma", "tau", "lam", "beta0", "levels",
-        "perturb_eps", "threads", "tol", "out_path")}
+    cp["config"] = {f.name: _fmt(getattr(cfg, f.name)) for f in _CONFIG_FIELDS}
     if results:
         cp["results"] = {k: _fmt(v) for k, v in results.items()}
     with open(path, "w") as fh:
@@ -668,9 +612,6 @@ def preset_config(name: str) -> RunConfig:
     return cfg.validate()
 
 
-_FAST_PROFILE = {"quad_panels": 4, "l1_steps": 4, "levels": 2}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mtfrac",
@@ -698,12 +639,12 @@ def main(argv=None) -> int:
             cfg = RunConfig()
         cfg.command = args.command
         if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("threads must be positive")
             cfg.threads = args.threads
         if args.tol_profile == "fast":
-            for key, divisor in _FAST_PROFILE.items():
-                setattr(cfg, key, max(2, getattr(cfg, key) // divisor))
+            for f in _CONFIG_FIELDS:
+                if f.metadata["fast"]:
+                    setattr(cfg, f.name,
+                            max(2, getattr(cfg, f.name) // f.metadata["fast"]))
         return run(cfg, out_dir=args.out)
     except (ConfigError, ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"mtfrac: error: {exc}", file=sys.stderr)

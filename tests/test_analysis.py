@@ -159,6 +159,14 @@ def test_lipschitz_diffusion_channel(stability_base):
     assert max(ratios) / min(ratios) < 5.0
 
 
+def test_perturbed_problem_reuses_spectrum_when_operator_unchanged(stability_base):
+    for channel, shared in (("alpha", True), ("q", True),
+                            ("diffusion", False), ("all", False)):
+        pert = an.perturbed_problem(stability_base, channel, 0.1)
+        assert (pert.spectrum is stability_base.spectrum) == shared
+        assert (pert.operator is stability_base.operator) == shared
+
+
 def test_lipschitz_low_gamma_branch(stability_base):
     pert = an.perturbed_problem(stability_base, "alpha", 0.05)
     rep = an.lipschitz_experiment(stability_base, pert, gamma=0.3, tau=0.5,

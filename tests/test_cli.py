@@ -1,4 +1,5 @@
 import configparser
+import dataclasses
 import os
 
 import numpy as np
@@ -73,7 +74,7 @@ def test_parse_missing_file():
         cli.parse_config("/nonexistent/path.ini")
 
 
-def test_grid_spec_parsing():
+def test_grid_spec_parsing(tmp_path):
     g = cli._parse_grid("1:100:3:log")
     np.testing.assert_allclose(g, [1.0, 10.0, 100.0])
     g2 = cli._parse_grid("0:1:3:linear")
@@ -82,6 +83,26 @@ def test_grid_spec_parsing():
         cli._parse_grid("1:2:3")
     with pytest.raises(cli.ConfigError):
         cli._parse_grid("-1:2:3:log")
+    for spec in ("a:b:3:log", "1:2:x:linear"):
+        with pytest.raises(cli.ConfigError, match="t_grid"):
+            cli._parse_grid(spec)
+    text = MINIMAL_CONFIG.replace("t_grid = 0.01:1.0:5:log", "t_grid = a:b:3:log")
+    with pytest.raises(cli.ConfigError, match="t_grid"):
+        cli.parse_config(_write(tmp_path, text))
+
+
+@pytest.mark.parametrize("section, key", [
+    ("orders", "alphas"), ("operator", "n_interior"), ("initial", "kind"),
+    ("source", "t_final"), ("numerics", "t_grid"), ("output", "path"),
+])
+def test_parse_rejects_empty_value(tmp_path, section, key):
+    text = "\n".join(line for line in MINIMAL_CONFIG.splitlines()
+                     if not line.startswith(f"{key} ="))
+    if f"[{section}]" not in text:
+        text += f"\n[{section}]\n"
+    text = text.replace(f"[{section}]", f"[{section}]\n{key} =")
+    with pytest.raises(cli.ConfigError, match=rf"\[{section}\] {key}: empty"):
+        cli.parse_config(_write(tmp_path, text))
 
 
 def test_run_solve_writes_csv_and_manifest(tmp_path):
@@ -150,6 +171,8 @@ def test_main_error_paths(tmp_path, capsys):
     assert cli.main(["solve", "--config", bad]) == 1
     err = capsys.readouterr().err
     assert "q_1 must equal 1" in err
+    assert cli.main(["eigen", "--threads", "0", "--out", str(tmp_path)]) == 1
+    assert "threads must be positive" in capsys.readouterr().err
 
 
 def test_main_preset_command_mismatch():
@@ -173,6 +196,19 @@ def test_preset_configs_validate():
     for name in cli.PRESETS:
         cfg = cli.preset_config(name)
         assert cfg.command in cli._COMMANDS
+
+
+def test_manifest_echoes_every_config_key(tmp_path):
+    table = {f.name for f in cli._CONFIG_FIELDS}
+    assert table == {f.name for f in dataclasses.fields(cli.RunConfig)} - {"command"}
+    for name in cli.PRESETS:
+        path = str(tmp_path / f"{name}.manifest.ini")
+        cli._write_manifest(path, cli.preset_config(name), {})
+        manifest = configparser.ConfigParser()
+        manifest.read(path)
+        assert set(manifest["config"]) == table
+        if name == "rem36":
+            assert float(manifest["config"]["source_t_final"]) == 5.0
 
 
 def test_tabulated_coefficients(tmp_path):
@@ -246,3 +282,8 @@ def test_coefficient_invariants_rejected_at_parse(tmp_path):
                                    "n_interior = 63\npotential = constant:0.5")
     with pytest.raises(cli.ConfigError, match="non-positive"):
         cli.parse_config(_write(tmp_path, text2))
+    for spec in ("constant:1:2", "constant:abc"):
+        text3 = MINIMAL_CONFIG.replace("n_interior = 63",
+                                       f"n_interior = 63\ndiffusion = {spec}")
+        with pytest.raises(cli.ConfigError, match="diffusion: bad builtin"):
+            cli.parse_config(_write(tmp_path, text3))
