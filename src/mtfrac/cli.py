@@ -81,6 +81,7 @@ class RunConfig:
     beta0: float = _key(1.0, "numerics", float, check=_POSITIVE)
     levels: int = _key(7, "numerics", int, check=_POSITIVE, fast=2)
     perturb_eps: float = _key(0.2, "numerics", float, check=_POSITIVE)
+    # accepted and checked; evaluation is one block per grid, so no effect
     threads: int = _key(1, "numerics", int, check=_POSITIVE)
     tol: float = _key(1e-12, "numerics", float, check=_POSITIVE)
     # output
@@ -106,12 +107,8 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
         _parse_grid(self.t_grid)
         _build_operator(self)
-        kind = self.initial_kind.split(":")[0]
-        if kind not in ("zero", "mode", "modal-decay", "bump"):
-            raise ConfigError(f"unknown initial kind: {self.initial_kind}")
-        skind = self.source_kind.split(":")[0]
-        if skind not in ("none", "mode-const"):
-            raise ConfigError(f"unknown source kind: {self.source_kind}")
+        _kind(self, "initial")
+        _kind(self, "source")
         return self
 
 
@@ -203,39 +200,51 @@ def _build_operator(cfg: RunConfig) -> spectral.Operator1D:
         raise ConfigError(str(exc)) from exc
 
 
+# Kinds of [initial] kind and [source] kind; ``mode`` and ``mode-const``
+# take a 1-based mode index (default 1) as their first parameter.
+_KINDS = {"initial": ("zero", "mode", "modal-decay", "bump"),
+          "source": ("none", "mode-const")}
+
+
+def _kind(cfg: RunConfig, section: str):
+    """(kind, args) of ``[section] kind``, checked; a mode kind's index is
+    replaced by its 0-based eigenvector column."""
+    spec = getattr(cfg, f"{section}_kind")
+    kind, *args = spec.split(":")
+    if kind not in _KINDS[section]:
+        raise ConfigError(f"[{section}] kind: unknown kind {spec!r}")
+    if kind in ("mode", "mode-const"):
+        k = args[0].strip() if args else "1"
+        if not k.isdigit() or not 1 <= int(k) <= cfg.n_interior:
+            raise ConfigError(f"[{section}] kind: mode index must be an integer "
+                              f"in 1..{cfg.n_interior}, got {spec!r}")
+        args = [int(k) - 1] + args[1:]
+    return kind, args
+
+
 def _initial_values(cfg: RunConfig, s: spectral.Spectrum, op) -> np.ndarray:
-    kind, *args = cfg.initial_kind.split(":")
+    kind, args = _kind(cfg, "initial")
     if kind == "zero":
         return np.zeros(op.n_interior)
     if kind == "mode":
-        k = int(args[0]) if args else 1
-        if not 1 <= k <= s.n_modes:
-            raise ConfigError(f"initial mode index {k} out of range")
-        return s.eigvecs[:, k - 1].copy()
+        return s.eigvecs[:, args[0]].copy()
     if kind == "modal-decay":
         p = float(args[0]) if args else 4.0
         coeffs = np.arange(1, s.n_modes + 1, dtype=float) ** -p
         return spectral.synthesize(coeffs, s)
-    if kind == "bump":
-        x = op.interior_x
-        w = (x - op.x_left) * (op.x_right - x)
-        return w / np.max(w)
-    raise ConfigError(f"unknown initial kind: {cfg.initial_kind}")
+    x = op.interior_x                                   # bump
+    w = (x - op.x_left) * (op.x_right - x)
+    return w / np.max(w)
 
 
 def _build_source(cfg: RunConfig, s: spectral.Spectrum):
-    kind, *args = cfg.source_kind.split(":")
+    kind, args = _kind(cfg, "source")
     if kind == "none":
         return None
-    if kind == "mode-const":
-        k = int(args[0]) if args else 1
-        amp = float(args[1]) if len(args) > 1 else 1.0
-        if not 1 <= k <= s.n_modes:
-            raise ConfigError(f"source mode index {k} out of range")
-        times = np.linspace(0.0, cfg.source_t_final, cfg.source_n_samples)
-        values = np.tile(amp * s.eigvecs[:, k - 1], (times.size, 1))
-        return solver.SampledSource(times=times, values=values)
-    raise ConfigError(f"unknown source kind: {cfg.source_kind}")
+    amp = float(args[1]) if len(args) > 1 else 1.0       # mode-const
+    times = np.linspace(0.0, cfg.source_t_final, cfg.source_n_samples)
+    values = np.tile(amp * s.eigvecs[:, args[0]], (times.size, 1))
+    return solver.SampledSource(times=times, values=values)
 
 
 def _build_problem(cfg: RunConfig) -> solver.Problem:
@@ -318,10 +327,8 @@ def _cmd_solve(cfg: RunConfig):
     rows = []
     results = {}
     if p.source is None:
-        sol = solver.ModalSolution(p)
         a_modal = p.modal_initial
-        for t in grid:
-            mv = sol.modal_values(float(t))
+        for t, mv in zip(grid, solver.ModalSolution(p).modal_values(grid)):
             rows.append((
                 float(t),
                 spectral.modal_frac_norm(mv, 0.0, p.spectrum),
@@ -358,9 +365,8 @@ def _cmd_asymptotics(cfg: RunConfig):
     grid = _parse_grid(cfg.t_grid)
     sol = solver.ModalSolution(p)
     rows = []
-    for t in grid:
+    for t, mv in zip(grid, sol.modal_values(grid)):
         t = float(t)
-        mv = sol.modal_values(t)
         lead = analysis.asymptotic_leading_term(p, t)
         rows.append((
             t,
@@ -620,7 +626,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="INI configuration file")
     parser.add_argument("--preset", help=f"built-in preset: {sorted(PRESETS)}")
     parser.add_argument("--out", help="output directory (or $MTFRAC_OUT)")
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--threads", type=int, default=None,
+                        help="accepted for compatibility; no effect")
     parser.add_argument("--tol-profile", choices=("strict", "fast"),
                         default="strict")
     args = parser.parse_args(argv)

@@ -193,8 +193,9 @@ def mode_amplitudes(orders: FracOrders, lams, ts) -> np.ndarray:
 class ModalSolution:
     """Per-mode amplitudes of a homogeneous problem, cached per time.
 
-    Amplitude vectors are deterministic, so concurrent cache insertion is
-    harmless (last write wins with identical content).
+    ``amplitudes`` and ``modal_values`` map a scalar time to (n_modes,) and
+    an array of T times to a (T, n_modes) block.  Times not yet cached are
+    evaluated in one :func:`mode_amplitudes` call over the (time, mode) grid.
     """
 
     def __init__(self, problem: Problem):
@@ -203,24 +204,19 @@ class ModalSolution:
         self.problem = problem
         self._amp_cache: dict[float, np.ndarray] = {}
 
-    def amplitudes(self, t: float) -> np.ndarray:
-        key = float(t)
-        amps = self._amp_cache.get(key)
-        if amps is None:
-            amps = mode_amplitudes(self.problem.orders,
-                                   self.problem.spectrum.lambdas, key)
-            self._amp_cache[key] = amps
-        return amps
+    def amplitudes(self, ts) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
+        keys = [float(t) for t in ts.ravel()]
+        missing = [k for k in dict.fromkeys(keys) if k not in self._amp_cache]
+        if missing:
+            self._amp_cache.update(zip(missing, mode_amplitudes(
+                self.problem.orders, self.problem.spectrum.lambdas,
+                np.array(missing)[:, None])))
+        rows = [self._amp_cache[k] for k in keys]
+        return rows[0] if ts.ndim == 0 else np.reshape(rows, ts.shape + (-1,))
 
-    def amplitude(self, n: int, t: float) -> float:
-        """Amplitude of mode n (0-based) at time t."""
-        return float(self.amplitudes(t)[n])
-
-    def modal_values(self, t: float) -> np.ndarray:
-        return self.amplitudes(t) * self.problem.modal_initial
-
-    def grid(self, t: float) -> np.ndarray:
-        return spectral.synthesize(self.modal_values(t), self.problem.spectrum)
+    def modal_values(self, ts) -> np.ndarray:
+        return self.amplitudes(ts) * self.problem.modal_initial
 
 
 def solve_homogeneous(p: Problem, t: float) -> np.ndarray:
@@ -371,7 +367,12 @@ def mode_ode_residual(orders: FracOrders, lam: float, t: float,
                       quad: QuadConfig = QuadConfig()) -> float:
     """Relative residual of the per-mode equation
     sum_j q_j D^{a_j} u + lam u = 0 for the unit-initial-value amplitude,
-    with each Caputo term computed by independent product quadrature."""
+    with each Caputo term computed by independent product quadrature.
+
+    The mesh does not resolve the propagator's initial layer at s of order
+    lam^{-1/a_1}, so this checks low modes only: for the 255-mode Laplacian,
+    orders (0.8, 0.5), t = 2 and 256 panels the residual is 1.6e-5, 2.7e-3,
+    4.2e-2 and 0.26 at lambdas[0], [14], [60] and [200]."""
     a1 = orders.alphas[0]
     mesh = quad.mesh(t, a1)
     evals = e_solver_many(lam, orders, a1, mesh)

@@ -815,6 +815,10 @@ def _check_real(values, ests, context):
 # rounding level.  Both sums run over the full node set, so the imaginary
 # part of the value is the real-value check.
 _PARABOLA_NODES = (32, 40)
+# Entries per pass of _parabola_eval: a pass's 256 x 72 complex resolvent
+# (0.3 MB) stays in cache through its three products, where one pass over a
+# 25 x 255 (times x modes) grid measured 1.4-1.8 times as slow.
+_PARABOLA_SLICE = 256
 
 
 @lru_cache(maxsize=16)
@@ -840,14 +844,19 @@ def _parabola_eval(alphas, beta0s, z1, z_rest, t_index):
     and t_index (B,) picks each entry's row.  Returns (values,
     refinement_error, scale) of shape (B, len(beta0s)), scale being the sum
     of the value's node-contribution magnitudes as in :func:`_contour_eval`.
+    The batch is processed in slices of _PARABOLA_SLICE entries.
     """
     c, zpows = _parabola_plan(tuple(alphas), beta0s)
-    symbol = (zpows[0] - z_rest @ zpows[1:])[t_index]
-    resolvent = 1.0 / (symbol - z1[:, None])
+    symbols = zpows[0] - z_rest @ zpows[1:]
     n = _PARABOLA_NODES[0]
-    value = resolvent[:, :n] @ c[:n]
-    check = resolvent[:, n:] @ c[n:]
-    return value, np.abs(check - value), np.abs(resolvent[:, :n]) @ np.abs(c[:n])
+    parts = []
+    for lo in range(0, z1.size, _PARABOLA_SLICE):
+        part = slice(lo, lo + _PARABOLA_SLICE)
+        resolvent = 1.0 / (symbols[t_index[part]] - z1[part, None])
+        value = resolvent[:, :n] @ c[:n]
+        parts.append((value, np.abs(resolvent[:, n:] @ c[n:] - value),
+                      np.abs(resolvent[:, :n]) @ np.abs(c[:n])))
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def _solver_family(lams, orders, beta0, ts):

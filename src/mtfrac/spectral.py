@@ -166,11 +166,9 @@ def eigendecompose(matrix: Tridiag) -> Spectrum:
     normalized in (.,.)_h with first nonzero component positive."""
     lams, vecs = eigh_tridiagonal(matrix.diag, matrix.off)
     vecs = vecs / np.sqrt(matrix.h)
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-14)[0]
-        if nz.size and col[nz[0]] < 0:
-            vecs[:, j] = -col
+    first = np.argmax(np.abs(vecs) > 1e-14, axis=0)
+    flip = vecs[first, np.arange(vecs.shape[1])] < 0
+    vecs[:, flip] = -vecs[:, flip]
     return Spectrum(lambdas=lams, eigvecs=vecs, h=matrix.h)
 
 

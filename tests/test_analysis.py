@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mtfrac import analysis as an, solver as sv, spectral as sp
-from mtfrac.specfun import gamma_real
+from mtfrac.specfun import e_solver_many, gamma_real
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +183,47 @@ def test_lipschitz_threads_deterministic(stability_base):
     r2 = an.lipschitz_experiment(stability_base, pert, gamma=0.75, tau=0.5,
                                  n_time=9, threads=4)
     assert r1.diff_norm == r2.diff_norm
+
+
+def _reference_diff_norm(base, pert, gamma, tau, n_time=25, t_final=2.0):
+    """lipschitz_experiment's norm, one time at a time: synthesize both
+    solutions on the grid, project their difference on the base modes."""
+    p_exp, space_gamma = (1.0 / (1.0 - gamma), 1.0 - tau) if gamma < 0.5 else (2.0, 1.0)
+    grid = t_final * (np.arange(1, n_time + 1) / n_time) ** 2.0
+    norms = []
+    for t in grid:
+        u = [sp.synthesize(sv.mode_amplitudes(p.orders, p.spectrum.lambdas, t)
+                           * p.modal_initial, p.spectrum) for p in (base, pert)]
+        norms.append(sp.frac_norm(u[0] - u[1], space_gamma, base.spectrum))
+    return float(np.trapezoid(np.array(norms) ** p_exp, grid) ** (1.0 / p_exp))
+
+
+@pytest.mark.parametrize("channel", ["alpha", "q", "diffusion", "all"])
+def test_lipschitz_matches_per_time_reference(stability_base, channel):
+    for gamma, eps in ((0.75, 0.1), (0.3, 0.0125)):
+        pert = an.perturbed_problem(stability_base, channel, eps)
+        rep = an.lipschitz_experiment(stability_base, pert, gamma=gamma, tau=0.5)
+        ref = _reference_diff_norm(stability_base, pert, gamma, 0.5)
+        assert abs(rep.diff_norm - ref) <= 1e-12 * ref, (channel, gamma)
+
+
+def test_lipschitz_one_kernel_call_with_warm_base(stability_base, monkeypatch):
+    base_sol = sv.ModalSolution(stability_base)
+    an.lipschitz_experiment(stability_base, an.perturbed_problem(stability_base, "q", 0.1),
+                            gamma=0.75, tau=0.5, base_solution=base_sol)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return e_solver_many(*args)
+
+    monkeypatch.setattr(sv, "e_solver_many", counting)
+    for channel in ("alpha", "diffusion"):
+        calls.clear()
+        an.lipschitz_experiment(stability_base,
+                                an.perturbed_problem(stability_base, channel, 0.05),
+                                gamma=0.75, tau=0.5, base_solution=base_sol)
+        assert len(calls) == 1, channel
 
 
 def test_admissible_sets(stability_base):

@@ -175,6 +175,23 @@ def test_main_error_paths(tmp_path, capsys):
     assert "threads must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("attr, spec, message", [
+    ("initial_kind", "mode:99", r"\[initial\] kind: mode index .* 1\.\.7, got 'mode:99'"),
+    ("source_kind", "mode-const:99:1.0", r"\[source\] kind: mode index .* 1\.\.7"),
+    ("initial_kind", "mode:x", r"\[initial\] kind: mode index must be an integer"),
+    ("source_kind", "mode-const:", r"\[source\] kind: mode index must be an integer"),
+    ("initial_kind", "sine:2", r"\[initial\] kind: unknown kind"),
+])
+def test_validate_checks_kind_and_mode_index(attr, spec, message):
+    with pytest.raises(cli.ConfigError, match=message):
+        cli.RunConfig(n_interior=7, **{attr: spec}).validate()
+
+
+def test_validate_accepts_last_mode():
+    cli.RunConfig(n_interior=7, initial_kind="mode:7",
+                  source_kind="mode-const:7:2.0").validate()
+
+
 def test_main_preset_command_mismatch():
     assert cli.main(["solve", "--preset", "rem36"]) == 1
 

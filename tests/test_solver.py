@@ -137,7 +137,36 @@ def test_modal_solution_cache(homog_problem):
     a1 = sol.amplitudes(0.5)
     a2 = sol.amplitudes(0.5)
     assert a1 is a2
-    assert sol.amplitude(0, 0.0) == 1.0
+    assert np.all(sol.amplitudes(0.0) == 1.0)
+
+
+def test_modal_solution_block_matches_per_time(homog_problem, monkeypatch):
+    ts = np.concatenate([[0.0], np.logspace(-6, 3, 30), [0.5]])  # 0.5 twice
+    per_time = np.array([sv.ModalSolution(homog_problem).amplitudes(float(t))
+                         for t in ts])
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return e_solver_many(*args)
+
+    monkeypatch.setattr(sv, "e_solver_many", counting)
+    sol = sv.ModalSolution(homog_problem)
+    block = sol.amplitudes(ts)
+    assert block.shape == (ts.size, homog_problem.spectrum.n_modes)
+    np.testing.assert_allclose(block, per_time, rtol=1e-14, atol=0.0)
+    assert len(calls) == 1
+    # Cached rows serve both a second block and scalar times; a grid with
+    # one new time evaluates that time alone.
+    np.testing.assert_array_equal(sol.amplitudes(ts[::-1]), block[::-1])
+    assert sol.amplitudes(0.5) is sol.amplitudes(np.float64(0.5))
+    np.testing.assert_array_equal(
+        sol.modal_values(ts), block * homog_problem.modal_initial)
+    assert len(calls) == 1
+    sol.amplitudes(np.append(ts, 7.0))
+    assert len(calls) == 2 and np.shape(calls[1][3]) == (1, 1)
+    np.testing.assert_array_equal(sol.amplitudes(ts.reshape(2, -1)),
+                                  block.reshape(2, -1, block.shape[1]))
 
 
 def test_time_derivative_matches_finite_differences(homog_problem):

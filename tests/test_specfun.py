@@ -451,6 +451,43 @@ def test_solver_family_accuracy_map(laplace_spectrum, monkeypatch):
         assert np.all(np.abs(value - ref) <= bound)
 
 
+def test_parabola_slices_match_entrywise(laplace_spectrum, monkeypatch):
+    # More than three slices of the parabola kernel, t = 0 entries mixed
+    # in, several times per slice and slices cut through one time's modes.
+    orders = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
+    beta0s = (1.0, 1.3, 0.8)
+    n = 3 * sf._PARABOLA_SLICE + 7
+    rng = np.random.default_rng(3)
+    lams = laplace_spectrum.lambdas[rng.integers(0, 255, n)]
+    ts = np.repeat(np.logspace(-6, 2, 31), 25)[:n]
+    ts[::97] = 0.0
+    values, ests, fell_back = sf._solver_family(lams, orders, beta0s, ts)
+    exact = 1.0 / sf.gamma_real(np.array(beta0s))
+    assert np.all(values[:, ts == 0.0] == exact[:, None])
+
+    # Entry-wise calls sum in another order (one row instead of a slice):
+    # the amplitude terms, which never fall back, agree to rounding.
+    single = np.array([sf.e_solver_many(lam, orders, beta0s[:2], t)
+                       for lam, t in zip(lams, ts)]).T
+    assert not fell_back[:2].any()
+    np.testing.assert_allclose(values[:2], single, rtol=1e-13, atol=0.0)
+
+    # One pass over the whole batch gives the same bits, fallbacks included.
+    with monkeypatch.context() as patch:
+        patch.setattr(sf, "_PARABOLA_SLICE", n)
+        one_pass = sf._solver_family(lams, orders, beta0s, ts)
+    for a, b in zip((values, ests, fell_back), one_pass):
+        np.testing.assert_array_equal(a, b)
+
+    # With a zero tolerance every positive-time entry, in every slice,
+    # falls back to the wedge and is flagged; t = 0 entries stay exact.
+    monkeypatch.setattr(sf, "PARABOLA_FALLBACK_RTOL", 0.0)
+    wedge, wedge_ests, fell_back = sf._solver_family(lams, orders, beta0s, ts)
+    assert fell_back[:, ts > 0.0].all() and not fell_back[:, ts == 0.0].any()
+    bound = np.maximum(1e-12 * np.abs(values), ests + wedge_ests)
+    assert np.all(np.abs(wedge - values) <= bound)
+
+
 # ---------------------------------------------------------------------------
 # Identities
 
