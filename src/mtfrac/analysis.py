@@ -241,17 +241,14 @@ def lipschitz_experiment(base: Problem, perturbed: Problem, gamma: float,
     For gamma < 1/2 the difference is measured in
     L^{1/(1-gamma)}(0,T; D((-L)^{1-tau})), otherwise in L^2(0,T; D(-L)).
     Norms use the base problem's spectrum; the time integral is a composite
-    trapezoid on a graded grid, each problem's amplitudes on it one block.
-    The difference is taken in modal space when both problems share one
-    spectrum (the ``alpha`` and ``q`` channels), else projected on the base
-    modes after synthesis.  Perturbation sweeps sharing one base may pass
-    its ModalSolution through ``base_solution`` to reuse the cached
-    amplitudes.  ``threads`` must be positive and has no effect.
+    trapezoid on a graded grid, each problem's amplitudes on it one block;
+    both solutions are synthesized on the grid and their difference
+    projected on the base modes.  Perturbation sweeps sharing one base may
+    pass its ModalSolution through ``base_solution`` to reuse the cached
+    amplitudes.  ``threads`` is accepted and ignored.
     """
     if not 0.0 < gamma <= 1.0 or not 0.0 < tau <= 1.0:
         raise ValueError("gamma and tau must lie in (0, 1]")
-    if threads < 1:
-        raise ValueError("threads must be positive")
     if not np.array_equal(base.initial, perturbed.initial):
         raise ValueError("both problems must share the initial value")
     for prob in (base, perturbed):
@@ -275,10 +272,8 @@ def lipschitz_experiment(base: Problem, perturbed: Problem, gamma: float,
     modal_b = sol_b.modal_values(grid)
     modal_p = ModalSolution(perturbed).modal_values(grid)
     s, s_p = base.spectrum, perturbed.spectrum
-    if s_p is s:
-        diff_modal = modal_b - modal_p
-    else:  # rows are times: synthesize (a Phi^T), then project (h u Phi)
-        diff_modal = s.h * ((modal_b @ s.eigvecs.T - modal_p @ s_p.eigvecs.T) @ s.eigvecs)
+    # rows are times: synthesize (a Phi^T), then project (h u Phi)
+    diff_modal = s.h * ((modal_b @ s.eigvecs.T - modal_p @ s_p.eigvecs.T) @ s.eigvecs)
     norms = np.linalg.norm(s.lambdas ** space_gamma * diff_modal, axis=1)
     diff = float(np.trapezoid(norms ** p_exp, grid) ** (1.0 / p_exp))
     return LipschitzReport(delta=delta, diff_norm=diff,

@@ -81,8 +81,6 @@ class RunConfig:
     beta0: float = _key(1.0, "numerics", float, check=_POSITIVE)
     levels: int = _key(7, "numerics", int, check=_POSITIVE, fast=2)
     perturb_eps: float = _key(0.2, "numerics", float, check=_POSITIVE)
-    # accepted and checked; evaluation is one block per grid, so no effect
-    threads: int = _key(1, "numerics", int, check=_POSITIVE)
     tol: float = _key(1e-12, "numerics", float, check=_POSITIVE)
     # output
     out_path: str = _key("out.csv", "output", str, ini="path")
@@ -401,8 +399,7 @@ def _cmd_stability(cfg: RunConfig):
             eps = cfg.perturb_eps * 0.5 ** level
             pert = analysis.perturbed_problem(p, channel, eps)
             rep = analysis.lipschitz_experiment(
-                p, pert, gamma=cfg.gamma, tau=cfg.tau, threads=cfg.threads,
-                base_solution=base_sol)
+                p, pert, gamma=cfg.gamma, tau=cfg.tau, base_solution=base_sol)
             rows.append((channel, level, float(rep.delta),
                          float(rep.diff_norm), float(rep.ratio)))
             ratios.append(rep.ratio)
@@ -626,8 +623,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="INI configuration file")
     parser.add_argument("--preset", help=f"built-in preset: {sorted(PRESETS)}")
     parser.add_argument("--out", help="output directory (or $MTFRAC_OUT)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; no effect")
     parser.add_argument("--tol-profile", choices=("strict", "fast"),
                         default="strict")
     args = parser.parse_args(argv)
@@ -645,8 +640,6 @@ def main(argv=None) -> int:
         else:
             cfg = RunConfig()
         cfg.command = args.command
-        if args.threads is not None:
-            cfg.threads = args.threads
         if args.tol_profile == "fast":
             for f in _CONFIG_FIELDS:
                 if f.metadata["fast"]:

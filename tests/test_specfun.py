@@ -472,12 +472,15 @@ def test_parabola_slices_match_entrywise(laplace_spectrum, monkeypatch):
     assert not fell_back[:2].any()
     np.testing.assert_allclose(values[:2], single, rtol=1e-13, atol=0.0)
 
-    # One pass over the whole batch gives the same bits, fallbacks included.
+    # One pass over the whole batch takes the same fallbacks; its matmuls
+    # have other row counts, so the BLAS may round differently by an ulp.
     with monkeypatch.context() as patch:
         patch.setattr(sf, "_PARABOLA_SLICE", n)
-        one_pass = sf._solver_family(lams, orders, beta0s, ts)
-    for a, b in zip((values, ests, fell_back), one_pass):
-        np.testing.assert_array_equal(a, b)
+        one_values, one_ests, one_fell_back = sf._solver_family(
+            lams, orders, beta0s, ts)
+    np.testing.assert_array_equal(fell_back, one_fell_back)
+    np.testing.assert_allclose(one_values, values, rtol=1e-15, atol=0.0)
+    assert np.all(np.abs(one_ests - ests) <= 1e-15 * np.abs(values))
 
     # With a zero tolerance every positive-time entry, in every slice,
     # falls back to the wedge and is flagged; t = 0 entries stay exact.
