@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
-from .solver import FracOrders, ModalSolution, Problem, QuadConfig, solve_source
+from .solver import FracOrders, ModalSolution, Problem, solve_source
 from .spectral import Operator1D, modal_frac_norm
 from .specfun import gamma_real
 
@@ -167,25 +167,27 @@ class ShortTimeReport:
 
 
 def short_time_checks(p: Problem, gamma: float, t_grid, tau: float = 0.8,
-                      quad: QuadConfig | None = None) -> ShortTimeReport:
+                      modal: ModalSolution | None = None) -> ShortTimeReport:
     """Tabulate the short-time norms and decide the vanishing verdict.
 
     Homogeneous problems track ||u(t) - a||_{D((-L)^gamma)}; forced ones
-    (zero initial value) track ||u(t)||_{D((-L)^{gamma+1-tau})}.
+    (zero initial value) track ||u(t)||_{D((-L)^{gamma+1-tau})}.  A
+    homogeneous problem's ModalSolution may be passed through ``modal`` to
+    reuse its cached amplitudes.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) >= 0):
         raise ValueError("t_grid must be strictly decreasing")
     if p.source is None:
         kind = "homogeneous"
-        dist = ModalSolution(p).modal_values(t_grid) - p.modal_initial
+        sol = modal if modal is not None else ModalSolution(p)
+        dist = sol.modal_values(t_grid) - p.modal_initial
         norms = np.array([modal_frac_norm(d, gamma, p.spectrum) for d in dist])
     else:
         kind = "forced"
-        quad = quad or QuadConfig()
         g_norm = gamma + 1.0 - tau
         norms = np.array([
-            spectral.frac_norm(solve_source(p, t, quad), g_norm, p.spectrum)
+            spectral.frac_norm(solve_source(p, t), g_norm, p.spectrum)
             for t in t_grid
         ])
     scale = norms[0] if norms[0] > 0 else 1.0

@@ -72,7 +72,6 @@ class RunConfig:
                                  check=_POSITIVE)
     # numerics
     t_grid: str = _key("0.01:2:9:log", "numerics", str)
-    quad_panels: int = _key(256, "numerics", int, check=_POSITIVE, fast=4)
     l1_steps: int = _key(4096, "numerics", int, check=_POSITIVE, fast=4)
     l1_grading: float = _key(4.0, "numerics", float, check=_POSITIVE)
     gamma: float = _key(0.75, "numerics", float, check=_NON_NEGATIVE)
@@ -206,18 +205,24 @@ _KINDS = {"initial": ("zero", "mode", "modal-decay", "bump"),
 
 def _kind(cfg: RunConfig, section: str):
     """(kind, args) of ``[section] kind``, checked; a mode kind's index is
-    replaced by its 0-based eigenvector column."""
+    replaced by its 0-based eigenvector column and the other parameters are
+    converted to floats."""
     spec = getattr(cfg, f"{section}_kind")
     kind, *args = spec.split(":")
     if kind not in _KINDS[section]:
         raise ConfigError(f"[{section}] kind: unknown kind {spec!r}")
+    index = []
     if kind in ("mode", "mode-const"):
-        k = args[0].strip() if args else "1"
+        k = args.pop(0).strip() if args else "1"
         if not k.isdigit() or not 1 <= int(k) <= cfg.n_interior:
             raise ConfigError(f"[{section}] kind: mode index must be an integer "
                               f"in 1..{cfg.n_interior}, got {spec!r}")
-        args = [int(k) - 1] + args[1:]
-    return kind, args
+        index = [int(k) - 1]
+    try:
+        return kind, index + [float(a) for a in args]
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] kind: parameters must be numbers, "
+                          f"got {spec!r}") from exc
 
 
 def _initial_values(cfg: RunConfig, s: spectral.Spectrum, op) -> np.ndarray:
@@ -227,7 +232,7 @@ def _initial_values(cfg: RunConfig, s: spectral.Spectrum, op) -> np.ndarray:
     if kind == "mode":
         return s.eigvecs[:, args[0]].copy()
     if kind == "modal-decay":
-        p = float(args[0]) if args else 4.0
+        p = args[0] if args else 4.0
         coeffs = np.arange(1, s.n_modes + 1, dtype=float) ** -p
         return spectral.synthesize(coeffs, s)
     x = op.interior_x                                   # bump
@@ -239,7 +244,7 @@ def _build_source(cfg: RunConfig, s: spectral.Spectrum):
     kind, args = _kind(cfg, "source")
     if kind == "none":
         return None
-    amp = float(args[1]) if len(args) > 1 else 1.0       # mode-const
+    amp = args[1] if len(args) > 1 else 1.0               # mode-const
     times = np.linspace(0.0, cfg.source_t_final, cfg.source_n_samples)
     values = np.tile(amp * s.eigvecs[:, args[0]], (times.size, 1))
     return solver.SampledSource(times=times, values=values)
@@ -326,7 +331,8 @@ def _cmd_solve(cfg: RunConfig):
     results = {}
     if p.source is None:
         a_modal = p.modal_initial
-        for t, mv in zip(grid, solver.ModalSolution(p).modal_values(grid)):
+        sol = solver.ModalSolution(p)
+        for t, mv in zip(grid, sol.modal_values(grid)):
             rows.append((
                 float(t),
                 spectral.modal_frac_norm(mv, 0.0, p.spectrum),
@@ -336,13 +342,12 @@ def _cmd_solve(cfg: RunConfig):
             ))
         header = ["t", "l2_norm", "h1_norm", "dl_norm", "dist_init_norm"]
         if grid[0] > grid[-1]:
-            rep = analysis.short_time_checks(p, cfg.gamma, grid)
+            rep = analysis.short_time_checks(p, cfg.gamma, grid, modal=sol)
             results["short_time_vanishing"] = rep.vanishing
     else:
-        quad = solver.QuadConfig(n_panels=cfg.quad_panels)
         g_norm = cfg.gamma + 1.0 - cfg.tau
         for t in grid:
-            u = solver.solve_source(p, float(t), quad)
+            u = solver.solve_source(p, float(t))
             rows.append((
                 float(t),
                 spectral.frac_norm(u, 0.0, p.spectrum),
@@ -350,8 +355,7 @@ def _cmd_solve(cfg: RunConfig):
             ))
         header = ["t", "l2_norm", "forced_norm"]
         if grid[0] > grid[-1]:
-            rep = analysis.short_time_checks(p, cfg.gamma, grid, tau=cfg.tau,
-                                             quad=quad)
+            rep = analysis.short_time_checks(p, cfg.gamma, grid, tau=cfg.tau)
             results["short_time_vanishing"] = rep.vanishing
     return header, rows, results
 

@@ -8,12 +8,11 @@ evaluated as the sum of positive terms
 E^{(n)}_1(t) + sum_{j>=2} q_j t^{a_1-a_j} E^{(n)}_{1+a_1-a_j}(t), the
 inverse of its Laplace transform sum_j q_j s^{a_j-1} / (sum_j q_j s^{a_j} +
 lambda_n) (the difference cancels once lambda_n t^{a_1} is large, so it is
-never formed); forced solutions the Duhamel convolution of the per-mode
-propagator s^{a_1-1} E^{(n)}_{a_1}(s) against the modal source history.
-Caputo derivatives of solutions are computed by product integration: the
-smooth special-function factor is interpolated piecewise linearly while both
-endpoint singularities s^{a_1-1} and (t-s)^{-beta} go into the weight, whose
-panel moments are incomplete-beta integrals.
+never formed).  Caputo derivatives of solutions and forced solutions are
+closed forms from the same transform argument, with w(s) = sum_j q_j s^{a_j}:
+t^{beta0-1} E^{(n)}_{beta0}(t) inverts s^{a_1-beta0} / (w(s) + lambda_n).
+Product quadrature of weakly singular integrals is kept as an independent
+check of the per-mode equation.
 """
 
 from __future__ import annotations
@@ -232,16 +231,35 @@ def solve_homogeneous(p: Problem, t: float) -> np.ndarray:
 
 
 def time_derivative(p: Problem, t: float) -> np.ndarray:
-    """d/dt of the homogeneous solution:
-    -t^{a_1-1} sum_n lambda_n E^{(n)}_{a_1}(t) a_n phi_n.  Unbounded at t=0."""
+    """d/dt of the homogeneous solution, the beta = 1 case of
+    :func:`caputo_derivative`: -t^{a_1-1} sum_n lambda_n E^{(n)}_{a_1}(t)
+    a_n phi_n.  Unbounded at t=0."""
+    return caputo_derivative(p, 1.0, t)
+
+
+def caputo_derivative_modal(p: Problem, beta: float, t: float) -> np.ndarray:
+    """Modal coefficients of the Caputo derivative of order beta in (0, 1]
+    of the homogeneous solution.
+
+    The transform of D^beta u_n is s^beta u_n^ - s^{beta-1} a_n =
+    -lambda_n s^{beta-1} a_n / (w(s) + lambda_n), so
+    D^beta u_n(t) = -lambda_n t^{a_1-beta} E^{(n)}_{1+a_1-beta}(t) a_n."""
     if p.source is not None:
-        raise ValueError("time_derivative requires a homogeneous problem")
+        raise ValueError("caputo_derivative and time_derivative require a "
+                         "homogeneous problem")
+    if not 0.0 < beta <= 1.0:
+        raise ValueError("beta must lie in (0, 1]")
     if t <= 0:
-        raise ValueError("the time derivative is evaluated for t > 0 only")
+        raise ValueError("t must be positive")
     a1 = p.orders.alphas[0]
-    e = e_solver_many(p.spectrum.lambdas, p.orders, a1, t)
-    coeffs = -t ** (a1 - 1.0) * p.spectrum.lambdas * e * p.modal_initial
-    return spectral.synthesize(coeffs, p.spectrum)
+    lams = p.spectrum.lambdas
+    e = e_solver_many(lams, p.orders, a1 + (1.0 - beta), t)
+    return -t ** (a1 - beta) * lams * e * p.modal_initial
+
+
+def caputo_derivative(p: Problem, beta: float, t: float) -> np.ndarray:
+    """Grid values of the Caputo derivative of order beta of the solution."""
+    return spectral.synthesize(caputo_derivative_modal(p, beta, t), p.spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -323,46 +341,6 @@ def caputo_quadrature(smooth, t: float, beta: float, quad: QuadConfig,
     return val / gamma_real(1.0 - beta)
 
 
-def caputo_derivative_modal(p: Problem, beta: float, t: float,
-                            quad: QuadConfig) -> np.ndarray:
-    """Modal coefficients of the Caputo derivative of the homogeneous
-    solution, from the analytic time derivative of each amplitude."""
-    if p.source is not None:
-        raise ValueError("caputo_derivative requires a homogeneous problem")
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in (0, 1)")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    a1 = p.orders.alphas[0]
-    inv_g = 1.0 / gamma_real(1.0 - beta)
-
-    def on_mesh(factor):
-        mesh = quad.mesh(t, a1, factor)
-        vals = np.empty(p.spectrum.n_modes)
-        for i, lam in enumerate(p.spectrum.lambdas):
-            evals = e_solver_many(lam, p.orders, a1, mesh)
-            vals[i] = (-lam * p.modal_initial[i] * inv_g
-                       * _product_panels(mesh, evals, t, a1 - 1.0, beta))
-        return vals
-
-    out = on_mesh(1)
-    if quad.refine_check:
-        fine = on_mesh(2)
-        scale = float(np.linalg.norm(fine))
-        if float(np.linalg.norm(fine - out)) > quad.refine_rtol * max(scale, 1e-300):
-            raise ArithmeticError(
-                f"Caputo quadrature refinement disagreement at t={t}")
-        out = fine
-    return out
-
-
-def caputo_derivative(p: Problem, beta: float, t: float,
-                      quad: QuadConfig = QuadConfig()) -> np.ndarray:
-    """Grid values of the Caputo derivative of order beta of the solution."""
-    coeffs = caputo_derivative_modal(p, beta, t, quad)
-    return spectral.synthesize(coeffs, p.spectrum)
-
-
 def mode_ode_residual(orders: FracOrders, lam: float, t: float,
                       quad: QuadConfig = QuadConfig()) -> float:
     """Relative residual of the per-mode equation
@@ -385,22 +363,21 @@ def mode_ode_residual(orders: FracOrders, lam: float, t: float,
 
 
 # ---------------------------------------------------------------------------
-# Forced solution (Duhamel convolution)
+# Forced solution
 
-def _power_moments(mesh, p):
-    """int_{s_i}^{s_i+1} s^{p-1} {1, s} ds for all panels (closed form)."""
-    m0 = np.diff(mesh ** p) / p
-    m1 = np.diff(mesh ** (p + 1.0)) / (p + 1.0)
-    return m0, m1
+def solve_source(p: Problem, t: float) -> np.ndarray:
+    """Forced solution with zero initial value, exact for the linear
+    interpolant of the source samples.
 
+    Per mode the interpolant is F(s) = F(0) + F'(0) s + sum_i dF'_i
+    (s - t_i)_+, dF'_i the slope change at the interior sample t_i, and the
+    response to each piece inverts its transform over w(s) + lambda_n:
 
-def solve_source(p: Problem, t: float, quad: QuadConfig = QuadConfig()) -> np.ndarray:
-    """Forced solution with zero initial value:
-    per mode T_n(t) = int_0^t s^{a_1-1} E^{(n)}_{a_1}(s) F_n(t-s) ds.
+        T_n(t) = F(0) K1(t) + F'(0) K2(t) + sum_{0 < t_i < t} dF'_i K2(t - t_i),
 
-    The kernel power s^{a_1-1} is integrated exactly against a piecewise
-    linear interpolation of the smooth factor; the mesh is graded at s = 0
-    and includes the source sample kinks.
+    K1(t) = t^{a_1} E^{(n)}_{1+a_1}(t), K2(t) = t^{1+a_1} E^{(n)}_{2+a_1}(t).
+    Both kernels of every active mode come from one :func:`e_solver_many`
+    call.
     """
     if p.source is None:
         raise ValueError("solve_source requires a problem with a source")
@@ -411,33 +388,21 @@ def solve_source(p: Problem, t: float, quad: QuadConfig = QuadConfig()) -> np.nd
     src = p.source
     if t > src.times[-1] + 1e-12:
         raise ValueError(f"source history ends at {src.times[-1]}, requested t={t}")
-    n_in_window = int(np.count_nonzero((src.times > 0.0) & (src.times < t)))
-    if n_in_window > 4 * quad.n_panels:
-        raise ValueError(
-            f"source sampling ({n_in_window} samples inside the window) is finer "
-            f"than the quadrature can resolve with n_panels={quad.n_panels}; "
-            "increase n_panels")
-
-    a1 = p.orders.alphas[0]
-    base = quad.mesh(t, a1)
-    kinks = t - src.times
-    kinks = kinks[(kinks > 0.0) & (kinks < t)]
-    mesh = np.unique(np.concatenate([base, kinks, [0.0, t]]))
 
     hist = src.modal_history(p.spectrum)          # (n_times, n_modes)
     norms = np.max(np.abs(hist), axis=0)
     # Modes whose history is projection noise contribute nothing.
     active = np.nonzero(norms > 1e-14 * max(norms.max(), 1e-300))[0]
+    hist = hist[:, active]
 
+    slopes = np.diff(hist, axis=0) / np.diff(src.times)[:, None]
+    kinks = src.times[1:-1] < t
+    taus = np.concatenate([[t], t - src.times[1:-1][kinks]])
+    weights = np.vstack([slopes[:1], np.diff(slopes, axis=0)[kinks]])
+    a1 = p.orders.alphas[0]
+    e = e_solver_many(p.spectrum.lambdas[active], p.orders,
+                      [1.0 + a1, 2.0 + a1], taus[:, None])
     coeffs = np.zeros(p.spectrum.n_modes)
-    s0, s1 = mesh[:-1], mesh[1:]
-    m0, m1 = _power_moments(mesh, a1)
-    for i in active:
-        lam = p.spectrum.lambdas[i]
-        evals = e_solver_many(lam, p.orders, a1, mesh)
-        fvals = np.interp(t - mesh, src.times, hist[:, i])
-        g = evals * fvals
-        slope = (g[1:] - g[:-1]) / (s1 - s0)
-        c0 = g[:-1] - slope * s0
-        coeffs[i] = float(np.sum(c0 * m0 + slope * m1))
+    coeffs[active] = (t ** a1 * hist[0] * e[0, 0]
+                      + taus ** (1.0 + a1) @ (weights * e[1]))
     return spectral.synthesize(coeffs, p.spectrum)

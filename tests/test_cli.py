@@ -56,11 +56,11 @@ def test_parse_rejects_bad_leading_weight(tmp_path):
 
 
 def test_parse_rejects_unknown_key(tmp_path):
-    text = MINIMAL_CONFIG + "\n[numerics]\nbogus_key = 3\n"
-    # configparser would merge duplicate sections; write a distinct one
-    text = MINIMAL_CONFIG.replace("[numerics]", "[numerics]\nbogus_key = 3")
-    with pytest.raises(cli.ConfigError, match="unknown key 'bogus_key'"):
-        cli.parse_config(_write(tmp_path, text))
+    # quad_panels was a key once; its only reader is gone
+    for key in ("bogus_key", "quad_panels"):
+        text = MINIMAL_CONFIG.replace("[numerics]", f"[numerics]\n{key} = 3")
+        with pytest.raises(cli.ConfigError, match=f"unknown key '{key}'"):
+            cli.parse_config(_write(tmp_path, text))
 
 
 def test_parse_rejects_unknown_section(tmp_path):
@@ -179,6 +179,8 @@ def test_main_error_paths(tmp_path, capsys):
     ("initial_kind", "mode:x", r"\[initial\] kind: mode index must be an integer"),
     ("source_kind", "mode-const:", r"\[source\] kind: mode index must be an integer"),
     ("initial_kind", "sine:2", r"\[initial\] kind: unknown kind"),
+    ("initial_kind", "modal-decay:x", r"\[initial\] kind: parameters must be numbers"),
+    ("source_kind", "mode-const:2:x", r"\[source\] kind: parameters must be numbers"),
 ])
 def test_validate_checks_kind_and_mode_index(attr, spec, message):
     with pytest.raises(cli.ConfigError, match=message):
@@ -259,9 +261,20 @@ def test_preset_thm24_end_to_end(tmp_path):
     assert len(lines) == 16
 
 
-def test_preset_thm21_short_time_verdict(tmp_path):
+def test_preset_thm21_short_time_verdict(tmp_path, monkeypatch):
+    # The rows and the short-time verdict share one amplitude block.
+    from mtfrac import specfun
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return solver_family(*args)
+
+    solver_family = specfun._solver_family
+    monkeypatch.setattr(specfun, "_solver_family", counting)
     cfg = cli.preset_config("thm21")
     assert cli.run(cfg, out_dir=str(tmp_path)) == 0
+    assert len(calls) == 1
     manifest = configparser.ConfigParser()
     manifest.read(str(tmp_path / "thm21.csv.manifest.ini"))
     assert manifest["results"]["short_time_vanishing"] == "True"
