@@ -167,13 +167,16 @@ class ShortTimeReport:
 
 
 def short_time_checks(p: Problem, gamma: float, t_grid, tau: float = 0.8,
-                      modal: ModalSolution | None = None) -> ShortTimeReport:
+                      modal: ModalSolution | None = None,
+                      forced=None) -> ShortTimeReport:
     """Tabulate the short-time norms and decide the vanishing verdict.
 
     Homogeneous problems track ||u(t) - a||_{D((-L)^gamma)}; forced ones
     (zero initial value) track ||u(t)||_{D((-L)^{gamma+1-tau})}.  A
     homogeneous problem's ModalSolution may be passed through ``modal`` to
-    reuse its cached amplitudes.
+    reuse its cached amplitudes; a forced problem's solutions on ``t_grid``
+    (one row of grid values per time, as from :func:`solve_source`) may be
+    passed through ``forced``.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) >= 0):
@@ -186,10 +189,11 @@ def short_time_checks(p: Problem, gamma: float, t_grid, tau: float = 0.8,
     else:
         kind = "forced"
         g_norm = gamma + 1.0 - tau
-        norms = np.array([
-            spectral.frac_norm(solve_source(p, t), g_norm, p.spectrum)
-            for t in t_grid
-        ])
+        if forced is None:
+            forced = [solve_source(p, t) for t in t_grid]
+        elif len(forced) != t_grid.size:
+            raise ValueError("forced needs one solution per time of t_grid")
+        norms = np.array([spectral.frac_norm(u, g_norm, p.spectrum) for u in forced])
     scale = norms[0] if norms[0] > 0 else 1.0
     monotone = bool(np.all(norms[1:] <= norms[:-1] * 1.05 + 1e-300))
     vanishing = monotone and norms[-1] <= 1e-3 * scale

@@ -5,10 +5,13 @@ Three routes that share no code with the primary evaluation path:
 * :func:`highprec_series` sums the defining series in software arbitrary
   precision (mpmath) with a rigorous majorant tail bound;
 * :func:`l1_solve_mode` time-steps the per-mode multi-term fractional ODE
-  with the piecewise-linear (L1) discretization of each Caputo term;
+  with the piecewise-linear (L1) discretization of each Caputo term.  The
+  O(N^2) history is summed for blocks of steps at once, one matrix-vector
+  product per column tile of differenced weights, so its working set is a
+  few fixed-size buffers at any mesh size;
 * :func:`laplace_mode_eval` evaluates the mode through its Laplace
   inversion along the cut negative axis, leading decay term plus remainder
-  integral.
+  integral, each panel set of the quadrature in one integrand call.
 
 :func:`counterexample_run` reproduces the unstable negative-coefficient
 configuration whose Laplace symbol acquires zeros off the cut.
@@ -187,6 +190,44 @@ def _source_values(f, ts):
     return np.interp(ts, np.asarray(t_samp, dtype=float), np.asarray(v_samp, dtype=float))
 
 
+# Steps per block of the L1 recurrence, and the column width of one tile of
+# its far-history weights.  Four (block x tile) float64 buffers, 1 MB, bound
+# the working set at any mesh size, where (block x n_steps) weights would
+# grow with the mesh.
+_L1_BLOCK = 32
+_L1_TILE = 1024
+
+
+def _l1_weight_diffs(ts, n0, n1, c0, c1, expo, coef, work):
+    """Differenced history weights of steps n0 <= n < n1 over columns c0 <= k < c1.
+
+    Entry (n - n0, k - c0) is W[n, k] - W[n, k+1], with the combined weight
+    W[n, k] = sum_j coef_j (t_n - t_k)_+^{expo_j}.  Each term's powers are
+    differenced before they are scaled and summed, as the per-term L1
+    weights are: next to a tiny first step the difference is far below the
+    powers, and any rounding taken before it would be amplified.  For the
+    same reason the weights are differenced before any product with the
+    slopes (summing by parts against slope differences cancels).  Returns
+    a view into ``work``, four flat buffers of at least
+    (n1 - n0) * (c1 - c0 + 1) entries.
+    """
+    size = (n1 - n0) * (c1 - c0 + 1)
+    back, pw, step, diffs = (buf[:size] for buf in work)
+    np.subtract(ts[n0:n1, None], ts[None, c0:c1 + 1], out=back.reshape(n1 - n0, -1))
+    if c1 > n0:                       # columns past a row's own time
+        np.maximum(back, 0.0, out=back)
+    # Differences over the flat rows: the one that straddles two rows is
+    # never read.
+    for j, (e, c) in enumerate(zip(expo, coef)):
+        np.power(back, e, out=pw)
+        out = diffs[:-1] if j == 0 else step[:-1]
+        np.subtract(pw[:-1], pw[1:], out=out)
+        out *= c
+        if j > 0:
+            diffs[:-1] += out
+    return diffs.reshape(n1 - n0, -1)[:, :-1]
+
+
 def l1_solve_mode(lam: float, orders, a_n: float, f_n=None,
                   cfg: L1Config = None, stop_abs: float = None):
     """L1 time stepping of  sum_j q_j D^{a_j} u + lam u = f,  u(0) = a_n.
@@ -195,6 +236,18 @@ def l1_solve_mode(lam: float, orders, a_n: float, f_n=None,
     weights on the shared (possibly graded) mesh; the implicit update is a
     scalar linear solve per step.  Returns (times, values).  ``stop_abs``
     stops early once |u| exceeds it (used by growth experiments).
+
+    With slopes s_k = (u_{k+1} - u_k) / dt_k and the combined weight
+    W[n, k] = sum_j q_j (t_n - t_k)^{1-a_j} / Gamma(2 - a_j), step n solves
+
+        (W[n, n-1] - W[n, n]) s_{n-1} + lam u_n
+            = f_n - sum_{k < n-1} (W[n, k] - W[n, k+1]) s_k.
+
+    Steps advance in blocks of _L1_BLOCK.  At the start of a block every
+    slope before it is known, so the far history of all its steps is one
+    matrix-vector product per tile of _L1_TILE columns; the near triangle
+    inside the block is summed step by step.  The working set is four
+    (block x tile) buffers whatever the number of steps.
 
     ``orders`` only needs ``alphas``/``qs`` attributes; sign constraints are
     the caller's business, which lets deliberately ill-posed weight patterns
@@ -205,36 +258,43 @@ def l1_solve_mode(lam: float, orders, a_n: float, f_n=None,
     alphas = np.asarray(orders.alphas, dtype=float)
     qs = np.asarray(orders.qs, dtype=float)
     ts = l1_mesh(cfg)
-    fs = _source_values(f_n, ts)
+    fs = _source_values(f_n, ts).tolist()
     n_steps = cfg.n_steps
+    lam = float(lam)
+    expo = 1.0 - alphas
+    coef = qs / gamma_real(2.0 - alphas)          # q_j / Gamma(2 - a_j)
+    dt = np.diff(ts)
+    dt_list = dt.tolist()
 
     u = np.empty(n_steps + 1)
     u[0] = a_n
-    ginv = 1.0 / gamma_real(2.0 - alphas)     # 1/Gamma(2 - a_j)
-    one_minus = 1.0 - alphas
-
-    for n in range(1, n_steps + 1):
-        tn = ts[n]
-        dt = np.diff(ts[: n + 1])             # length n
-        # weights d_k^{(j)} = [(tn-t_k)^{1-a} - (tn-t_{k+1})^{1-a}] / (G(2-a) dt_k)
-        back = tn - ts[: n + 1]               # length n+1, last entry 0
-        du = np.diff(u[: n + 1])              # u_{k+1} - u_k, last entry unknown
-        a_coef = 0.0
-        hist = 0.0
-        for j in range(alphas.size):
-            pw = back ** one_minus[j]
-            d = (pw[:-1] - pw[1:]) * ginv[j] / dt
-            a_coef += qs[j] * d[-1]
-            if n > 1:
-                hist += qs[j] * float(d[:-1] @ du[:-1])
-        denom = a_coef + lam
-        if denom == 0.0:
-            raise ArithmeticError("singular L1 update (a_coef + lam = 0)")
-        u[n] = (a_coef * u[n - 1] - hist + fs[n]) / denom
-        if not np.isfinite(u[n]):
-            raise ArithmeticError(f"L1 step produced a non-finite value at t={tn:.4g}")
-        if stop_abs is not None and abs(u[n]) >= stop_abs:
-            return ts[: n + 1], u[: n + 1]
+    slopes = np.empty(n_steps)
+    work = np.empty((4, _L1_BLOCK * (_L1_TILE + 1)))
+    for n0 in range(1, n_steps + 1, _L1_BLOCK):
+        n1 = min(n0 + _L1_BLOCK, n_steps + 1)
+        far = np.zeros(n1 - n0)
+        for c0 in range(0, n0 - 1, _L1_TILE):
+            c1 = min(c0 + _L1_TILE, n0 - 1)
+            far += _l1_weight_diffs(ts, n0, n1, c0, c1, expo, coef, work) @ slopes[c0:c1]
+        # Columns n0-1 <= k < n1-1; the diagonal weighs each step's own slope.
+        near = _l1_weight_diffs(ts, n0, n1, n0 - 1, n1 - 1, expo, coef, work)
+        a_coefs = (np.diagonal(near) / dt[n0 - 1:n1 - 1]).tolist()
+        far = far.tolist()
+        u_prev = float(u[n0 - 1])
+        for i, a_coef in enumerate(a_coefs):
+            n = n0 + i
+            hist = far[i] + float(near[i, :i] @ slopes[n0 - 1:n - 1])
+            denom = a_coef + lam
+            if denom == 0.0:
+                raise ArithmeticError("singular L1 update (a_coef + lam = 0)")
+            u_n = (a_coef * u_prev - hist + fs[n]) / denom
+            if not math.isfinite(u_n):
+                raise ArithmeticError(f"L1 step produced a non-finite value at t={ts[n]:.4g}")
+            u[n] = u_n
+            if stop_abs is not None and abs(u_n) >= stop_abs:
+                return ts[: n + 1], u[: n + 1]
+            slopes[n - 1] = (u_n - u_prev) / dt_list[n - 1]
+            u_prev = u_n
     return ts, u
 
 
@@ -265,7 +325,8 @@ def hankel_integrand(orders, lam: float, r):
 
 def _hankel_quad(orders, lam, t, cfg, n_panels):
     """Panel Gauss-Legendre of int_0^r_max H(r) e^{-rt} dr with a split at
-    eps0*lam and geometric grading toward r = 0."""
+    eps0*lam and geometric grading toward r = 0; every panel's 16 nodes are
+    one row of a single integrand call."""
     gl_x, gl_w = np.polynomial.legendre.leggauss(16)
     r_split = min(cfg.eps0 * lam, cfg.r_max)
     edges = []
@@ -279,11 +340,10 @@ def _hankel_quad(orders, lam, t, cfg, n_panels):
         lin = r_split * (cfg.r_max / r_split) ** (np.arange(1, n_lin + 1) / n_lin)
         edges.append(lin)
     grid = np.concatenate(edges)
-    total = 0.0
-    for lo, hi in zip(grid[:-1], grid[1:]):
-        r = 0.5 * (hi - lo) * gl_x + 0.5 * (hi + lo)
-        total += 0.5 * (hi - lo) * float(
-            (gl_w * hankel_integrand(orders, lam, r) * np.exp(-r * t)).sum())
+    half = 0.5 * np.diff(grid)[:, None]               # (panels, 1)
+    r = half * gl_x + 0.5 * (grid[1:] + grid[:-1])[:, None]
+    panels = (gl_w * hankel_integrand(orders, lam, r) * np.exp(-r * t)).sum(axis=1)
+    total = float(half[:, 0] @ panels)
     # analytic bound on the dropped [0, r_lo] piece
     below = abs(hankel_integrand(orders, lam, np.array([r_lo]))[0]) * r_lo * 2.0
     return total, below, grid

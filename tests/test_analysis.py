@@ -126,6 +126,24 @@ def test_short_time_zero_data(laplace_op, laplace_spectrum):
     assert np.all(rep.norms == 0.0)
 
 
+def test_short_time_forced_takes_caller_solutions(laplace_op, laplace_spectrum):
+    times = np.linspace(0.0, 0.2, 33)
+    src = sv.SampledSource(times=times,
+                           values=np.tile(laplace_spectrum.eigvecs[:, 1], (33, 1)))
+    p = sv.Problem(orders=sv.FracOrders(alphas=(0.7, 0.4), qs=(1.0, 1.2)),
+                   operator=laplace_op, spectrum=laplace_spectrum,
+                   initial=np.zeros(laplace_op.n_interior), source=src)
+    grid = np.logspace(-1, -6, 6)
+    forced = [sv.solve_source(p, float(t)) for t in grid]
+    own = an.short_time_checks(p, 0.0, grid)
+    given = an.short_time_checks(p, 0.0, grid, forced=forced)
+    assert own.kind == given.kind == "forced"
+    np.testing.assert_array_equal(given.norms, own.norms)
+    assert given.vanishing == own.vanishing
+    with pytest.raises(ValueError, match="one solution per time"):
+        an.short_time_checks(p, 0.0, grid, forced=forced[1:])
+
+
 def test_short_time_grid_validation(decay_problem):
     with pytest.raises(ValueError):
         an.short_time_checks(decay_problem, 0.5, np.array([1e-8, 1e-1]))

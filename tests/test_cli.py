@@ -280,9 +280,20 @@ def test_preset_thm21_short_time_verdict(tmp_path, monkeypatch):
     assert manifest["results"]["short_time_vanishing"] == "True"
 
 
-def test_preset_thm22_forced_verdict(tmp_path):
+def test_preset_thm22_forced_verdict(tmp_path, monkeypatch):
+    # The verdict reuses the rows' forced solutions: one kernel call per time.
+    from mtfrac import specfun
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return solver_family(*args)
+
+    solver_family = specfun._solver_family
+    monkeypatch.setattr(specfun, "_solver_family", counting)
     cfg = cli.preset_config("thm22")
     assert cli.run(cfg, out_dir=str(tmp_path)) == 0
+    assert len(calls) == 8
     manifest = configparser.ConfigParser()
     manifest.read(str(tmp_path / "thm22.csv.manifest.ini"))
     assert manifest["results"]["short_time_vanishing"] == "True"

@@ -121,6 +121,75 @@ def test_l1_positivity_transfer():
         assert np.all(us <= 1.0 + 1e-12)
 
 
+def _l1_per_step(lam, orders, a_n, f_n=None, cfg=None, stop_abs=None):
+    """The L1 recurrence one step at a time, each step re-differencing the
+    mesh, the values and every term's kernel powers."""
+    alphas = np.asarray(orders.alphas, dtype=float)
+    qs = np.asarray(orders.qs, dtype=float)
+    ts = orc.l1_mesh(cfg)
+    fs = orc._source_values(f_n, ts)
+    u = np.empty(cfg.n_steps + 1)
+    u[0] = a_n
+    ginv = 1.0 / sf.gamma_real(2.0 - alphas)
+    for n in range(1, cfg.n_steps + 1):
+        dt = np.diff(ts[: n + 1])
+        back = ts[n] - ts[: n + 1]
+        du = np.diff(u[: n + 1])
+        a_coef = 0.0
+        hist = 0.0
+        for j in range(alphas.size):
+            pw = back ** (1.0 - alphas[j])
+            d = (pw[:-1] - pw[1:]) * ginv[j] / dt
+            a_coef += qs[j] * d[-1]
+            if n > 1:
+                hist += qs[j] * float(d[:-1] @ du[:-1])
+        denom = a_coef + lam
+        if denom == 0.0:
+            raise ArithmeticError("singular L1 update")
+        u[n] = (a_coef * u[n - 1] - hist + fs[n]) / denom
+        if not np.isfinite(u[n]):
+            raise ArithmeticError("non-finite L1 step")
+        if stop_abs is not None and abs(u[n]) >= stop_abs:
+            return ts[: n + 1], u[: n + 1]
+    return ts, u
+
+
+def test_l1_blocked_matches_per_step_reference(monkeypatch):
+    # Block edges, tile edges (3000 steps span three column tiles) and both
+    # kinds of source.  The two sum the same weights in another order, so
+    # they agree to rounding amplified by the recurrence, far below the
+    # method's own error.  The steep grading makes the first steps tiny,
+    # where a history summed by parts against slope differences loses
+    # about 1e-6 of max|u| at 3000 steps.
+    b = orc._L1_BLOCK
+    t_samp = np.linspace(0.0, 1.5, 7)
+    sources = (lambda t: math.cos(3.0 * t), (t_samp, t_samp ** 2 - 1.0))
+    for orders in (FracOrders.single(0.3),
+                   FracOrders(alphas=(0.8, 0.4), qs=(1.0, 1.3)),
+                   FracOrders(alphas=(0.85, 0.5, 0.25), qs=(1.0, 0.7, 2.0))):
+        for i, n_steps in enumerate((2, b - 1, b, b + 1, 3 * b + 5, 3000)):
+            cfg = orc.L1Config(t_final=1.5, n_steps=n_steps, grading=4.0)
+            f_n = sources[(i + orders.m) % 2]
+            ts, us = orc.l1_solve_mode(2.5, orders, 0.7, f_n, cfg)
+            ts_ref, us_ref = _l1_per_step(2.5, orders, 0.7, f_n, cfg)
+            np.testing.assert_array_equal(ts, ts_ref)
+            assert np.max(np.abs(us - us_ref)) <= 1e-8 * np.max(np.abs(us_ref))
+
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        orc.l1_solve_mode(1.0, FracOrders.single(0.5), 1.0,
+                          lambda t: math.inf if t > 0.5 else 0.0,
+                          orc.L1Config(t_final=1.0, n_steps=100))
+
+    # stop_abs ends the growing run at the same step as the reference.
+    cfg = orc.L1Config(t_final=5.0, n_steps=4096, grading=4.0)
+    ours = [orc.counterexample_run(10.0, cfg, flip_sign=f) for f in (False, True)]
+    monkeypatch.setattr(orc, "l1_solve_mode", _l1_per_step)
+    refs = [orc.counterexample_run(10.0, cfg, flip_sign=f) for f in (False, True)]
+    assert [r.verdict for r in ours] == [r.verdict for r in refs] == ["grows", "decays"]
+    assert [r.values.size for r in ours] == [r.values.size for r in refs]
+    assert ours[0].values.size < cfg.n_steps + 1
+
+
 def test_l1_config_validation():
     with pytest.raises(ValueError):
         orc.L1Config(t_final=-1.0, n_steps=16)
@@ -180,6 +249,47 @@ def test_hankel_integrand_two_regime_bounds():
     shape2 = (r_small2 ** -0.2 + r_small2 ** 0.2 + r_small2 ** -0.2)
     ratio2 = np.abs(orc.hankel_integrand(orders, lam, r_small2)) / (shape2 / lam)
     assert float(np.max(ratio2)) <= 1.1 * c_small
+
+
+def _hankel_quad_per_panel(orders, lam, t, cfg, n_panels):
+    """Panel quadrature of the cut integral, one integrand call per panel."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
+    r_split = min(cfg.eps0 * lam, cfg.r_max)
+    r_lo = r_split * 1e-60
+    n = max(8, n_panels)
+    edges = [r_lo * (r_split / r_lo) ** (np.arange(n + 1) / n)]
+    if cfg.r_max > r_split:
+        edges.append(r_split * (cfg.r_max / r_split) ** (np.arange(1, n + 1) / n))
+    grid = np.concatenate(edges)
+    total = 0.0
+    for lo, hi in zip(grid[:-1], grid[1:]):
+        r = 0.5 * (hi - lo) * gl_x + 0.5 * (hi + lo)
+        total += 0.5 * (hi - lo) * float(
+            (gl_w * orc.hankel_integrand(orders, lam, r) * np.exp(-r * t)).sum())
+    below = abs(orc.hankel_integrand(orders, lam, np.array([r_lo]))[0]) * r_lo * 2.0
+    return total, below, grid
+
+
+def test_hankel_panels_match_per_panel_reference():
+    orders = FracOrders(alphas=(0.8, 0.4), qs=(1.0, 1.0))
+    split_kinds = set()
+    for t in (0.5, 20.0):
+        cfg = orc.HankelConfig.for_time(t)
+        for lam in (5.0, 2000.0):
+            split_kinds.add(cfg.eps0 * lam < cfg.r_max)
+            for n_panels in (cfg.n_panels, 2 * cfg.n_panels):
+                total, below, grid = orc._hankel_quad(orders, lam, t, cfg, n_panels)
+                ref_total, ref_below, ref_grid = _hankel_quad_per_panel(
+                    orders, lam, t, cfg, n_panels)
+                np.testing.assert_array_equal(grid, ref_grid)
+                assert below == ref_below
+                assert abs(total - ref_total) <= 1e-14 * abs(ref_total)
+    assert split_kinds == {True, False}
+    # Too few panels: the doubled-panel check still refuses the value.
+    for lam in (5.0, 2000.0):
+        with pytest.raises(ArithmeticError, match="refinement disagreement"):
+            orc.laplace_mode_eval(lam, orders, 1.0, 20.0,
+                                  orc.HankelConfig.for_time(20.0, n_panels=8))
 
 
 def test_hankel_config_validation():
