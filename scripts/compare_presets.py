@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Run the CLI presets of a source tree, or compare two sets of their CSVs.
+
+    python scripts/compare_presets.py run TREE OUT_DIR
+    python scripts/compare_presets.py compare DIR_A DIR_B
+
+``run`` puts ``TREE/src`` on PYTHONPATH and writes the five presets' CSVs and
+the ``verify`` CSV (as ``verify.csv``) to OUT_DIR, one process per preset,
+with BLAS threads pinned to 1 so two trees sum in the same order.
+
+``compare`` reports, for every CSV in either directory, whether the two
+files are byte-identical and their row counts; for a file that differs, the
+largest relative difference of each numeric column (and the number of
+differing cells of each text column).  It exits with 1 unless every file is
+byte-identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import math
+import os
+import subprocess
+import sys
+
+PRESETS = ("thm21", "thm22", "thm23", "thm24", "rem36", "verify")
+
+_RUN_ONE = """
+import sys
+from mtfrac import cli
+name, out_dir = sys.argv[1:]
+cfg = cli.RunConfig(command="verify") if name == "verify" else cli.preset_config(name)
+cfg.out_path = name + ".csv"
+sys.exit(cli.run(cfg, out_dir=out_dir))
+"""
+
+
+def run_presets(tree: str, out_dir: str) -> None:
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    for name in PRESETS:
+        proc = subprocess.run([sys.executable, "-c", _RUN_ONE, name, out_dir],
+                              env=env, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{name} exited with {proc.returncode}:\n{proc.stderr}")
+        print(f"wrote {os.path.join(out_dir, name + '.csv')}")
+
+
+def _read(path):
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    return header, rows
+
+
+def _rel_diff(a: str, b: str) -> float | None:
+    """Relative difference of two numeric cells; None if either is text."""
+    if a == b:
+        return 0.0
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return None
+    if x == y:
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def compare_file(path_a: str, path_b: str) -> dict:
+    """Byte identity, row counts and, per column, the largest relative
+    difference (numeric) or the count of differing cells (text)."""
+    with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
+        identical = fa.read() == fb.read()
+    header_a, rows_a = _read(path_a)
+    header_b, rows_b = _read(path_b)
+    report = {"identical": identical, "rows": (len(rows_a), len(rows_b)),
+              "columns": {}}
+    if identical:
+        return report
+    if header_a != header_b:
+        report["header"] = (header_a, header_b)
+    for j, name in enumerate(header_a[:len(header_b)]):
+        worst, text_diffs = 0.0, 0
+        for ra, rb in zip(rows_a, rows_b):
+            d = _rel_diff(ra[j], rb[j])
+            if d is None:
+                text_diffs += 1
+            else:
+                worst = max(worst, d)
+        report["columns"][name] = ("text", text_diffs) if text_diffs else ("max_rel", worst)
+    return report
+
+
+def compare_dirs(dir_a: str, dir_b: str) -> dict:
+    names = sorted({f for d in (dir_a, dir_b) for f in os.listdir(d)
+                    if f.endswith(".csv")})
+    out = {}
+    for name in names:
+        paths = [os.path.join(d, name) for d in (dir_a, dir_b)]
+        missing = [p for p in paths if not os.path.exists(p)]
+        out[name] = {"missing": missing} if missing else compare_file(*paths)
+    return out
+
+
+def _format(reports: dict) -> str:
+    lines = []
+    for name, rep in reports.items():
+        if "missing" in rep:
+            lines.append(f"{name}: missing from {', '.join(rep['missing'])}")
+            continue
+        rows = "{} rows".format(rep["rows"][0]) if rep["rows"][0] == rep["rows"][1] \
+            else "{} vs {} rows".format(*rep["rows"])
+        lines.append(f"{name}: {'identical' if rep['identical'] else 'differs'}, {rows}")
+        if "header" in rep:
+            lines.append(f"  header {rep['header'][0]} vs {rep['header'][1]}")
+        for col, (kind, v) in rep["columns"].items():
+            lines.append(f"  {col}: " + (f"{v} differing cells" if kind == "text"
+                                         else f"max relative difference {v:.3g}"))
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    p_run = sub.add_parser("run", help="run the presets of a source tree")
+    p_run.add_argument("tree")
+    p_run.add_argument("out_dir")
+    p_cmp = sub.add_parser("compare", help="compare two output directories")
+    p_cmp.add_argument("dir_a")
+    p_cmp.add_argument("dir_b")
+    args = parser.parse_args(argv)
+    if args.cmd == "run":
+        run_presets(args.tree, args.out_dir)
+        return 0
+    reports = compare_dirs(args.dir_a, args.dir_b)
+    print(_format(reports))
+    return 0 if reports and all(r.get("identical") for r in reports.values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

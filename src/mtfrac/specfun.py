@@ -784,9 +784,8 @@ def solver_args(orders, lam: float, t: float) -> MLArgs:
     return MLArgs(z=tuple(z))
 
 
-def _check_real(values, ests, context):
-    tol = np.maximum(REAL_RESIDUE_TOL * (1.0 + np.abs(values)),
-                     8.0 * ests + 1e-12)
+def _check_real(values, ests, abs_values, context):
+    tol = np.maximum(REAL_RESIDUE_TOL * (1.0 + abs_values), 8.0 * ests + 1e-12)
     bad = np.abs(values.imag) > tol
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -812,19 +811,29 @@ def _check_real(values, ests, context):
 # the refinement estimate.  The value comes from the coarser sum because its
 # weights e^{z_k} are smaller (max e^{0.1309 N}), so it carries less
 # rounding noise, while its discretization error is already near the
-# rounding level.  Both sums run over the full node set, so the imaginary
-# part of the value is the real-value check.
+# rounding level.  The nodes come in pairs theta, -theta whose terms are
+# complex conjugates (z(-theta) = conj z(theta), z_1 and every z_j real), so
+# the check sum is 2 Re of its sum over the nodes with Im z > 0.  The value
+# sum runs over the full node set, so its imaginary part is the real-value
+# check.
 _PARABOLA_NODES = (32, 40)
-# Entries per pass of _parabola_eval: a pass's 256 x 72 complex resolvent
-# (0.3 MB) stays in cache through its three products, where one pass over a
+# Entries per pass of _parabola_eval: a pass's 256 x 52 complex resolvent
+# (0.2 MB) stays in cache through its three products, where one pass over a
 # 25 x 255 (times x modes) grid measured 1.4-1.8 times as slow.
 _PARABOLA_SLICE = 256
 
 
 @lru_cache(maxsize=16)
 def _parabola_plan(alphas, beta0s):
-    """Nodes of both node counts, concatenated: returns (c, zpows) with
-    c[k, i] the weight c_k above for beta0s[i] and zpows[j] = z_k^{a_{j+1}}."""
+    """Nodes of the value sum, then the upper-half nodes of the check sum.
+
+    Returns (c, abs_c, w, zpows): c[k, i] is the weight c_k above for
+    beta0s[i] at the value's nodes, abs_c = |c|, and zpows[j] = z_k^{a_{j+1}}
+    at the value's nodes followed by the check's.  w holds the check
+    weights as real rows (2 Re c_k, -2 Im c_k), one pair per node, so the
+    float view of the check's resolvent columns times w is 2 Re sum_k
+    c_k R_k.
+    """
     zs, cs = [], []
     for n in _PARABOLA_NODES:
         theta = -math.pi + (2.0 * np.arange(1, n + 1) - 1.0) * math.pi / n
@@ -833,8 +842,12 @@ def _parabola_plan(alphas, beta0s):
         zs.append(z)
         cs.append((np.exp(z) * dz / (1j * n))[:, None]
                   * z[:, None] ** (alphas[0] - np.array(beta0s)))
-    z = np.concatenate(zs)
-    return np.concatenate(cs), np.array([z ** a for a in alphas])
+    half = _PARABOLA_NODES[1] // 2
+    c, c_check = cs[0], cs[1][half:]
+    w = np.empty((2 * half, len(beta0s)))
+    w[0::2], w[1::2] = 2.0 * c_check.real, -2.0 * c_check.imag
+    z = np.concatenate([zs[0], zs[1][half:]])
+    return c, np.abs(c), w, np.array([z ** a for a in alphas])
 
 
 def _parabola_eval(alphas, beta0s, z1, z_rest, t_index):
@@ -842,21 +855,37 @@ def _parabola_eval(alphas, beta0s, z1, z_rest, t_index):
 
     z1 has shape (B,); z_rest has shape (T, m-1), one row per distinct time,
     and t_index (B,) picks each entry's row.  Returns (values,
-    refinement_error, scale) of shape (B, len(beta0s)), scale being the sum
-    of the value's node-contribution magnitudes as in :func:`_contour_eval`.
-    The batch is processed in slices of _PARABOLA_SLICE entries.
+    refinement_error, scale) of shape (B, len(beta0s)): the complex value,
+    its distance from the real check sum, and the sum of the value's
+    node-contribution magnitudes as in :func:`_contour_eval`.  The batch is
+    processed in slices of _PARABOLA_SLICE entries, each slice's resolvent
+    built in one reused buffer.
     """
-    c, zpows = _parabola_plan(tuple(alphas), beta0s)
+    c, abs_c, w, zpows = _parabola_plan(tuple(alphas), beta0s)
     symbols = zpows[0] - z_rest @ zpows[1:]
     n = _PARABOLA_NODES[0]
-    parts = []
+    size = min(_PARABOLA_SLICE, z1.size)
+    resolvent = np.empty((size, symbols.shape[1]), dtype=complex)
+    # The check's columns as (re, im) float pairs, matching the rows of w.
+    check_floats = resolvent.view(float)[:, 2 * n:]
+    magnitudes = np.empty((size, n))
+    check = np.empty((size, len(beta0s)))
+    values = np.empty((z1.size, len(beta0s)), dtype=complex)
+    errs = np.empty(values.shape)
+    scales = np.empty(values.shape)
     for lo in range(0, z1.size, _PARABOLA_SLICE):
         part = slice(lo, lo + _PARABOLA_SLICE)
-        resolvent = 1.0 / (symbols[t_index[part]] - z1[part, None])
-        value = resolvent[:, :n] @ c[:n]
-        parts.append((value, np.abs(resolvent[:, n:] @ c[n:] - value),
-                      np.abs(resolvent[:, :n]) @ np.abs(c[:n])))
-    return tuple(np.concatenate(x) for x in zip(*parts))
+        k = z1[part].size
+        r = resolvent[:k]
+        # Indices are in range; a mode other than "raise" writes to r unbuffered.
+        np.take(symbols, t_index[part], axis=0, out=r, mode="clip")
+        r -= z1[part, None]
+        np.divide(1.0, r, out=r)
+        value = np.matmul(r[:, :n], c, out=values[part])
+        np.matmul(check_floats[:k], w, out=check[:k])
+        np.abs(value - check[:k], out=errs[part])
+        np.matmul(np.abs(r[:, :n], out=magnitudes[:k]), abs_c, out=scales[part])
+    return values, errs, scales
 
 
 def _solver_family(lams, orders, beta0, ts):
@@ -868,47 +897,53 @@ def _solver_family(lams, orders, beta0, ts):
     PARABOLA_FALLBACK_RTOL of its value is recomputed on the wedge contour
     and flagged in ``fell_back``.  t = 0 entries take the exact limit.
     """
-    lams, ts = np.broadcast_arrays(np.asarray(lams, dtype=float),
-                                   np.asarray(ts, dtype=float))
-    if np.any(ts < 0):
-        raise ValueError("t must be non-negative")
-    if np.any(lams < 0):
-        raise ValueError("eigenvalues must be non-negative")
+    lams = np.asarray(lams, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    shape = np.broadcast_shapes(lams.shape, ts.shape)
+    for x, name in ((ts, "t"), (lams, "eigenvalues")):
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"{name} must be finite")
+        if np.any(x < 0):
+            raise ValueError(f"{name} must be non-negative")
     beta0s = tuple(float(b) for b in np.ravel(beta0))
     alphas = orders.alphas
     a1 = alphas[0]
-    shape = (len(beta0s),) + ts.shape
-    inv_gamma = 1.0 / gamma_real(np.array(beta0s))
-    values = np.empty(shape)
-    values[...] = inv_gamma.reshape((-1,) + (1,) * ts.ndim)
-    ests = np.zeros(shape)
-    fell_back = np.zeros(shape, dtype=bool)
-    pos = ts > 0.0
-    if np.any(pos):
-        t_uniq, t_index = np.unique(ts[pos], return_inverse=True)
-        z_rest = (-np.asarray(orders.qs[1:])
-                  * t_uniq[:, None] ** (a1 - np.asarray(alphas[1:])))
-        z1 = -lams[pos] * ts[pos] ** a1
-        vals, errs, scales = _parabola_eval(alphas, beta0s, z1, z_rest, t_index)
-        eps16 = 16.0 * np.finfo(float).eps
-        redo = errs + eps16 * scales > PARABOLA_FALLBACK_RTOL * np.abs(vals)
-        for i in np.flatnonzero(redo.any(axis=0)):
-            # Every z_1 <= 0 lies in the wedge |arg z_1| >= mu, where the
-            # contour of any one such argument serves all of them.
-            cfg = default_contour_config(solver_params(orders, beta0s[i]),
-                                         solver_args(orders, 1.0, 1.0))
-            r = redo[:, i]
-            vals[r, i], errs[r, i], scales[r, i] = _contour_eval(
-                alphas, beta0s[i], cfg, z1[r], z_rest[t_index[r]])
-        scale = np.maximum(np.abs(vals), 1e-2 * scales)
-        if np.any(errs > CONTOUR_REFINE_RTOL * scale + 1e-15):
-            raise QuadratureError(
-                "contour refinement disagreement in the solver family")
-        est = errs + eps16 * scales
-        values[:, pos] = _check_real(vals, est, "solver family").T
-        ests[:, pos] = est.T
-        fell_back[:, pos] = redo.T
-    out_shape = np.shape(beta0) + ts.shape
+    values = np.empty((len(beta0s), math.prod(shape)))
+    ests = np.zeros(values.shape)
+    fell_back = np.zeros(values.shape, dtype=bool)
+    # Distinct times before broadcasting: one per row of a (T, 1) grid.
+    t_uniq, t_index = np.unique(ts, return_inverse=True)
+    t_index = np.broadcast_to(t_index.reshape(ts.shape), shape).ravel()
+    z1 = (-lams * ts ** a1).ravel()
+    pos = slice(None)
+    if t_uniq.size and t_uniq[0] == 0.0:  # t = 0 entries: the exact limit
+        values[:] = 1.0 / gamma_real(np.array(beta0s))[:, None]
+        pos = np.flatnonzero(t_index)
+        t_uniq, t_index, z1 = t_uniq[1:], t_index[pos] - 1, z1[pos]
+    z_rest = (-np.asarray(orders.qs[1:])
+              * t_uniq[:, None] ** (a1 - np.asarray(alphas[1:])))
+    vals, errs, scales = _parabola_eval(alphas, beta0s, z1, z_rest, t_index)
+    abs_vals = np.abs(vals)
+    eps16 = 16.0 * np.finfo(float).eps
+    redo = errs + eps16 * scales > PARABOLA_FALLBACK_RTOL * abs_vals
+    for i in np.flatnonzero(redo.any(axis=0)):
+        # Every z_1 <= 0 lies in the wedge |arg z_1| >= mu, where the
+        # contour of any one such argument serves all of them.
+        cfg = default_contour_config(solver_params(orders, beta0s[i]),
+                                     solver_args(orders, 1.0, 1.0))
+        r = redo[:, i]
+        vals[r, i], errs[r, i], scales[r, i] = _contour_eval(
+            alphas, beta0s[i], cfg, z1[r], z_rest[t_index[r]])
+        abs_vals[r, i] = np.abs(vals[r, i])
+    scale = np.maximum(abs_vals, 1e-2 * scales)
+    if np.any(errs > CONTOUR_REFINE_RTOL * scale + 1e-15):
+        raise QuadratureError(
+            "contour refinement disagreement in the solver family")
+    est = errs + eps16 * scales
+    values[:, pos] = _check_real(vals, est, abs_vals, "solver family").T
+    ests[:, pos] = est.T
+    fell_back[:, pos] = redo.T
+    out_shape = np.shape(beta0) + shape
     return (values.reshape(out_shape), ests.reshape(out_shape),
             fell_back.reshape(out_shape))
 
@@ -926,9 +961,9 @@ def e_solver_many(lams, orders, beta0, ts) -> np.ndarray:
     Positive times go through the parabolic Bromwich contour, which shares
     one symbol evaluation per time across every lam; entries it cannot
     resolve to PARABOLA_FALLBACK_RTOL fall back to the wedge contour.  t = 0
-    entries return the exact limit 1/Gamma(beta0).  Real-valued by
-    construction; the imaginary residue of the numerical evaluation is
-    asserted to be below tolerance.
+    entries return the exact limit 1/Gamma(beta0); a negative or non-finite
+    lam or t raises ValueError.  Real-valued by construction; the imaginary
+    residue of the numerical evaluation is asserted to be below tolerance.
     """
     return _solver_family(lams, orders, beta0, ts)[0]
 

@@ -1,0 +1,66 @@
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_presets.py"
+
+
+@pytest.fixture(scope="module")
+def cmp():
+    spec = importlib.util.spec_from_file_location("compare_presets", _SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _write(directory, name, text):
+    directory.mkdir(exist_ok=True)
+    (directory / name).write_text(text)
+
+
+def test_compare_dirs_reports_identity_rows_and_column_differences(cmp, tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    same = "t,u\n0.1,1.5\n0.2,2.5\n"
+    _write(a, "same.csv", same)
+    _write(b, "same.csv", same)
+    _write(a, "num.csv", "t,u,tag\n0.1,1.0,x\n0.2,-4.0,y\n")
+    _write(b, "num.csv", "t,u,tag\n0.1,1.000001,x\n0.2,-4.0,z\n")
+    _write(a, "rows.csv", "t,u\n0.1,1.0\n0.2,nan\n")
+    _write(b, "rows.csv", "t,u\n0.1,1.0\n0.2,2.0\n0.3,3.0\n")
+    _write(a, "only_a.csv", "t\n1\n")
+    (a / "notes.txt").write_text("ignored")
+
+    reports = cmp.compare_dirs(str(a), str(b))
+    assert sorted(reports) == ["num.csv", "only_a.csv", "rows.csv", "same.csv"]
+    assert reports["same.csv"] == {"identical": True, "rows": (2, 2), "columns": {}}
+
+    num = reports["num.csv"]
+    assert not num["identical"] and num["rows"] == (2, 2)
+    assert num["columns"]["t"] == ("max_rel", 0.0)
+    kind, worst = num["columns"]["u"]
+    assert kind == "max_rel" and worst == pytest.approx(1e-6 / 1.000001)
+    assert num["columns"]["tag"] == ("text", 1)
+
+    rows = reports["rows.csv"]
+    assert rows["rows"] == (2, 3)
+    assert rows["columns"]["u"] == ("max_rel", math.inf)
+    assert reports["only_a.csv"] == {"missing": [str(b / "only_a.csv")]}
+
+    text = cmp._format(reports)
+    assert "same.csv: identical, 2 rows" in text
+    assert "rows.csv: differs, 2 vs 3 rows" in text
+    assert "only_a.csv: missing from" in text
+    assert cmp.main(["compare", str(a), str(b)]) == 1
+
+
+def test_compare_dirs_byte_identical_exit_code(cmp, tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        _write(d, "thm21.csv", "t,u\n1e-8,0.5\n")
+    assert cmp.main(["compare", str(a), str(b)]) == 0
+    # The same numbers written differently are not byte-identical.
+    _write(b, "thm21.csv", "t,u\n1.0e-8,0.5\n")
+    assert cmp.compare_dirs(str(a), str(b))["thm21.csv"]["columns"]["t"] == ("max_rel", 0.0)
+    assert cmp.main(["compare", str(a), str(b)]) == 1

@@ -315,6 +315,96 @@ def test_e_solver_many_broadcasts_like_scalar():
         sf.e_solver(-1.0, orders, 1.9, 1.0)
 
 
+def test_e_solver_many_rejects_non_finite():
+    # A NaN time once took the t = 0 limit (NaN > 0 is False) and returned
+    # 1/Gamma(beta0); a NaN or infinite lam or t is an input error.
+    from mtfrac.solver import mode_amplitudes
+    orders = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
+    lams = np.array([1.0, 10.0, 100.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="t must be finite"):
+            sf.e_solver_many(1.0, orders, 1.0, bad)
+        with pytest.raises(ValueError, match="t must be finite"):
+            mode_amplitudes(orders, lams, np.array([[0.5], [bad]]))
+        with pytest.raises(ValueError, match="eigenvalues must be finite"):
+            sf.e_solver_many(bad, orders, 1.0, 1.0)
+        with pytest.raises(ValueError, match="eigenvalues must be finite"):
+            mode_amplitudes(orders, np.append(lams, bad), 0.5)
+
+
+def test_parabola_check_sum_is_twice_the_upper_half(laplace_spectrum):
+    # The 40-node check sum, built here over every node, is real up to
+    # rounding: its terms pair up as complex conjugates.  The kernel sums
+    # only the 20 nodes with Im z > 0 and takes 2 Re; the refinement
+    # distance |value - check| it returns must equal |value - Re(full sum)|
+    # to within a few eps times the sum of the term magnitudes.
+    orders = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
+    a1, a2 = orders.alphas
+    beta0s = (1.0, 1.0 + a1 - a2, a1)
+    lams = laplace_spectrum.lambdas
+    ts = np.array([1e-6, 0.5, 2.0, 1e2])
+    t_index = np.repeat(np.arange(ts.size), lams.size)
+    z1 = -np.tile(lams, ts.size) * ts[t_index] ** a1
+    z_rest = -orders.qs[1] * ts[:, None] ** (a1 - a2)
+    values, errs, _ = sf._parabola_eval(orders.alphas, beta0s, z1, z_rest, t_index)
+
+    n = sf._PARABOLA_NODES[1]
+    theta = -math.pi + (2.0 * np.arange(1, n + 1) - 1.0) * math.pi / n
+    z = n * (0.1309 - 0.1194 * theta ** 2 + 0.25j * theta)
+    dz = n * (-0.2388 * theta + 0.25j)
+    c = (np.exp(z) * dz / (1j * n))[:, None] * z[:, None] ** (a1 - np.array(beta0s))
+    resolvent = 1.0 / (z ** a1 - z_rest[t_index] * z ** a2 - z1[:, None])
+    terms = c[None] * resolvent[:, :, None]
+    full = terms.sum(axis=1)
+    floor = 8.0 * np.finfo(float).eps * np.abs(terms).sum(axis=1)
+    assert np.all(np.abs(full.imag) <= floor)
+    assert np.all(np.abs(errs - np.abs(values - full.real)) <= floor)
+
+
+def test_solver_family_bookkeeping_matches_entrywise():
+    # Empty batches, all-zero and mixed-zero times, a scalar lam and a
+    # sequence beta0 give the shapes of the broadcast and, entry by entry,
+    # what one scalar call gives.
+    orders = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
+    beta0s = (1.0, 1.3, 0.8)
+
+    def entrywise(lam, beta0, ts):
+        lam, ts = np.broadcast_arrays(np.asarray(lam, float), np.asarray(ts, float))
+        out = [np.empty(np.shape(beta0) + lam.shape, dtype=d) for d in (float, float, bool)]
+        for idx in np.ndindex(lam.shape):
+            for o, r in zip(out, sf._solver_family(lam[idx], orders, beta0, ts[idx])):
+                o[(Ellipsis,) + idx] = r
+        return out
+
+    lams = np.array([0.5, 3.0, 40.0, 700.0, 2.5e4])
+    cases = [
+        (np.empty(0), beta0s, np.array([0.0, 0.5, 2.0])[:, None]),
+        (np.empty(0), 1.3, 0.5),
+        (lams, beta0s, np.zeros(lams.size)),
+        (lams, beta0s, np.array([0.0, 1e-6, 0.0, 0.5, 2.0, 0.0, 1e2])[:, None]),
+        (7.0, 1.3, np.array([0.0, 1e-3, 0.5, 2.0, 300.0])),
+        (lams, beta0s, np.array([1e-3, 0.5, 2.0])[:, None]),
+    ]
+    flagged = 0
+    for lam, beta0, ts in cases:
+        got = sf._solver_family(lam, orders, beta0, ts)
+        flagged += got[2].sum()
+        want = entrywise(lam, beta0, ts)
+        shape = np.shape(beta0) + np.broadcast_shapes(np.shape(lam), np.shape(ts))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == shape, (lam, beta0, ts)
+        # One entry per call sums in another order: values agree within
+        # the two estimates, and the estimates' rounding parts differ a bit.
+        assert np.all(np.abs(got[0] - want[0]) <= got[1] + want[1])
+        assert np.all(np.abs(got[1] - want[1]) <= 0.25 * np.maximum(got[1], want[1]))
+        np.testing.assert_array_equal(got[2], want[2])
+        zero = np.broadcast_to(np.asarray(ts) == 0.0, shape)
+        assert np.array_equal(got[0][zero], want[0][zero])
+        assert np.all(got[1][zero] == 0.0) and not got[2][zero].any()
+    # The propagator (beta0 = a_1 = 0.8) falls back at the larger lam.
+    assert flagged > 0
+
+
 def test_e_solver_many_matches_extended_precision_below_crossover():
     # The solver evaluates small arguments, sum |z_j| <= the series/contour
     # crossover of mml_eval, by the contour as well.
