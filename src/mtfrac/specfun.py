@@ -24,13 +24,14 @@ is recomputed on the wedge contour.
 from __future__ import annotations
 
 import cmath
+import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
+from scipy import linalg, special
 
 from .constants import (
     COMPOSITION_BUDGET,
@@ -66,6 +67,9 @@ __all__ = [
     "solver_args",
     "default_contour_config",
 ]
+
+
+_log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -752,6 +756,9 @@ def mml_eval(params: MLParams, args: MLArgs, tol: float = SERIES_TOL,
             return mml_series(params, args, tol=tol, max_k=max_k)
         except SeriesConvergenceError:
             if _contour_applicable(params, args):
+                if _log.isEnabledFor(logging.DEBUG):
+                    _log.debug("mml_eval: series did not converge at "
+                               "sum |z_j| = %.6g; using the contour", z_total)
                 return mml_contour(params, args, default_contour_config(params, args))
             raise
     if _contour_applicable(params, args):
@@ -799,7 +806,7 @@ def _check_real(values, ests, abs_values, context):
 # t^{beta0-1} E^{(n)}_{beta0}(t) is s^{a_1-beta0} / (w(s) + lam), where
 # w(s) = sum_j q_j s^{a_j} has no zeros off the negative real axis.  On
 # s = z(theta)/t with z(theta) = N (0.1309 - 0.1194 theta^2 + 0.25 i theta),
-# the trapezoid rule at theta_k = -pi + (2k-1) pi/N, scaled by t^{a_1}, gives
+# the trapezoid rule at theta_k = (2k-1-N) pi/N, scaled by t^{a_1}, gives
 #
 #     E^{(n)}_{beta0}(t) = sum_k c_k / (P_k - z_1),
 #     c_k = e^{z_k} z'(theta_k) z_k^{a_1-beta0} / (iN),
@@ -811,43 +818,65 @@ def _check_real(values, ests, abs_values, context):
 # the refinement estimate.  The value comes from the coarser sum because its
 # weights e^{z_k} are smaller (max e^{0.1309 N}), so it carries less
 # rounding noise, while its discretization error is already near the
-# rounding level.  The nodes come in pairs theta, -theta whose terms are
-# complex conjugates (z(-theta) = conj z(theta), z_1 and every z_j real), so
-# the check sum is 2 Re of its sum over the nodes with Im z > 0.  The value
-# sum runs over the full node set, so its imaginary part is the real-value
-# check.
+# rounding level.  The nodes come in pairs theta, -theta (exactly, in this
+# form of theta_k) whose terms are complex conjugates (z(-theta) =
+# conj z(theta), z_1 and every z_j real), so both sums are 2 Re of their
+# sums over the nodes with Im z > 0, and the value is real by construction.
+# _parabola_plan checks that pairing once, when it builds the nodes; the
+# imaginary-residue check applies to the entries that fall back to the
+# wedge contour.
 _PARABOLA_NODES = (32, 40)
-# Entries per pass of _parabola_eval: a pass's 256 x 52 complex resolvent
-# (0.2 MB) stays in cache through its three products, where one pass over a
+# Entries per pass of _parabola_eval: a pass's 256 x 36 complex resolvent
+# (0.15 MB) stays in cache through its two products, where one pass over a
 # 25 x 255 (times x modes) grid measured 1.4-1.8 times as slow.
 _PARABOLA_SLICE = 256
+# Largest distance, in eps relative to each term, between a lower-half node
+# term and the conjugate of its upper-half mirror.
+_PAIRING_ULPS = 4.0
+
+
+def _upper_half(x, what):
+    """The second half of ``x`` along its last (node) axis, after checking
+    that the first half holds its conjugates in reverse order."""
+    half = x.shape[-1] // 2
+    lower, upper = x[..., half - 1::-1], x[..., half:]
+    gap = np.abs(lower - upper.conj())
+    if np.any(gap > _PAIRING_ULPS * np.finfo(float).eps * np.abs(upper)):
+        raise ArithmeticError(f"parabola {what} do not pair into conjugates")
+    return upper
+
+
+def _real_rows(c):
+    """(2 Re c_k, -2 Im c_k) row pairs for c of shape (beta0s, nodes): the
+    float view of a resolvent row over the nodes times them is
+    2 Re sum_k c_k R_k."""
+    return 2.0 * np.stack([c.real, -c.imag], axis=-1).reshape(len(c), -1).T
 
 
 @lru_cache(maxsize=16)
 def _parabola_plan(alphas, beta0s):
-    """Nodes of the value sum, then the upper-half nodes of the check sum.
+    """Upper-half nodes of the value sum, then of the check sum.
 
-    Returns (c, abs_c, w, zpows): c[k, i] is the weight c_k above for
-    beta0s[i] at the value's nodes, abs_c = |c|, and zpows[j] = z_k^{a_{j+1}}
-    at the value's nodes followed by the check's.  w holds the check
-    weights as real rows (2 Re c_k, -2 Im c_k), one pair per node, so the
-    float view of the check's resolvent columns times w is 2 Re sum_k
-    c_k R_k.
+    Returns (w, abs_c, zpows).  zpows[j] = z_k^{a_{j+1}} at the value's 16
+    nodes with Im z > 0 followed by the check's 20.  w is block diagonal:
+    the float view of a resolvent row over those nodes times w gives the
+    values for beta0s in its first len(beta0s) columns and the check sums
+    in the rest.  abs_c = 2 |c_k| at the value's nodes, for beta0s[i] in
+    column i.  Raises ArithmeticError if a node set does not pair into
+    conjugates.
     """
-    zs, cs = [], []
+    zpows, cs = [], []
     for n in _PARABOLA_NODES:
-        theta = -math.pi + (2.0 * np.arange(1, n + 1) - 1.0) * math.pi / n
+        theta = (2.0 * np.arange(1, n + 1) - 1.0 - n) * math.pi / n
         z = n * (0.1309 - 0.1194 * theta ** 2 + 0.25j * theta)
         dz = n * (-0.2388 * theta + 0.25j)
-        zs.append(z)
-        cs.append((np.exp(z) * dz / (1j * n))[:, None]
-                  * z[:, None] ** (alphas[0] - np.array(beta0s)))
-    half = _PARABOLA_NODES[1] // 2
-    c, c_check = cs[0], cs[1][half:]
-    w = np.empty((2 * half, len(beta0s)))
-    w[0::2], w[1::2] = 2.0 * c_check.real, -2.0 * c_check.imag
-    z = np.concatenate([zs[0], zs[1][half:]])
-    return c, np.abs(c), w, np.array([z ** a for a in alphas])
+        c = (np.exp(z) * dz / (1j * n)
+             * z ** (alphas[0] - np.array(beta0s))[:, None])
+        zpows.append(_upper_half(np.array([z ** a for a in alphas]),
+                                 "node powers"))
+        cs.append(_upper_half(c, "weights"))
+    w = linalg.block_diag(*(_real_rows(c) for c in cs))
+    return w, 2.0 * np.abs(cs[0]).T, np.concatenate(zpows, axis=1)
 
 
 def _parabola_eval(alphas, beta0s, z1, z_rest, t_index):
@@ -855,24 +884,22 @@ def _parabola_eval(alphas, beta0s, z1, z_rest, t_index):
 
     z1 has shape (B,); z_rest has shape (T, m-1), one row per distinct time,
     and t_index (B,) picks each entry's row.  Returns (values,
-    refinement_error, scale) of shape (B, len(beta0s)): the complex value,
-    its distance from the real check sum, and the sum of the value's
+    refinement_error, scale) of shape (B, len(beta0s)): the real value, its
+    distance from the check sum, and the sum of the value's
     node-contribution magnitudes as in :func:`_contour_eval`.  The batch is
     processed in slices of _PARABOLA_SLICE entries, each slice's resolvent
     built in one reused buffer.
     """
-    c, abs_c, w, zpows = _parabola_plan(tuple(alphas), beta0s)
+    w, abs_c, zpows = _parabola_plan(tuple(alphas), beta0s)
     symbols = zpows[0] - z_rest @ zpows[1:]
-    n = _PARABOLA_NODES[0]
+    n = abs_c.shape[0]
     size = min(_PARABOLA_SLICE, z1.size)
     resolvent = np.empty((size, symbols.shape[1]), dtype=complex)
-    # The check's columns as (re, im) float pairs, matching the rows of w.
-    check_floats = resolvent.view(float)[:, 2 * n:]
+    # The resolvent as (re, im) float pairs, matching the rows of w.
+    floats = resolvent.view(float)
     magnitudes = np.empty((size, n))
-    check = np.empty((size, len(beta0s)))
-    values = np.empty((z1.size, len(beta0s)), dtype=complex)
-    errs = np.empty(values.shape)
-    scales = np.empty(values.shape)
+    sums = np.empty((z1.size, w.shape[1]))  # values, then check sums
+    scales = np.empty((z1.size, len(beta0s)))
     for lo in range(0, z1.size, _PARABOLA_SLICE):
         part = slice(lo, lo + _PARABOLA_SLICE)
         k = z1[part].size
@@ -880,12 +907,11 @@ def _parabola_eval(alphas, beta0s, z1, z_rest, t_index):
         # Indices are in range; a mode other than "raise" writes to r unbuffered.
         np.take(symbols, t_index[part], axis=0, out=r, mode="clip")
         r -= z1[part, None]
-        np.divide(1.0, r, out=r)
-        value = np.matmul(r[:, :n], c, out=values[part])
-        np.matmul(check_floats[:k], w, out=check[:k])
-        np.abs(value - check[:k], out=errs[part])
+        np.reciprocal(r, out=r)
+        np.matmul(floats[:k], w, out=sums[part])
         np.matmul(np.abs(r[:, :n], out=magnitudes[:k]), abs_c, out=scales[part])
-    return values, errs, scales
+    values, check = np.split(sums, 2, axis=1)
+    return values, np.abs(values - check), scales
 
 
 def _solver_family(lams, orders, beta0, ts):
@@ -893,9 +919,11 @@ def _solver_family(lams, orders, beta0, ts):
     ``beta0`` adds a leading axis over its entries.
 
     Returns (values, abs_error_estimates, fell_back).  Positive times go
-    through the parabola; an entry whose estimate exceeds
-    PARABOLA_FALLBACK_RTOL of its value is recomputed on the wedge contour
-    and flagged in ``fell_back``.  t = 0 entries take the exact limit.
+    through the parabola, whose values are real by construction; an entry
+    whose estimate exceeds PARABOLA_FALLBACK_RTOL of its value is
+    recomputed on the wedge contour, its imaginary residue checked, and
+    flagged in ``fell_back`` (and logged at DEBUG to the ``mtfrac``
+    logger).  t = 0 entries take the exact limit.
     """
     lams = np.asarray(lams, dtype=float)
     ts = np.asarray(ts, dtype=float)
@@ -932,15 +960,21 @@ def _solver_family(lams, orders, beta0, ts):
         cfg = default_contour_config(solver_params(orders, beta0s[i]),
                                      solver_args(orders, 1.0, 1.0))
         r = redo[:, i]
-        vals[r, i], errs[r, i], scales[r, i] = _contour_eval(
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("solver family: %d entries fall back to the wedge "
+                       "contour at beta0 = %.6g, largest lam t^a1 = %.6g",
+                       np.count_nonzero(r), beta0s[i], -z1[r].min())
+        wedge, errs[r, i], scales[r, i] = _contour_eval(
             alphas, beta0s[i], cfg, z1[r], z_rest[t_index[r]])
-        abs_vals[r, i] = np.abs(vals[r, i])
+        abs_vals[r, i] = np.abs(wedge)
+        vals[r, i] = _check_real(wedge, errs[r, i] + eps16 * scales[r, i],
+                                 abs_vals[r, i], "solver family")
     scale = np.maximum(abs_vals, 1e-2 * scales)
     if np.any(errs > CONTOUR_REFINE_RTOL * scale + 1e-15):
         raise QuadratureError(
             "contour refinement disagreement in the solver family")
+    values[:, pos] = vals.T
     est = errs + eps16 * scales
-    values[:, pos] = _check_real(vals, est, abs_vals, "solver family").T
     ests[:, pos] = est.T
     fell_back[:, pos] = redo.T
     out_shape = np.shape(beta0) + shape
@@ -962,8 +996,9 @@ def e_solver_many(lams, orders, beta0, ts) -> np.ndarray:
     one symbol evaluation per time across every lam; entries it cannot
     resolve to PARABOLA_FALLBACK_RTOL fall back to the wedge contour.  t = 0
     entries return the exact limit 1/Gamma(beta0); a negative or non-finite
-    lam or t raises ValueError.  Real-valued by construction; the imaginary
-    residue of the numerical evaluation is asserted to be below tolerance.
+    lam or t raises ValueError.  Real-valued by construction: the parabola
+    sums conjugate node pairs as 2 Re of their upper halves, and a wedge
+    value's imaginary residue is asserted to be below tolerance.
     """
     return _solver_family(lams, orders, beta0, ts)[0]
 

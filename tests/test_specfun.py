@@ -1,3 +1,4 @@
+import logging
 import math
 
 import mpmath as mp
@@ -333,11 +334,14 @@ def test_e_solver_many_rejects_non_finite():
 
 
 def test_parabola_check_sum_is_twice_the_upper_half(laplace_spectrum):
-    # The 40-node check sum, built here over every node, is real up to
-    # rounding: its terms pair up as complex conjugates.  The kernel sums
-    # only the 20 nodes with Im z > 0 and takes 2 Re; the refinement
-    # distance |value - check| it returns must equal |value - Re(full sum)|
-    # to within a few eps times the sum of the term magnitudes.
+    # The 32-node value sum and the 40-node check sum, built here over every
+    # node, are real up to rounding: their terms pair up as complex
+    # conjugates.  The kernel sums only the nodes with Im z > 0 and takes
+    # 2 Re.  Its real value must equal the real part of the full value sum,
+    # and the refinement distance |value - check| it returns must equal
+    # |value - Re(full check sum)|, each to within a few eps times the sum
+    # of the term magnitudes.  This is the imaginary-residue check that the
+    # kernel no longer makes per entry.
     orders = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
     a1, a2 = orders.alphas
     beta0s = (1.0, 1.0 + a1 - a2, a1)
@@ -347,18 +351,92 @@ def test_parabola_check_sum_is_twice_the_upper_half(laplace_spectrum):
     z1 = -np.tile(lams, ts.size) * ts[t_index] ** a1
     z_rest = -orders.qs[1] * ts[:, None] ** (a1 - a2)
     values, errs, _ = sf._parabola_eval(orders.alphas, beta0s, z1, z_rest, t_index)
+    assert values.dtype == float
 
-    n = sf._PARABOLA_NODES[1]
-    theta = -math.pi + (2.0 * np.arange(1, n + 1) - 1.0) * math.pi / n
+    eps = np.finfo(float).eps
+    full = []
+    for n in sf._PARABOLA_NODES:
+        theta = (2.0 * np.arange(1, n + 1) - 1.0 - n) * math.pi / n
+        z = n * (0.1309 - 0.1194 * theta ** 2 + 0.25j * theta)
+        dz = n * (-0.2388 * theta + 0.25j)
+        c = (np.exp(z) * dz / (1j * n))[:, None] * z[:, None] ** (a1 - np.array(beta0s))
+        resolvent = 1.0 / (z ** a1 - z_rest[t_index] * z ** a2 - z1[:, None])
+        terms = c[None] * resolvent[:, :, None]
+        total = terms.sum(axis=1)
+        floor = 8.0 * eps * np.abs(terms).sum(axis=1)
+        assert np.all(np.abs(total.imag) <= floor), n
+        full.append((total.real, floor))
+    (value, value_floor), (check, check_floor) = full
+    assert np.all(np.abs(values - value) <= value_floor)
+    assert np.all(np.abs(errs - np.abs(values - check)) <= check_floor)
+
+
+def test_parabola_plan_pairs_nodes_into_conjugates():
+    # Both node sets pair into conjugates for every order set and beta0 in
+    # use, and a node set that does not pair is refused.
+    for alphas in [(0.8, 0.5), (0.986, 0.5, 0.2), (0.25,), (0.6, 0.2)]:
+        a1 = alphas[0]
+        beta0s = (1.0,) + tuple(1.0 + a1 - a for a in alphas[1:]) + (a1, 2.0 + a1)
+        w, abs_c, zpows = sf._parabola_plan(alphas, beta0s)
+        half = [n // 2 for n in sf._PARABOLA_NODES]
+        assert zpows.shape == (len(alphas), sum(half))
+        assert abs_c.shape == (half[0], len(beta0s))
+        assert w.shape == (2 * sum(half), 2 * len(beta0s))
+        assert np.all(zpows.imag > 0)
+    n = sf._PARABOLA_NODES[0]
+    theta = (2.0 * np.arange(1, n + 1) - 1.0 - n) * math.pi / n
     z = n * (0.1309 - 0.1194 * theta ** 2 + 0.25j * theta)
-    dz = n * (-0.2388 * theta + 0.25j)
-    c = (np.exp(z) * dz / (1j * n))[:, None] * z[:, None] ** (a1 - np.array(beta0s))
-    resolvent = 1.0 / (z ** a1 - z_rest[t_index] * z ** a2 - z1[:, None])
-    terms = c[None] * resolvent[:, :, None]
-    full = terms.sum(axis=1)
-    floor = 8.0 * np.finfo(float).eps * np.abs(terms).sum(axis=1)
-    assert np.all(np.abs(full.imag) <= floor)
-    assert np.all(np.abs(errs - np.abs(values - full.real)) <= floor)
+    np.testing.assert_array_equal(sf._upper_half(z, "nodes"), z[n // 2:])
+    z[3] *= 1.0 + 1e-14
+    with pytest.raises(ArithmeticError, match="do not pair into conjugates"):
+        sf._upper_half(z, "nodes")
+
+
+def test_solver_family_checks_wedge_values_are_real(monkeypatch):
+    # Entries that fall back to the wedge contour keep its complex sum, and
+    # an imaginary part above tolerance is an error.
+    orders = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
+    contour_eval = sf._contour_eval
+
+    def skewed(*args):
+        values, errs, scales = contour_eval(*args)
+        return values + 1e-3j * np.abs(values), errs, scales
+
+    monkeypatch.setattr(sf, "PARABOLA_FALLBACK_RTOL", 0.0)
+    sf._solver_family(np.array([1.0, 40.0]), orders, (1.0, 0.8), 0.5)
+    monkeypatch.setattr(sf, "_contour_eval", skewed)
+    with pytest.raises(ArithmeticError, match="imaginary residue"):
+        sf._solver_family(np.array([1.0, 40.0]), orders, (1.0, 0.8), 0.5)
+
+
+def test_fallbacks_are_logged_at_debug(caplog):
+    # A wedge fallback of the solver family and a series-to-contour move of
+    # mml_eval are logged to the mtfrac logger at DEBUG, and nothing is
+    # logged above it.
+    orders = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
+    lams = np.array([1.0, 2.5e4])
+    with caplog.at_level(logging.DEBUG, logger="mtfrac"):
+        _, _, fell_back = sf._solver_family(lams, orders, 0.8, 300.0)
+    assert fell_back.tolist() == [False, True]
+    (record,) = caplog.records
+    assert record.name.startswith("mtfrac") and record.levelno == logging.DEBUG
+    assert "1 entries fall back" in record.getMessage()
+    assert "beta0 = 0.8" in record.getMessage()
+    assert f"{2.5e4 * 300.0 ** 0.8:.6g}" in record.getMessage()
+
+    caplog.clear()
+    params = sf.solver_params(orders, 1.0)
+    args = sf.solver_args(orders, 1.0, 0.5)  # sum |z_j| = 1.79, series side
+    with caplog.at_level(logging.DEBUG, logger="mtfrac"):
+        assert sf.mml_eval(params, args, max_k=2).method is sf.Method.CONTOUR
+    (record,) = caplog.records
+    assert "series did not converge at sum |z_j| = 1.79" in record.getMessage()
+
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="mtfrac"):
+        sf._solver_family(lams, orders, 0.8, 300.0)
+        sf.mml_eval(params, args, max_k=2)
+    assert not caplog.records
 
 
 def test_solver_family_bookkeeping_matches_entrywise():
