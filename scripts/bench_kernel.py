@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Time the solver-family kernel in CPU time, with one BLAS thread.
+
+    python scripts/bench_kernel.py [--repeats N]
+
+Prints one JSON object with the median CPU milliseconds over N repeats of:
+
+* ``thm23_block_m2`` / ``thm23_block_m3``: the mode amplitudes of the 255
+  modes of the Laplacian on (0, pi) on the thm23 time grid
+  t = 2 (k/25)^2, k = 1..25, for orders (0.8, 0.5) and (0.8, 0.5, 0.2);
+* ``propagator``: the 255-mode propagator E^{(n)}_{a_1}(t), orders
+  (0.8, 0.5), at each of t = 1e-3, 0.1, 2 and 300, with the number of modes
+  that fell back to the wedge contour;
+* ``scalar_amplitude``: one scalar mode amplitude.
+
+Each case runs once untimed first.  The mtfrac imported is the first one on
+sys.path, so ``PYTHONPATH=TREE/src`` times another source tree.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+from mtfrac import specfun  # noqa: E402
+from mtfrac.solver import FracOrders, mode_amplitude, mode_amplitudes  # noqa: E402
+from mtfrac.spectral import Operator1D, eigendecompose_operator  # noqa: E402
+
+PROPAGATOR_TIMES = (1e-3, 0.1, 2.0, 300.0)
+
+
+def cpu_ms(fn, repeats: int) -> float:
+    """Median CPU milliseconds of ``fn()`` over ``repeats`` calls, after one
+    untimed call."""
+    fn()
+    samples = []
+    for _ in range(repeats):
+        start = time.process_time()
+        fn()
+        samples.append(time.process_time() - start)
+    return 1e3 * statistics.median(samples)
+
+
+def main(argv=None) -> dict:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=50)
+    repeats = parser.parse_args(argv).repeats
+
+    lams = eigendecompose_operator(
+        Operator1D.from_callables((0.0, np.pi), 255)).lambdas
+    grid = 2.0 * (np.arange(1, 26) / 25) ** 2
+    two = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
+    three = FracOrders(alphas=(0.8, 0.5, 0.2), qs=(1.0, 1.5, 0.5))
+
+    report = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "repeats": repeats,
+    }
+    for name, orders in (("thm23_block_m2", two), ("thm23_block_m3", three)):
+        report[name] = cpu_ms(
+            lambda: mode_amplitudes(orders, lams[None, :], grid[:, None]), repeats)
+    a1 = two.alphas[0]
+    report["propagator"] = {
+        str(t): {
+            "ms": cpu_ms(lambda: specfun._solver_family(lams, two, a1, t), repeats),
+            "fell_back": int(specfun._solver_family(lams, two, a1, t)[2].sum()),
+        }
+        for t in PROPAGATOR_TIMES
+    }
+    report["scalar_amplitude"] = cpu_ms(
+        lambda: mode_amplitude(two, float(lams[10]), 0.5), repeats)
+    return report
+
+
+if __name__ == "__main__":
+    print(json.dumps(main(), indent=2))

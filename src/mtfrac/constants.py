@@ -52,11 +52,12 @@ SERIES_CONTOUR_CROSSOVER = 2.1
 # is reported as non-convergence.
 CONTOUR_REFINE_RTOL = 1e-6
 
-# Parabolic Bromwich kernel of the solver family: an entry whose error
-# estimate (node-count refinement plus rounding floor) exceeds this fraction
-# of its value is recomputed on the wedge contour.  The parabola misses it
-# only for the propagator at large lambda t^{a_1}, where the value is much
-# smaller than the node contributions that sum to it.
+# Windowed hyperbolic Bromwich kernel of the solver family: an entry whose
+# error estimate (node-count refinement plus rounding floor) exceeds this
+# fraction of its value is recomputed on the wedge contour.  The hyperbola
+# misses it only for the propagator at large lambda t^{a_1}, where the value
+# is much smaller than the node contributions that sum to it.  (The name is
+# that of the parabolic contour the kernel used before.)
 PARABOLA_FALLBACK_RTOL = 1e-10
 
 # Ray truncation for the contour integral: points where the exponential

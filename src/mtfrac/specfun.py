@@ -14,11 +14,12 @@ contour-integral representation along a wedge path that is valid for the
 orders a_j, together with an adaptive dispatcher between the two.
 
 The modal solver's kernel, :func:`e_solver_many`, inverts the Laplace
-transforms of the solver family on a fixed parabolic Bromwich contour
-instead: every eigenvalue at one time shares the same symbol evaluations
-sum_j q_j s^{a_j} at the contour nodes, and several b_0 at one (lam, t)
-share the resolvent.  An entry the parabola cannot resolve to its tolerance
-is recomputed on the wedge contour.
+transforms of the solver family on a hyperbolic Bromwich contour fixed over
+each time window [10^j, 10^{j+1}) instead: the resolvent
+1 / (sum_j q_j s^{a_j} + lam) at a contour node is built once per window
+and eigenvalue, and shared by every time in the window and every b_0.  An
+entry the hyperbola cannot resolve to its tolerance is recomputed on the
+wedge contour.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy import linalg, special
+from scipy import special
 
 from .constants import (
     COMPOSITION_BUDGET,
@@ -801,117 +802,121 @@ def _check_real(values, ests, abs_values, context):
     return values.real
 
 
-# Parabolic Bromwich contour (Weideman & Trefethen, Math. Comp. 2007).  With
-# z_1 = -lam t^{a_1} and z_j = -q_j t^{a_1-a_j}, the Laplace transform of
-# t^{beta0-1} E^{(n)}_{beta0}(t) is s^{a_1-beta0} / (w(s) + lam), where
-# w(s) = sum_j q_j s^{a_j} has no zeros off the negative real axis.  On
-# s = z(theta)/t with z(theta) = N (0.1309 - 0.1194 theta^2 + 0.25 i theta),
-# the trapezoid rule at theta_k = (2k-1-N) pi/N, scaled by t^{a_1}, gives
+# Hyperbolic Bromwich contour, fixed over a time window (Weideman &
+# Trefethen, Math. Comp. 2007; McLean & Thomee, J. Integral Equations Appl.
+# 2010).  With z_1 = -lam t^{a_1} and z_j = -q_j t^{a_1-a_j}, the Laplace
+# transform of t^{beta0-1} E^{(n)}_{beta0}(t) is s^{a_1-beta0} / (w(s) + lam),
+# where w(s) = sum_j q_j s^{a_j} has no zeros off the negative real axis.
+# Every t in the window [t0, L t0), t0 = L^j with L = _WINDOW_RATIO, shares
+# the hyperbola s(u) = (mu/t0) (1 + sin(iu - alpha)).  The trapezoid rule at
+# u_k = kh, k = 0..N, summed as 2 Re over the conjugate pairs u, -u (half
+# weight at k = 0), gives
 #
-#     E^{(n)}_{beta0}(t) = sum_k c_k / (P_k - z_1),
-#     c_k = e^{z_k} z'(theta_k) z_k^{a_1-beta0} / (iN),
-#     P_k = t^{a_1} w(z_k/t) = z_k^{a_1} - sum_{j>=2} z_j z_k^{a_j}.
+#     E^{(n)}_{beta0}(t) = t^{1-beta0} Re sum_k c_k(t) R_k,
+#     c_k(t) = (h/pi) (mu/t0) cos(iu_k - alpha) e^{s_k t} s_k^{a_1-beta0},
+#     R_k = 1 / (w(s_k) + lam).
 #
-# The symbol P_k depends on t alone and is shared by every lam at that time,
-# and the resolvent 1 / (P_k - z_1) by every beta0.  The first node count
-# gives the value; the second, finer one checks it, and their difference is
-# the refinement estimate.  The value comes from the coarser sum because its
-# weights e^{z_k} are smaller (max e^{0.1309 N}), so it carries less
-# rounding noise, while its discretization error is already near the
-# rounding level.  The nodes come in pairs theta, -theta (exactly, in this
-# form of theta_k) whose terms are complex conjugates (z(-theta) =
-# conj z(theta), z_1 and every z_j real), so both sums are 2 Re of their
-# sums over the nodes with Im z > 0, and the value is real by construction.
-# _parabola_plan checks that pairing once, when it builds the nodes; the
-# imaginary-residue check applies to the entries that fall back to the
-# wedge contour.
-_PARABOLA_NODES = (32, 40)
-# Entries per pass of _parabola_eval: a pass's 256 x 36 complex resolvent
-# (0.15 MB) stays in cache through its two products, where one pass over a
-# 25 x 255 (times x modes) grid measured 1.4-1.8 times as slow.
-_PARABOLA_SLICE = 256
-# Largest distance, in eps relative to each term, between a lower-half node
-# term and the conjugate of its upper-half mirror.
-_PAIRING_ULPS = 4.0
+# The resolvent R_k depends on the window and lam alone: every time in the
+# window and every beta0 shares it, and time enters only through the
+# weights c_k(t).  The parameters come from the error balance.  In the
+# strip |Im u| <= d = pi/2 - alpha the contour stays off the branch cut;
+# at Im u = -d it reaches Re s = (mu/t0) A, A = 1 - sin(alpha - d), so the
+# discretization error is about e^{-2 pi d/h + mu L A} at t = L t0.  The
+# truncation at u = a = Nh leaves e^{-mu B} at t = t0, B = sin(alpha)
+# cosh(a) - 1.  Equal errors give h = a/N and mu = 2 pi d N / (a (B + L A)),
+# at the rate exp(-(2 pi d/a) N B/(B + L A)).  At L = 10 that rate is
+# largest, e^{-0.83 N}, for alpha at pi/4 (alpha - d must stay positive,
+# hence the 1e-3) and a = 4.708.  The first node count gives the value; the
+# second, finer one checks it, and their difference is the refinement
+# estimate.  Nodes are generated for k >= 0 only, so the value is real by
+# construction; the imaginary-residue check applies to the entries that
+# fall back to the wedge contour.
+_WINDOW_RATIO = 10.0
+_HYPERBOLA_NODES = (40, 48)
+_HYPERBOLA_ALPHA = math.pi / 4.0 + 1e-3
+_HYPERBOLA_A = 4.708
 
 
-def _upper_half(x, what):
-    """The second half of ``x`` along its last (node) axis, after checking
-    that the first half holds its conjugates in reverse order."""
-    half = x.shape[-1] // 2
-    lower, upper = x[..., half - 1::-1], x[..., half:]
-    gap = np.abs(lower - upper.conj())
-    if np.any(gap > _PAIRING_ULPS * np.finfo(float).eps * np.abs(upper)):
-        raise ArithmeticError(f"parabola {what} do not pair into conjugates")
-    return upper
+def _hyperbola(n):
+    """Nodes s_k, k = 0..n, of the unit window t0 = 1, and their weights
+    (h/pi) mu cos(iu_k - alpha), halved at k = 0."""
+    alpha, a = _HYPERBOLA_ALPHA, _HYPERBOLA_A
+    d = math.pi / 2.0 - alpha
+    A = 1.0 - math.sin(alpha - d)
+    B = math.sin(alpha) * math.cosh(a) - 1.0
+    h = a / n
+    mu = 2.0 * math.pi * d * n / (a * (B + _WINDOW_RATIO * A))
+    iu = 1j * h * np.arange(n + 1)
+    weights = h / math.pi * mu * np.cos(iu - alpha)
+    weights[0] /= 2.0
+    return mu * (1.0 + np.sin(iu - alpha)), weights
 
 
-def _real_rows(c):
-    """(2 Re c_k, -2 Im c_k) row pairs for c of shape (beta0s, nodes): the
-    float view of a resolvent row over the nodes times them is
-    2 Re sum_k c_k R_k."""
-    return 2.0 * np.stack([c.real, -c.imag], axis=-1).reshape(len(c), -1).T
+# The value's nodes, then the check's, of the unit window.
+_NODES, _NODE_WEIGHTS = (np.concatenate(x) for x in
+                         zip(*(_hyperbola(n) for n in _HYPERBOLA_NODES)))
+_LOG_NODES = np.log(_NODES)
+_VALUE_NODES = _HYPERBOLA_NODES[0] + 1
+_LAM_PANEL = 16
 
 
-@lru_cache(maxsize=16)
-def _parabola_plan(alphas, beta0s):
-    """Upper-half nodes of the value sum, then of the check sum.
+def _window_eval(orders, beta0s, lams, ts):
+    """Values and error estimates of the hyperbola sums on the grid
+    ``beta0s`` x ``ts`` x ``lams``, as one (2, len(beta0s), ts.size,
+    lams.size) array.
 
-    Returns (w, abs_c, zpows).  zpows[j] = z_k^{a_{j+1}} at the value's 16
-    nodes with Im z > 0 followed by the check's 20.  w is block diagonal:
-    the float view of a resolvent row over those nodes times w gives the
-    values for beta0s in its first len(beta0s) columns and the check sums
-    in the rest.  abs_c = 2 |c_k| at the value's nodes, for beta0s[i] in
-    column i.  Raises ArithmeticError if a node set does not pair into
-    conjugates.
+    ``ts`` holds distinct positive times in ascending order.  The estimate
+    is the distance from the check sum plus the rounding floor 16 eps
+    sum_k |t^{1-beta0} c_k R_k|.  With w_k = w(s_k),
+    Re(c_k R_k) = (lam Re c_k + Re(c_k conj w_k)) |R_k|^2, so one real
+    array |R_k|^2 per window carries the resolvent, and the window's sums
+    are real products of its weights with it.
     """
-    zpows, cs = [], []
-    for n in _PARABOLA_NODES:
-        theta = (2.0 * np.arange(1, n + 1) - 1.0 - n) * math.pi / n
-        z = n * (0.1309 - 0.1194 * theta ** 2 + 0.25j * theta)
-        dz = n * (-0.2388 * theta + 0.25j)
-        c = (np.exp(z) * dz / (1j * n)
-             * z ** (alphas[0] - np.array(beta0s))[:, None])
-        zpows.append(_upper_half(np.array([z ** a for a in alphas]),
-                                 "node powers"))
-        cs.append(_upper_half(c, "weights"))
-    w = linalg.block_diag(*(_real_rows(c) for c in cs))
-    return w, 2.0 * np.abs(cs[0]).T, np.concatenate(zpows, axis=1)
-
-
-def _parabola_eval(alphas, beta0s, z1, z_rest, t_index):
-    """Evaluate the parabola sum for a batch and several beta0.
-
-    z1 has shape (B,); z_rest has shape (T, m-1), one row per distinct time,
-    and t_index (B,) picks each entry's row.  Returns (values,
-    refinement_error, scale) of shape (B, len(beta0s)): the real value, its
-    distance from the check sum, and the sum of the value's
-    node-contribution magnitudes as in :func:`_contour_eval`.  The batch is
-    processed in slices of _PARABOLA_SLICE entries, each slice's resolvent
-    built in one reused buffer.
-    """
-    w, abs_c, zpows = _parabola_plan(tuple(alphas), beta0s)
-    symbols = zpows[0] - z_rest @ zpows[1:]
-    n = abs_c.shape[0]
-    size = min(_PARABOLA_SLICE, z1.size)
-    resolvent = np.empty((size, symbols.shape[1]), dtype=complex)
-    # The resolvent as (re, im) float pairs, matching the rows of w.
-    floats = resolvent.view(float)
-    magnitudes = np.empty((size, n))
-    sums = np.empty((z1.size, w.shape[1]))  # values, then check sums
-    scales = np.empty((z1.size, len(beta0s)))
-    for lo in range(0, z1.size, _PARABOLA_SLICE):
-        part = slice(lo, lo + _PARABOLA_SLICE)
-        k = z1[part].size
-        r = resolvent[:k]
-        # Indices are in range; a mode other than "raise" writes to r unbuffered.
-        np.take(symbols, t_index[part], axis=0, out=r, mode="clip")
-        r -= z1[part, None]
-        np.reciprocal(r, out=r)
-        np.matmul(floats[:k], w, out=sums[part])
-        np.matmul(np.abs(r[:, :n], out=magnitudes[:k]), abs_c, out=scales[part])
-    values, check = np.split(sums, 2, axis=1)
-    return values, np.abs(values - check), scales
+    if lams.size % _LAM_PANEL:
+        # Padded to whole panels of lams, with |R_k|^2 stored node by node,
+        # the products round each lam's sums alike wherever it sits in the
+        # batch (OpenBLAS): an entry's value, estimate and fallback do not
+        # depend on the other entries of its call.
+        padded = np.pad(lams, (0, -lams.size % _LAM_PANEL))
+        return _window_eval(orders, beta0s, padded, ts)[..., :lams.size]
+    alphas, qs = np.array(orders.alphas), np.array(orders.qs)
+    beta0s = np.array(beta0s)
+    n, v = _NODES.size, _VALUE_NODES
+    # Windows t0 = 10^j; the times sit in ascending order, so each window's
+    # times are one run [lo, hi).
+    j = np.floor(np.log10(ts))
+    lo = np.flatnonzero(np.diff(j, prepend=-np.inf))
+    hi = np.append(lo[1:], ts.size)
+    t0 = _WINDOW_RATIO ** j[lo]
+    # w(s_k / t0) at every window's nodes, and g_k s_k^{a_1-beta0}.
+    symbols = ((qs * t0[:, None] ** -alphas)
+               @ np.exp(np.multiply.outer(alphas, _LOG_NODES)))
+    node_terms = _NODE_WEIGHTS * np.exp(np.multiply.outer(alphas[0] - beta0s,
+                                                          _LOG_NODES))
+    out = np.empty((2, beta0s.size, ts.size, lams.size))
+    squares = np.empty((n, lams.size))
+    for w, symbol in enumerate(symbols):
+        np.add(symbol.real[:, None], lams, out=squares)
+        squares *= squares
+        squares += (symbol.imag ** 2)[:, None]
+        np.reciprocal(squares, out=squares)           # |R_k|^2 by node
+        tau = ts[lo[w]:hi[w]] / t0[w]
+        # t^{1-beta0} c_k(t) in the unit window's nodes, tau = t/t0, by
+        # (beta0, time) rows.
+        c = (node_terms[:, None, :] * np.exp(np.multiply.outer(tau, _NODES))
+             * (tau ** (1.0 - beta0s[:, None])
+                * t0[w] ** -alphas[0])[:, :, None]).reshape(-1, n)
+        weights = np.concatenate([(c * symbol.conj()).real, c.real])
+        value, est = out[:, :, lo[w]:hi[w]]
+        for sum_, part in ((value, slice(None, v)), (est, slice(v, None))):
+            terms = (weights[:, part] @ squares[part]).reshape((2,) + sum_.shape)
+            np.multiply(terms[1], lams, out=sum_)
+            sum_ += terms[0]
+        est -= value                                  # the check sum's distance
+        np.abs(est, out=est)
+        est += (16.0 * np.finfo(float).eps
+                * np.abs(c[:, :v]) @ np.sqrt(squares[:v])).reshape(est.shape)
+    return out
 
 
 def _solver_family(lams, orders, beta0, ts):
@@ -919,67 +924,68 @@ def _solver_family(lams, orders, beta0, ts):
     ``beta0`` adds a leading axis over its entries.
 
     Returns (values, abs_error_estimates, fell_back).  Positive times go
-    through the parabola, whose values are real by construction; an entry
-    whose estimate exceeds PARABOLA_FALLBACK_RTOL of its value is
-    recomputed on the wedge contour, its imaginary residue checked, and
-    flagged in ``fell_back`` (and logged at DEBUG to the ``mtfrac``
-    logger).  t = 0 entries take the exact limit.
+    through the hyperbola of their time window, whose values are real by
+    construction, on the grid of the distinct times by the lams: its cost
+    is that of the outer product of the two.  An entry whose estimate exceeds
+    PARABOLA_FALLBACK_RTOL of its value is recomputed on the wedge contour,
+    its imaginary residue checked, and flagged in ``fell_back`` (and logged
+    at DEBUG to the ``mtfrac`` logger).  t = 0 entries take the exact limit.
     """
     lams = np.asarray(lams, dtype=float)
     ts = np.asarray(ts, dtype=float)
     shape = np.broadcast_shapes(lams.shape, ts.shape)
     for x, name in ((ts, "t"), (lams, "eigenvalues")):
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError(f"{name} must be finite")
-        if np.any(x < 0):
+        if (x < 0).any():
             raise ValueError(f"{name} must be non-negative")
     beta0s = tuple(float(b) for b in np.ravel(beta0))
     alphas = orders.alphas
     a1 = alphas[0]
-    values = np.empty((len(beta0s), math.prod(shape)))
-    ests = np.zeros(values.shape)
-    fell_back = np.zeros(values.shape, dtype=bool)
-    # Distinct times before broadcasting: one per row of a (T, 1) grid.
+    # Each entry's distinct time and its lam, before broadcasting.
     t_uniq, t_index = np.unique(ts, return_inverse=True)
-    t_index = np.broadcast_to(t_index.reshape(ts.shape), shape).ravel()
-    z1 = (-lams * ts ** a1).ravel()
-    pos = slice(None)
-    if t_uniq.size and t_uniq[0] == 0.0:  # t = 0 entries: the exact limit
-        values[:] = 1.0 / gamma_real(np.array(beta0s))[:, None]
-        pos = np.flatnonzero(t_index)
-        t_uniq, t_index, z1 = t_uniq[1:], t_index[pos] - 1, z1[pos]
-    z_rest = (-np.asarray(orders.qs[1:])
-              * t_uniq[:, None] ** (a1 - np.asarray(alphas[1:])))
-    vals, errs, scales = _parabola_eval(alphas, beta0s, z1, z_rest, t_index)
-    abs_vals = np.abs(vals)
-    eps16 = 16.0 * np.finfo(float).eps
-    redo = errs + eps16 * scales > PARABOLA_FALLBACK_RTOL * abs_vals
-    for i in np.flatnonzero(redo.any(axis=0)):
+    lam_uniq = lams.ravel()
+    t_index, lam_index = (np.broadcast_to(i.reshape(x.shape), shape).ravel()
+                          for x, i in ((ts, t_index), (lams, np.arange(lams.size))))
+    grid = _window_eval(orders, beta0s, lam_uniq, t_uniq[t_uniq > 0.0])
+    if t_uniq.size and t_uniq[0] == 0.0:  # t = 0: the exact limit
+        limit = np.zeros((2, len(beta0s), 1, lam_uniq.size))
+        limit[0] = 1.0 / gamma_real(np.array(beta0s))[:, None, None]
+        grid = np.concatenate([limit, grid], axis=2)
+    grid = grid.reshape(2, len(beta0s), -1)
+    index = t_index * lam_uniq.size + lam_index
+    if not np.array_equal(index, np.arange(grid.shape[-1])):
+        grid = np.take(grid, index, axis=2)   # the entries are not the grid
+    vals, ests = grid
+    bound = np.abs(vals)
+    bound *= PARABOLA_FALLBACK_RTOL
+    redo = ests > bound
+    for i in np.flatnonzero(redo.any(axis=1)):
         # Every z_1 <= 0 lies in the wedge |arg z_1| >= mu, where the
         # contour of any one such argument serves all of them.
         cfg = default_contour_config(solver_params(orders, beta0s[i]),
                                      solver_args(orders, 1.0, 1.0))
-        r = redo[:, i]
+        r = redo[i]
+        t = t_uniq[t_index[r]]
+        z1 = -lam_uniq[lam_index[r]] * t ** a1
+        z_rest = -np.asarray(orders.qs[1:]) * t[:, None] ** (a1 - np.asarray(alphas[1:]))
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("solver family: %d entries fall back to the wedge "
                        "contour at beta0 = %.6g, largest lam t^a1 = %.6g",
-                       np.count_nonzero(r), beta0s[i], -z1[r].min())
-        wedge, errs[r, i], scales[r, i] = _contour_eval(
-            alphas, beta0s[i], cfg, z1[r], z_rest[t_index[r]])
-        abs_vals[r, i] = np.abs(wedge)
-        vals[r, i] = _check_real(wedge, errs[r, i] + eps16 * scales[r, i],
-                                 abs_vals[r, i], "solver family")
-    scale = np.maximum(abs_vals, 1e-2 * scales)
-    if np.any(errs > CONTOUR_REFINE_RTOL * scale + 1e-15):
-        raise QuadratureError(
-            "contour refinement disagreement in the solver family")
-    values[:, pos] = vals.T
-    est = errs + eps16 * scales
-    ests[:, pos] = est.T
-    fell_back[:, pos] = redo.T
+                       np.count_nonzero(r), beta0s[i], -z1.min())
+        wedge, err, scale = _contour_eval(alphas, beta0s[i], cfg, z1, z_rest)
+        # Elsewhere the refinement error is at most PARABOLA_FALLBACK_RTOL
+        # of the value, so only a wedge value can fail this check.
+        abs_wedge = np.abs(wedge)
+        if np.any(err > CONTOUR_REFINE_RTOL * np.maximum(abs_wedge, 1e-2 * scale)
+                  + 1e-15):
+            raise QuadratureError(
+                "contour refinement disagreement in the solver family")
+        ests[i, r] = err + 16.0 * np.finfo(float).eps * scale
+        vals[i, r] = _check_real(wedge, ests[i, r], abs_wedge, "solver family")
     out_shape = np.shape(beta0) + shape
-    return (values.reshape(out_shape), ests.reshape(out_shape),
-            fell_back.reshape(out_shape))
+    return (vals.reshape(out_shape), ests.reshape(out_shape),
+            redo.reshape(out_shape))
 
 
 def e_solver(lam: float, orders, beta0: float, t: float) -> float:
@@ -992,12 +998,13 @@ def e_solver_many(lams, orders, beta0, ts) -> np.ndarray:
     for ``lams`` broadcast against ``ts``.  A sequence ``beta0`` adds a
     leading axis over its entries, which share the contour work.
 
-    Positive times go through the parabolic Bromwich contour, which shares
-    one symbol evaluation per time across every lam; entries it cannot
-    resolve to PARABOLA_FALLBACK_RTOL fall back to the wedge contour.  t = 0
-    entries return the exact limit 1/Gamma(beta0); a negative or non-finite
-    lam or t raises ValueError.  Real-valued by construction: the parabola
-    sums conjugate node pairs as 2 Re of their upper halves, and a wedge
+    Positive times go through the hyperbolic Bromwich contour of their
+    window [10^j, 10^{j+1}), whose resolvent at each node is built once per
+    lam and shared by every time in the window; entries it cannot resolve
+    to PARABOLA_FALLBACK_RTOL fall back to the wedge contour.  t = 0 entries
+    return the exact limit 1/Gamma(beta0); a negative or non-finite lam or
+    t raises ValueError.  Real-valued by construction: the hyperbola sums
+    conjugate node pairs as 2 Re over the nodes with u >= 0, and a wedge
     value's imaginary residue is asserted to be below tolerance.
     """
     return _solver_family(lams, orders, beta0, ts)[0]

@@ -136,16 +136,6 @@ class Tridiag:
     off: np.ndarray
     h: float
 
-    def matvec(self, f) -> np.ndarray:
-        f = np.asarray(f, dtype=float)
-        out = self.diag * f
-        out[:-1] += self.off * f[1:]
-        out[1:] += self.off * f[:-1]
-        return out
-
-    def dense(self) -> np.ndarray:
-        return (np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1))
-
 
 def assemble(op: Operator1D) -> Tridiag:
     """Conservative second-order discretization of -(D u')' - c u.

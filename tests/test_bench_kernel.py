@@ -1,0 +1,22 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_bench_kernel_one_repeat_prints_every_timing():
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(_ROOT / "scripts" / "bench_kernel.py"), "--repeats", "1"],
+        env=env, capture_output=True, text=True, check=True)
+    report = json.loads(proc.stdout)
+    assert report["repeats"] == 1
+    for key in ("thm23_block_m2", "thm23_block_m3", "scalar_amplitude"):
+        assert report[key] >= 0.0, key
+    assert sorted(report["propagator"], key=float) == ["0.001", "0.1", "2.0", "300.0"]
+    for entry in report["propagator"].values():
+        assert entry["ms"] >= 0.0
+        assert 0 <= entry["fell_back"] <= 255

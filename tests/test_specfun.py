@@ -333,63 +333,54 @@ def test_e_solver_many_rejects_non_finite():
             mode_amplitudes(orders, np.append(lams, bad), 0.5)
 
 
-def test_parabola_check_sum_is_twice_the_upper_half(laplace_spectrum):
-    # The 32-node value sum and the 40-node check sum, built here over every
-    # node, are real up to rounding: their terms pair up as complex
-    # conjugates.  The kernel sums only the nodes with Im z > 0 and takes
-    # 2 Re.  Its real value must equal the real part of the full value sum,
-    # and the refinement distance |value - check| it returns must equal
-    # |value - Re(full check sum)|, each to within a few eps times the sum
-    # of the term magnitudes.  This is the imaginary-residue check that the
-    # kernel no longer makes per entry.
-    orders = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
-    a1, a2 = orders.alphas
-    beta0s = (1.0, 1.0 + a1 - a2, a1)
+def _window_full_sum(orders, beta0s, lams, t, n):
+    """The n-node trapezoid sum of t's window, built here over the full
+    symmetric node set k = -n..n, with the magnitude sum of its terms: each
+    of shape (len(beta0s), lams.size)."""
+    alpha, a = sf._HYPERBOLA_ALPHA, sf._HYPERBOLA_A
+    d = math.pi / 2.0 - alpha
+    A, B = 1.0 - math.sin(alpha - d), math.sin(alpha) * math.cosh(a) - 1.0
+    h = a / n
+    mu = 2.0 * math.pi * d * n / (a * (B + sf._WINDOW_RATIO * A))
+    t0 = sf._WINDOW_RATIO ** math.floor(math.log10(t))
+    iu = 1j * h * np.arange(-n, n + 1)
+    s = mu / t0 * (1.0 + np.sin(iu - alpha))
+    w = sum(q * s ** al for al, q in zip(orders.alphas, orders.qs))
+    exps = orders.alphas[0] - np.array(beta0s)
+    terms = (h / (2.0 * math.pi) * mu / t0 * np.cos(iu - alpha) * np.exp(s * t)
+             * s ** exps[:, None, None] * t ** (1.0 - np.array(beta0s))[:, None, None]
+             / (w + lams[:, None]))
+    return terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
+
+
+def test_window_value_is_the_real_part_of_the_full_node_sum(laplace_spectrum):
+    # The kernel sums the nodes with u >= 0 only, and in real arithmetic.
+    # The value sum and the check sum, built here over every node of the
+    # symmetric set, are real up to rounding: their terms pair up as
+    # complex conjugates.  The kernel's value must equal the real part of
+    # the full value sum, and its estimate must equal |value - check| plus
+    # 16 eps sum |terms|, each to within 8 eps times the sum of the term
+    # magnitudes.  Times at and inside window edges, three order sets.
     lams = laplace_spectrum.lambdas
     ts = np.array([1e-6, 0.5, 2.0, 1e2])
-    t_index = np.repeat(np.arange(ts.size), lams.size)
-    z1 = -np.tile(lams, ts.size) * ts[t_index] ** a1
-    z_rest = -orders.qs[1] * ts[:, None] ** (a1 - a2)
-    values, errs, _ = sf._parabola_eval(orders.alphas, beta0s, z1, z_rest, t_index)
-    assert values.dtype == float
-
     eps = np.finfo(float).eps
-    full = []
-    for n in sf._PARABOLA_NODES:
-        theta = (2.0 * np.arange(1, n + 1) - 1.0 - n) * math.pi / n
-        z = n * (0.1309 - 0.1194 * theta ** 2 + 0.25j * theta)
-        dz = n * (-0.2388 * theta + 0.25j)
-        c = (np.exp(z) * dz / (1j * n))[:, None] * z[:, None] ** (a1 - np.array(beta0s))
-        resolvent = 1.0 / (z ** a1 - z_rest[t_index] * z ** a2 - z1[:, None])
-        terms = c[None] * resolvent[:, :, None]
-        total = terms.sum(axis=1)
-        floor = 8.0 * eps * np.abs(terms).sum(axis=1)
-        assert np.all(np.abs(total.imag) <= floor), n
-        full.append((total.real, floor))
-    (value, value_floor), (check, check_floor) = full
-    assert np.all(np.abs(values - value) <= value_floor)
-    assert np.all(np.abs(errs - np.abs(values - check)) <= check_floor)
-
-
-def test_parabola_plan_pairs_nodes_into_conjugates():
-    # Both node sets pair into conjugates for every order set and beta0 in
-    # use, and a node set that does not pair is refused.
-    for alphas in [(0.8, 0.5), (0.986, 0.5, 0.2), (0.25,), (0.6, 0.2)]:
+    for alphas, qs in [((0.8, 0.5), (1.0, 1.5)), ((0.986, 0.5, 0.2), (1.0, 0.3, 0.2)),
+                       ((0.25,), (1.0,))]:
+        orders = FracOrders(alphas=alphas, qs=qs)
         a1 = alphas[0]
         beta0s = (1.0,) + tuple(1.0 + a1 - a for a in alphas[1:]) + (a1, 2.0 + a1)
-        w, abs_c, zpows = sf._parabola_plan(alphas, beta0s)
-        half = [n // 2 for n in sf._PARABOLA_NODES]
-        assert zpows.shape == (len(alphas), sum(half))
-        assert abs_c.shape == (half[0], len(beta0s))
-        assert w.shape == (2 * sum(half), 2 * len(beta0s))
-        assert np.all(zpows.imag > 0)
-    n = sf._PARABOLA_NODES[0]
-    theta = (2.0 * np.arange(1, n + 1) - 1.0 - n) * math.pi / n
-    z = n * (0.1309 - 0.1194 * theta ** 2 + 0.25j * theta)
-    np.testing.assert_array_equal(sf._upper_half(z, "nodes"), z[n // 2:])
-    z[3] *= 1.0 + 1e-14
-    with pytest.raises(ArithmeticError, match="do not pair into conjugates"):
-        sf._upper_half(z, "nodes")
+        values, ests = sf._window_eval(orders, beta0s, lams, ts)
+        for i, t in enumerate(ts):
+            full = []
+            for n in sf._HYPERBOLA_NODES:
+                total, size = _window_full_sum(orders, beta0s, lams, t, n)
+                assert np.all(np.abs(total.imag) <= 8.0 * eps * size), (alphas, t, n)
+                full.append((total.real, size))
+            (value, value_size), (check, check_size) = full
+            floor = 8.0 * eps * (value_size + check_size)
+            assert np.all(np.abs(values[:, i] - value) <= floor), (alphas, t)
+            want = np.abs(values[:, i] - check) + 16.0 * eps * value_size
+            assert np.all(np.abs(ests[:, i] - want) <= floor), (alphas, t)
 
 
 def test_solver_family_checks_wedge_values_are_real(monkeypatch):
@@ -586,7 +577,7 @@ def test_solver_family_accuracy_map(laplace_spectrum, monkeypatch):
             check(float(value), float(est), ref, ("series", lam, t, beta0))
 
     # ... and against Talbot inversion above it.  The propagator at the top
-    # of the spectrum and late times is the region where the parabola's
+    # of the spectrum and late times is the region where the hyperbola's
     # rounding floor exceeds its tolerance, so the wedge contour must take
     # over there.
     lam_max = float(lams[-1])
@@ -606,57 +597,70 @@ def test_solver_family_accuracy_map(laplace_spectrum, monkeypatch):
     assert not fell_back.any()
 
     # With a zero tolerance every entry goes through the wedge-contour
-    # fallback; its values must agree with the parabola's within the sum of
+    # fallback; its values must agree with the hyperbola's within the sum of
     # the two reported estimates.
     lams = lams[::16][None, :]
     ts = np.array([1e-6, 1e-2, 0.5, 2.0, 1e2])[:, None]
-    parabola = [_amplitudes(orders, lams, ts), sf._solver_family(lams, orders, a1, ts)]
+    hyperbola = [_amplitudes(orders, lams, ts), sf._solver_family(lams, orders, a1, ts)]
     monkeypatch.setattr(sf, "PARABOLA_FALLBACK_RTOL", 0.0)
     wedge = [_amplitudes(orders, lams, ts), sf._solver_family(lams, orders, a1, ts)]
-    for (ref, ref_est, _), (value, est, fell_back) in zip(parabola, wedge):
+    for (ref, ref_est, _), (value, est, fell_back) in zip(hyperbola, wedge):
         assert fell_back.all()
         bound = np.maximum(1e-12 * np.abs(ref), est + ref_est)
         assert np.all(np.abs(value - ref) <= bound)
 
 
-def test_parabola_slices_match_entrywise(laplace_spectrum, monkeypatch):
-    # More than three slices of the parabola kernel, t = 0 entries mixed
-    # in, several times per slice and slices cut through one time's modes.
+def test_window_batches_match_scalar_calls(laplace_spectrum, monkeypatch):
+    # The window is set by t alone, so an entry does not depend on the
+    # other times of its batch.  Times on and next to window edges, mixed
+    # with t = 0, in one (T, 255) block and in one call per entry: values
+    # equal to rounding, the same fallbacks, and the exact t = 0 limit.
     orders = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
-    beta0s = (1.0, 1.3, 0.8)
-    n = 3 * sf._PARABOLA_SLICE + 7
-    rng = np.random.default_rng(3)
-    lams = laplace_spectrum.lambdas[rng.integers(0, 255, n)]
-    ts = np.repeat(np.logspace(-6, 2, 31), 25)[:n]
-    ts[::97] = 0.0
-    values, ests, fell_back = sf._solver_family(lams, orders, beta0s, ts)
+    a1, a2 = orders.alphas
+    beta0s = (1.0, 1.0 + a1 - a2, a1, 2.0 + a1)
+    lams = laplace_spectrum.lambdas
+    ts = np.array([1e-3, 0.0, 0.1, np.nextafter(0.1, 0.0), 1.0, 9.99])
+    values, ests, fell_back = sf._solver_family(lams[None, :], orders, beta0s,
+                                                ts[:, None])
     exact = 1.0 / sf.gamma_real(np.array(beta0s))
-    assert np.all(values[:, ts == 0.0] == exact[:, None])
+    assert np.all(values[:, 1] == exact[:, None]) and np.all(ests[:, 1] == 0.0)
+    single = [np.empty(values.shape), np.empty(ests.shape), np.empty(fell_back.shape, bool)]
+    for i, t in enumerate(ts):
+        for j, lam in enumerate(lams):
+            for out, got in zip(single, sf._solver_family(lam, orders, beta0s, t)):
+                out[:, i, j] = got
+    np.testing.assert_array_equal(fell_back, single[2])
+    assert fell_back[2].any() and not fell_back[[0, 1, 3]].any()
+    np.testing.assert_allclose(values, single[0], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(ests, single[1], rtol=0.25, atol=0.0)
 
-    # Entry-wise calls sum in another order (one row instead of a slice):
-    # the amplitude terms, which never fall back, agree to rounding.
-    single = np.array([sf.e_solver_many(lam, orders, beta0s[:2], t)
-                       for lam, t in zip(lams, ts)]).T
-    assert not fell_back[:2].any()
-    np.testing.assert_allclose(values[:2], single, rtol=1e-13, atol=0.0)
-
-    # One pass over the whole batch takes the same fallbacks; its matmuls
-    # have other row counts, so the BLAS may round differently by an ulp.
-    with monkeypatch.context() as patch:
-        patch.setattr(sf, "_PARABOLA_SLICE", n)
-        one_values, one_ests, one_fell_back = sf._solver_family(
-            lams, orders, beta0s, ts)
-    np.testing.assert_array_equal(fell_back, one_fell_back)
-    np.testing.assert_allclose(one_values, values, rtol=1e-15, atol=0.0)
-    assert np.all(np.abs(one_ests - ests) <= 1e-15 * np.abs(values))
-
-    # With a zero tolerance every positive-time entry, in every slice,
-    # falls back to the wedge and is flagged; t = 0 entries stay exact.
+    # With a zero tolerance every positive-time entry falls back to the
+    # wedge and is flagged; t = 0 entries stay exact.
     monkeypatch.setattr(sf, "PARABOLA_FALLBACK_RTOL", 0.0)
-    wedge, wedge_ests, fell_back = sf._solver_family(lams, orders, beta0s, ts)
+    wedge, wedge_ests, fell_back = sf._solver_family(lams[None, ::16], orders,
+                                                     beta0s[:3], ts[:, None])
     assert fell_back[:, ts > 0.0].all() and not fell_back[:, ts == 0.0].any()
-    bound = np.maximum(1e-12 * np.abs(values), ests + wedge_ests)
-    assert np.all(np.abs(wedge - values) <= bound)
+    assert np.all(wedge[:, 1] == exact[:3, None])
+    ref, ref_ests = values[:3, :, ::16], ests[:3, :, ::16]
+    bound = np.maximum(1e-12 * np.abs(ref), ref_ests + wedge_ests)
+    assert np.all(np.abs(wedge - ref) <= bound)
+
+
+def test_window_edges_match_talbot():
+    # Every beta0 the solver uses, at times that start and end windows
+    # (t/t0 = 1 and just below 10), for a low, a middle and the top mode of
+    # the 255-mode Laplacian: within max(1e-12, estimate) of mpmath Talbot.
+    orders = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
+    a1, a2 = orders.alphas
+    beta0s = (1.0, 1.0 + a1 - a2, a1, 1.0 + a1 - 0.3, 1.0 + a1, 2.0 + a1)
+    lams = np.array([1.0, 4096.0, 2.66e4])
+    for t in (1e-3, 0.0999, 1.0, 9.99):
+        values, ests, _ = sf._solver_family(lams, orders, beta0s, t)
+        for i, beta0 in enumerate(beta0s):
+            for j, lam in enumerate(lams):
+                ref = _talbot(orders, float(lam), t, beta0)
+                assert abs(values[i, j] - ref) <= max(1e-12 * abs(ref), ests[i, j]), \
+                    (t, beta0, lam, values[i, j], ref)
 
 
 # ---------------------------------------------------------------------------
