@@ -56,8 +56,7 @@ CONTOUR_REFINE_RTOL = 1e-6
 # error estimate (node-count refinement plus rounding floor) exceeds this
 # fraction of its value is recomputed on the wedge contour.  The hyperbola
 # misses it only for the propagator at large lambda t^{a_1}, where the value
-# is much smaller than the node contributions that sum to it.  (The name is
-# that of the parabolic contour the kernel used before.)
+# is much smaller than the node contributions that sum to it.
 PARABOLA_FALLBACK_RTOL = 1e-10
 
 # Ray truncation for the contour integral: points where the exponential

@@ -942,20 +942,19 @@ def _solver_family(lams, orders, beta0, ts):
     beta0s = tuple(float(b) for b in np.ravel(beta0))
     alphas = orders.alphas
     a1 = alphas[0]
-    # Each entry's distinct time and its lam, before broadcasting.
+    # The grid of distinct times by lams, and each entry's place in it.
     t_uniq, t_index = np.unique(ts, return_inverse=True)
-    lam_uniq = lams.ravel()
     t_index, lam_index = (np.broadcast_to(i.reshape(x.shape), shape).ravel()
                           for x, i in ((ts, t_index), (lams, np.arange(lams.size))))
-    grid = _window_eval(orders, beta0s, lam_uniq, t_uniq[t_uniq > 0.0])
+    grid = _window_eval(orders, beta0s, lams.ravel(), t_uniq[t_uniq > 0.0])
     if t_uniq.size and t_uniq[0] == 0.0:  # t = 0: the exact limit
-        limit = np.zeros((2, len(beta0s), 1, lam_uniq.size))
+        limit = np.zeros((2, len(beta0s), 1, lams.size))
         limit[0] = 1.0 / gamma_real(np.array(beta0s))[:, None, None]
         grid = np.concatenate([limit, grid], axis=2)
     grid = grid.reshape(2, len(beta0s), -1)
-    index = t_index * lam_uniq.size + lam_index
+    index = t_index * lams.size + lam_index
     if not np.array_equal(index, np.arange(grid.shape[-1])):
-        grid = np.take(grid, index, axis=2)   # the entries are not the grid
+        grid = np.take(grid, index, axis=2)   # unless the entries are the grid
     vals, ests = grid
     bound = np.abs(vals)
     bound *= PARABOLA_FALLBACK_RTOL
@@ -967,7 +966,7 @@ def _solver_family(lams, orders, beta0, ts):
                                      solver_args(orders, 1.0, 1.0))
         r = redo[i]
         t = t_uniq[t_index[r]]
-        z1 = -lam_uniq[lam_index[r]] * t ** a1
+        z1 = -lams.ravel()[lam_index[r]] * t ** a1
         z_rest = -np.asarray(orders.qs[1:]) * t[:, None] ** (a1 - np.asarray(alphas[1:]))
         if _log.isEnabledFor(logging.DEBUG):
             _log.debug("solver family: %d entries fall back to the wedge "
