@@ -867,10 +867,13 @@ def _window_eval(orders, beta0s, lams, ts):
 
     ``ts`` holds distinct positive times in ascending order.  The estimate
     is the distance from the check sum plus the rounding floor 16 eps
-    sum_k |t^{1-beta0} c_k R_k|.  With w_k = w(s_k),
-    Re(c_k R_k) = (lam Re c_k + Re(c_k conj w_k)) |R_k|^2, so one real
-    array |R_k|^2 per window carries the resolvent, and the window's sums
-    are real products of its weights with it.
+    sum_k |t^{1-beta0} c_k R_k|.  In a window's units, with
+    P_k = t0^{a_1} w(s_k) and Z = lam t0^{a_1}, the sum is
+    (t/t0)^{1-beta0} Re sum_k c'_k / (P_k + Z) with c'_k free of t0, and
+    Re(c'_k / (P_k + Z)) = (Z Re c'_k + Re(c'_k conj P_k)) / |P_k + Z|^2:
+    one real array of inverse squared moduli per window carries the
+    resolvent, and the window's sums are real products of its weights
+    with it.
     """
     if lams.size % _LAM_PANEL:
         # Padded to whole panels of lams, with |R_k|^2 stored node by node,
@@ -888,29 +891,28 @@ def _window_eval(orders, beta0s, lams, ts):
     lo = np.flatnonzero(np.diff(j, prepend=-np.inf))
     hi = np.append(lo[1:], ts.size)
     t0 = _WINDOW_RATIO ** j[lo]
-    # w(s_k / t0) at every window's nodes, and g_k s_k^{a_1-beta0}.
-    symbols = ((qs * t0[:, None] ** -alphas)
+    # t0^{a_1} w(s_k / t0) at every window's nodes, and g_k s_k^{a_1-beta0}.
+    symbols = ((qs * t0[:, None] ** (alphas[0] - alphas))
                @ np.exp(np.multiply.outer(alphas, _LOG_NODES)))
     node_terms = _NODE_WEIGHTS * np.exp(np.multiply.outer(alphas[0] - beta0s,
                                                           _LOG_NODES))
     out = np.empty((2, beta0s.size, ts.size, lams.size))
     squares = np.empty((n, lams.size))
     for w, symbol in enumerate(symbols):
-        np.add(symbol.real[:, None], lams, out=squares)
+        z = lams * t0[w] ** alphas[0]
+        np.add(symbol.real[:, None], z, out=squares)
         squares *= squares
         squares += (symbol.imag ** 2)[:, None]
-        np.reciprocal(squares, out=squares)           # |R_k|^2 by node
+        np.reciprocal(squares, out=squares)           # 1 / |P_k + Z|^2 by node
         tau = ts[lo[w]:hi[w]] / t0[w]
-        # t^{1-beta0} c_k(t) in the unit window's nodes, tau = t/t0, by
-        # (beta0, time) rows.
+        # (t/t0)^{1-beta0} c'_k(t) by (beta0, time) rows.
         c = (node_terms[:, None, :] * np.exp(np.multiply.outer(tau, _NODES))
-             * (tau ** (1.0 - beta0s[:, None])
-                * t0[w] ** -alphas[0])[:, :, None]).reshape(-1, n)
+             * (tau ** (1.0 - beta0s[:, None]))[:, :, None]).reshape(-1, n)
         weights = np.concatenate([(c * symbol.conj()).real, c.real])
         value, est = out[:, :, lo[w]:hi[w]]
         for sum_, part in ((value, slice(None, v)), (est, slice(v, None))):
             terms = (weights[:, part] @ squares[part]).reshape((2,) + sum_.shape)
-            np.multiply(terms[1], lams, out=sum_)
+            np.multiply(terms[1], z, out=sum_)
             sum_ += terms[0]
         est -= value                                  # the check sum's distance
         np.abs(est, out=est)
