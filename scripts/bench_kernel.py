@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the solver-family kernel in CPU time, with one BLAS thread.
+"""Time the solver-family kernel and the L1 oracle in CPU time, one BLAS thread.
 
     python scripts/bench_kernel.py [--repeats N]
 
@@ -11,7 +11,9 @@ Prints one JSON object with the median CPU milliseconds over N repeats of:
 * ``propagator``: the 255-mode propagator E^{(n)}_{a_1}(t), orders
   (0.8, 0.5), at each of t = 1e-3, 0.1, 2 and 300, with the number of modes
   that fell back to the wedge contour;
-* ``scalar_amplitude``: one scalar mode amplitude.
+* ``scalar_amplitude``: one scalar mode amplitude;
+* ``l1_criterion06``: one L1 oracle run of criterion 06's shape, orders
+  (0.8, 0.4) with q = (1, 1), lambda = 2, t = 2, 3000 steps, grading 2.5.
 
 Each case runs once untimed first.  The mtfrac imported is the first one on
 sys.path, so ``PYTHONPATH=TREE/src`` times another source tree.
@@ -33,7 +35,7 @@ import time  # noqa: E402
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
-from mtfrac import specfun  # noqa: E402
+from mtfrac import oracle, specfun  # noqa: E402
 from mtfrac.solver import FracOrders, mode_amplitude, mode_amplitudes  # noqa: E402
 from mtfrac.spectral import Operator1D, eigendecompose_operator  # noqa: E402
 
@@ -82,6 +84,10 @@ def main(argv=None) -> dict:
     }
     report["scalar_amplitude"] = cpu_ms(
         lambda: mode_amplitude(two, float(lams[10]), 0.5), repeats)
+    l1_orders = FracOrders(alphas=(0.8, 0.4), qs=(1.0, 1.0))
+    l1_cfg = oracle.L1Config(t_final=2.0, n_steps=3000, grading=2.5)
+    report["l1_criterion06"] = cpu_ms(
+        lambda: oracle.l1_solve_mode(2.0, l1_orders, 1.0, None, l1_cfg), repeats)
     return report
 
 

@@ -6,9 +6,10 @@ Three routes that share no code with the primary evaluation path:
   precision (mpmath) with a rigorous majorant tail bound;
 * :func:`l1_solve_mode` time-steps the per-mode multi-term fractional ODE
   with the piecewise-linear (L1) discretization of each Caputo term.  The
-  O(N^2) history is summed for blocks of steps at once, one matrix-vector
-  product per column tile of differenced weights, so its working set is a
-  few fixed-size buffers at any mesh size;
+  history before each block of steps is carried by a recurrence over the
+  nodes of one exponential sum for the whole multi-term kernel, so a step
+  costs a few hundred exponentials, not one kernel weight per earlier
+  step;
 * :func:`laplace_mode_eval` evaluates the mode through its Laplace
   inversion along the cut negative axis, leading decay term plus remainder
   integral, each panel set of the quadrature in one integrand call.
@@ -20,6 +21,7 @@ configuration whose Laplace symbol acquires zeros off the cut.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -190,42 +192,48 @@ def _source_values(f, ts):
     return np.interp(ts, np.asarray(t_samp, dtype=float), np.asarray(v_samp, dtype=float))
 
 
-# Steps per block of the L1 recurrence, and the column width of one tile of
-# its far-history weights.  Four (block x tile) float64 buffers, 1 MB, bound
-# the working set at any mesh size, where (block x n_steps) weights would
-# grow with the mesh.
-_L1_BLOCK = 32
-_L1_TILE = 1024
+_L1_BLOCK = 32       # steps per block of the L1 recurrence
+
+# With p = e^y / x_max and y = u - e^{-u} (McLean, "Exponential sum
+# approximations for t^{-beta}", 2018), x^{-a} Gamma(a) = int p^{a-1} e^{-px} dp
+# = int (1 + e^{-u}) p^a e^{-px} du, whose trapezoid rule at step h has nodes
+# p_l shared by every a.  Each error, relative on [x_min, x_max], is about
+# e^{-T}: the cut below u = -log(T/a) drops int_{T/a}^inf e^{-av} dv
+# (v = e^{-u}), the cut above u = log(T x_max/x_min) drops nodes with
+# p x_min > T, and the rule's error is about 60 e^{-pi^2/h} (McLean's
+# exponent, a measured factor), so h = pi^2/T.  At T = 40 the measured error is
+# at most 1.4e-15 for a in [0.02, 0.99], x_min/x_max in [3e-11, 1e-3].
+_EXPSUM_LOG_TOL = 40.0
 
 
-def _l1_weight_diffs(ts, n0, n1, c0, c1, expo, coef, work):
-    """Differenced history weights of steps n0 <= n < n1 over columns c0 <= k < c1.
+def _exp_sum(alphas, coefs, x_min, x_max):
+    """Nodes p and weights w with sum_j coefs_j x^{-alphas_j} ~
+    sum_l w_l e^{-p_l x} on [x_min, x_max], for orders in (0, 1)."""
+    h = math.pi ** 2 / _EXPSUM_LOG_TOL
+    u_lo = -math.log(_EXPSUM_LOG_TOL / alphas.min())
+    u_hi = math.log(_EXPSUM_LOG_TOL * x_max / x_min)
+    u = u_lo + h * np.arange(math.ceil((u_hi - u_lo) / h) + 1)
+    y = u - np.exp(-u) - math.log(x_max)            # log p
+    per_term = np.exp(np.outer(y, alphas)) @ (coefs / gamma_real(alphas))
+    return np.exp(y), h * (1.0 + np.exp(-u)) * per_term
 
-    Entry (n - n0, k - c0) is W[n, k] - W[n, k+1], with the combined weight
-    W[n, k] = sum_j coef_j (t_n - t_k)_+^{expo_j}.  Each term's powers are
-    differenced before they are scaled and summed, as the per-term L1
-    weights are: next to a tiny first step the difference is far below the
-    powers, and any rounding taken before it would be amplified.  For the
-    same reason the weights are differenced before any product with the
-    slopes (summing by parts against slope differences cancels).  Returns
-    a view into ``work``, four flat buffers of at least
-    (n1 - n0) * (c1 - c0 + 1) entries.
+
+def _l1_weight_diffs(ts, n0, n1, expo, coef):
+    """Differenced L1 weights of the steps n0 <= n < n1 over the columns
+    n0 - 1 <= k < n1 - 1 inside their block.
+
+    Entry (n - n0, k - n0 + 1) is W[n, k] - W[n, k+1], with the combined
+    weight W[n, k] = sum_j coef_j (t_n - t_k)_+^{expo_j}.  Each term's
+    powers are differenced before they are scaled and summed.  They cancel
+    by the ratio (t_n - t_k) / dt_k: a few tens inside a block, but 1e6 in
+    the first block at grading 4 (about 2e-12 of max|u|).
     """
-    size = (n1 - n0) * (c1 - c0 + 1)
-    back, pw, step, diffs = (buf[:size] for buf in work)
-    np.subtract(ts[n0:n1, None], ts[None, c0:c1 + 1], out=back.reshape(n1 - n0, -1))
-    if c1 > n0:                       # columns past a row's own time
-        np.maximum(back, 0.0, out=back)
-    # Differences over the flat rows: the one that straddles two rows is
-    # never read.
-    for j, (e, c) in enumerate(zip(expo, coef)):
-        np.power(back, e, out=pw)
-        out = diffs[:-1] if j == 0 else step[:-1]
-        np.subtract(pw[:-1], pw[1:], out=out)
-        out *= c
-        if j > 0:
-            diffs[:-1] += out
-    return diffs.reshape(n1 - n0, -1)[:, :-1]
+    back = np.maximum(ts[n0:n1, None] - ts[None, n0 - 1:n1], 0.0)
+    diffs = 0.0
+    for e, c in zip(expo, coef):
+        pw = back ** e
+        diffs = diffs + c * (pw[:, :-1] - pw[:, 1:])
+    return diffs
 
 
 def l1_solve_mode(lam: float, orders, a_n: float, f_n=None,
@@ -237,26 +245,30 @@ def l1_solve_mode(lam: float, orders, a_n: float, f_n=None,
     scalar linear solve per step.  Returns (times, values).  ``stop_abs``
     stops early once |u| exceeds it (used by growth experiments).
 
-    With slopes s_k = (u_{k+1} - u_k) / dt_k and the combined weight
-    W[n, k] = sum_j q_j (t_n - t_k)^{1-a_j} / Gamma(2 - a_j), step n solves
+    With slopes s_k = (u_{k+1} - u_k) / dt_k and the multi-term kernel
+    K(x) = sum_j q_j x^{-a_j} / Gamma(1 - a_j), step n solves
 
-        (W[n, n-1] - W[n, n]) s_{n-1} + lam u_n
-            = f_n - sum_{k < n-1} (W[n, k] - W[n, k+1]) s_k.
+        I_{n-1}(n) s_{n-1} + lam u_n = f_n - sum_{k < n-1} I_k(n) s_k,
 
-    Steps advance in blocks of _L1_BLOCK.  At the start of a block every
-    slope before it is known, so the far history of all its steps is one
-    matrix-vector product per tile of _L1_TILE columns; the near triangle
-    inside the block is summed step by step.  The working set is four
-    (block x tile) buffers whatever the number of steps.
+    I_k(n) = int_{t_k}^{t_{k+1}} K(t_n - tau) dtau.  Steps advance in blocks
+    of B = _L1_BLOCK; inside one, I_k(n) are differenced powers summed step
+    by step.  With one exponential sum K(x) ~ sum_l w_l e^{-p_l x} on
+    [t_{B+1} - t_B, t_final] (steps never shrink), the history before block
+    start c is H_l = sum_{k<c} s_k e^{-p_l (t_c - t_{k+1})} (1 - e^{-p_l dt_k})
+    / p_l, which adds sum_l w_l e^{-p_l (t_n - t_c)} H_l to step n.  Each
+    interval's term is formed with ``expm1``, so nothing cancels next to the
+    tiny first steps of a steep mesh.
 
-    ``orders`` only needs ``alphas``/``qs`` attributes; sign constraints are
-    the caller's business, which lets deliberately ill-posed weight patterns
-    be simulated.
+    ``orders`` only needs ``alphas``/``qs`` attributes, with orders in
+    (0, 1); sign constraints are the caller's business, which lets
+    deliberately ill-posed weight patterns be simulated.
     """
     if cfg is None:
         raise ValueError("an L1Config is required")
     alphas = np.asarray(orders.alphas, dtype=float)
     qs = np.asarray(orders.qs, dtype=float)
+    if not np.all((alphas > 0.0) & (alphas < 1.0)):
+        raise ValueError(f"L1 orders must lie in (0, 1), got {orders.alphas}")
     ts = l1_mesh(cfg)
     fs = _source_values(f_n, ts).tolist()
     n_steps = cfg.n_steps
@@ -265,36 +277,46 @@ def l1_solve_mode(lam: float, orders, a_n: float, f_n=None,
     coef = qs / gamma_real(2.0 - alphas)          # q_j / Gamma(2 - a_j)
     dt = np.diff(ts)
     dt_list = dt.tolist()
+    nodes = weights = np.empty(0)
+    if n_steps > _L1_BLOCK:
+        nodes, weights = _exp_sum(alphas, qs / gamma_real(1.0 - alphas), dt[_L1_BLOCK], ts[-1])
+    hist = np.zeros(nodes.size)
 
     u = np.empty(n_steps + 1)
     u[0] = a_n
-    slopes = np.empty(n_steps)
-    work = np.empty((4, _L1_BLOCK * (_L1_TILE + 1)))
     for n0 in range(1, n_steps + 1, _L1_BLOCK):
         n1 = min(n0 + _L1_BLOCK, n_steps + 1)
-        far = np.zeros(n1 - n0)
-        for c0 in range(0, n0 - 1, _L1_TILE):
-            c1 = min(c0 + _L1_TILE, n0 - 1)
-            far += _l1_weight_diffs(ts, n0, n1, c0, c1, expo, coef, work) @ slopes[c0:c1]
-        # Columns n0-1 <= k < n1-1; the diagonal weighs each step's own slope.
-        near = _l1_weight_diffs(ts, n0, n1, n0 - 1, n1 - 1, expo, coef, work)
-        a_coefs = (np.diagonal(near) / dt[n0 - 1:n1 - 1]).tolist()
-        far = far.tolist()
-        u_prev = float(u[n0 - 1])
+        c = n0 - 1
+        # Nodes with p dt_c > T add below e^{-T} of K from here on.
+        live = np.searchsorted(nodes, _EXPSUM_LOG_TOL / dt_list[c])
+        p = -nodes[:live]
+        decay = np.exp((ts[n0:n1] - ts[c])[:, None] * p)
+        far = (decay @ (weights[:live] * hist[:live])).tolist()
+        near = _l1_weight_diffs(ts, n0, n1, expo, coef)
+        a_coefs = (np.diagonal(near) / dt[c:n1 - 1]).tolist()
+        rows = near.tolist()
+        block = []                      # the slopes of this block's steps
+        u_prev = float(u[c])
         for i, a_coef in enumerate(a_coefs):
             n = n0 + i
-            hist = far[i] + float(near[i, :i] @ slopes[n0 - 1:n - 1])
+            h_n = far[i] + sum(map(operator.mul, rows[i], block))
             denom = a_coef + lam
             if denom == 0.0:
                 raise ArithmeticError("singular L1 update (a_coef + lam = 0)")
-            u_n = (a_coef * u_prev - hist + fs[n]) / denom
+            u_n = (a_coef * u_prev - h_n + fs[n]) / denom
             if not math.isfinite(u_n):
                 raise ArithmeticError(f"L1 step produced a non-finite value at t={ts[n]:.4g}")
             u[n] = u_n
             if stop_abs is not None and abs(u_n) >= stop_abs:
                 return ts[: n + 1], u[: n + 1]
-            slopes[n - 1] = (u_n - u_prev) / dt_list[n - 1]
+            block.append((u_n - u_prev) / dt_list[n - 1])
             u_prev = u_n
+        if n1 <= n_steps:   # carry the history to the next block's start
+            ints = np.exp((ts[n1 - 1] - ts[n0:n1]) * p[:, None])
+            ints *= np.expm1(dt[c:n1 - 1] * p[:, None]) / p[:, None]
+            hist = hist[:live]
+            hist *= decay[-1]
+            hist += ints @ block
     return ts, u
 
 

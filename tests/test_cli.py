@@ -326,3 +326,9 @@ def test_coefficient_invariants_rejected_at_parse(tmp_path):
                                        f"n_interior = 63\ndiffusion = {spec}")
         with pytest.raises(cli.ConfigError, match="diffusion: bad builtin"):
             cli.parse_config(_write(tmp_path, text3))
+
+
+def test_verify_suite_passes_every_check():
+    results = {name: (ok, detail) for name, ok, detail in cli._verify_suite()}
+    assert {"l1-vs-amplitude", "counterexample-verdicts"} <= results.keys()
+    assert {name: detail for name, (ok, detail) in results.items() if not ok} == {}

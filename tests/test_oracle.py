@@ -79,8 +79,8 @@ def test_l1_single_term_classical_value():
 
 
 def test_l1_convergence_order():
-    # Singularity-resolving grading, capped: too-steep meshes trade the
-    # origin error for floor noise in the smooth region.
+    # Singularity-resolving grading, capped at 3: steeper meshes keep the
+    # order but raise the error constant.
     for alpha in (0.3, 0.5, 0.8):
         orders = FracOrders.single(alpha)
         grading = min(3.0, max(1.5, (2.0 - alpha) / alpha))
@@ -122,8 +122,11 @@ def test_l1_positivity_transfer():
 
 
 def _l1_per_step(lam, orders, a_n, f_n=None, cfg=None, stop_abs=None):
-    """The L1 recurrence one step at a time, each step re-differencing the
-    mesh, the values and every term's kernel powers."""
+    """The L1 recurrence one step at a time, each step recomputing every
+    term's weights from the mesh.  A weight x^e - (x - dt)^e, x = t_n - t_k,
+    is formed as -x^e expm1(e log1p(-dt / x)), which does not cancel when
+    dt is far below x (the tiny first steps of a steep mesh seen from late
+    steps); differencing the two powers there loses up to 1e-7 of max|u|."""
     alphas = np.asarray(orders.alphas, dtype=float)
     qs = np.asarray(orders.qs, dtype=float)
     ts = orc.l1_mesh(cfg)
@@ -133,13 +136,15 @@ def _l1_per_step(lam, orders, a_n, f_n=None, cfg=None, stop_abs=None):
     ginv = 1.0 / sf.gamma_real(2.0 - alphas)
     for n in range(1, cfg.n_steps + 1):
         dt = np.diff(ts[: n + 1])
-        back = ts[n] - ts[: n + 1]
+        back = ts[n] - ts[:n]
+        with np.errstate(divide="ignore"):      # log1p(-1) at k = n - 1
+            log_ratio = np.log1p(-dt / back)
         du = np.diff(u[: n + 1])
         a_coef = 0.0
         hist = 0.0
         for j in range(alphas.size):
-            pw = back ** (1.0 - alphas[j])
-            d = (pw[:-1] - pw[1:]) * ginv[j] / dt
+            e = 1.0 - alphas[j]
+            d = -back ** e * np.expm1(e * log_ratio) * ginv[j] / dt
             a_coef += qs[j] * d[-1]
             if n > 1:
                 hist += qs[j] * float(d[:-1] @ du[:-1])
@@ -155,12 +160,11 @@ def _l1_per_step(lam, orders, a_n, f_n=None, cfg=None, stop_abs=None):
 
 
 def test_l1_blocked_matches_per_step_reference(monkeypatch):
-    # Block edges, tile edges (3000 steps span three column tiles) and both
-    # kinds of source.  The two sum the same weights in another order, so
-    # they agree to rounding amplified by the recurrence, far below the
-    # method's own error.  The steep grading makes the first steps tiny,
-    # where a history summed by parts against slope differences loses
-    # about 1e-6 of max|u| at 3000 steps.
+    # Block edges, several blocks of exponential-sum history (3000 steps)
+    # and both kinds of source.  The steep grading makes the first steps
+    # tiny: the two agree to rounding amplified by the recurrence only if
+    # neither differences large kernel powers over them, and that agreement
+    # is far below the method's own error.
     b = orc._L1_BLOCK
     t_samp = np.linspace(0.0, 1.5, 7)
     sources = (lambda t: math.cos(3.0 * t), (t_samp, t_samp ** 2 - 1.0))
@@ -188,6 +192,27 @@ def test_l1_blocked_matches_per_step_reference(monkeypatch):
     assert [r.verdict for r in ours] == [r.verdict for r in refs] == ["grows", "decays"]
     assert [r.values.size for r in ours] == [r.values.size for r in refs]
     assert ours[0].values.size < cfg.n_steps + 1
+
+
+@pytest.mark.parametrize("a", (0.02, 0.1, 0.3, 0.5, 0.8, 0.99))
+def test_exp_sum_matches_power(a):
+    # The history kernel's exponential sum, one term at a time, relative
+    # to x^{-a} over its whole range.
+    for ratio in (1e-3, 1e-9, 3e-11):
+        for x_max in (0.5, 20.0):
+            nodes, weights = orc._exp_sum(np.array([a]), np.array([1.0]),
+                                          ratio * x_max, x_max)
+            x = np.geomspace(ratio * x_max, x_max, 3000)
+            approx = x ** a * (np.exp(-np.outer(x, nodes)) @ weights)
+            assert np.max(np.abs(approx - 1.0)) <= 1e-13, (ratio, x_max)
+
+
+def test_l1_rejects_orders_outside_unit_interval():
+    cfg = orc.L1Config(t_final=1.0, n_steps=64)
+    for alphas in ((1.0,), (0.5, 0.0), (1.2, 0.5)):
+        orders = orc._RawOrders(alphas=alphas, qs=(1.0,) * len(alphas))
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            orc.l1_solve_mode(1.0, orders, 1.0, None, cfg)
 
 
 def test_l1_config_validation():
