@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the solver-family kernel and the L1 oracle in CPU time, one BLAS thread.
+"""Time the solver-family kernel and the oracles in CPU time, one BLAS thread.
 
     python scripts/bench_kernel.py [--repeats N]
 
@@ -13,7 +13,9 @@ Prints one JSON object with the median CPU milliseconds over N repeats of:
   that fell back to the wedge contour;
 * ``scalar_amplitude``: one scalar mode amplitude;
 * ``l1_criterion06``: one L1 oracle run of criterion 06's shape, orders
-  (0.8, 0.4) with q = (1, 1), lambda = 2, t = 2, 3000 steps, grading 2.5.
+  (0.8, 0.4) with q = (1, 1), lambda = 2, t = 2, 3000 steps, grading 2.5;
+* ``hankel_eval``: one Hankel oracle value ``laplace_mode_eval`` of the
+  same shape, orders (0.8, 0.4) with q = (1, 1), lambda = 2, t = 2.
 
 Each case runs once untimed first.  The mtfrac imported is the first one on
 sys.path, so ``PYTHONPATH=TREE/src`` times another source tree.
@@ -88,6 +90,8 @@ def main(argv=None) -> dict:
     l1_cfg = oracle.L1Config(t_final=2.0, n_steps=3000, grading=2.5)
     report["l1_criterion06"] = cpu_ms(
         lambda: oracle.l1_solve_mode(2.0, l1_orders, 1.0, None, l1_cfg), repeats)
+    report["hankel_eval"] = cpu_ms(
+        lambda: oracle.laplace_mode_eval(2.0, l1_orders, 1.0, 2.0), repeats)
     return report
 
 

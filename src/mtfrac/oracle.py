@@ -21,11 +21,11 @@ configuration whose Laplace symbol acquires zeros off the cut.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from scipy.linalg.lapack import dtrtrs
 
 from .constants import HANKEL_EPS0, HANKEL_REFINE_RTOL
 from .specfun import MLArgs, MLParams, gamma_real
@@ -241,9 +241,9 @@ def l1_solve_mode(lam: float, orders, a_n: float, f_n=None,
     """L1 time stepping of  sum_j q_j D^{a_j} u + lam u = f,  u(0) = a_n.
 
     Each Caputo term is discretized with the piecewise-linear kernel
-    weights on the shared (possibly graded) mesh; the implicit update is a
-    scalar linear solve per step.  Returns (times, values).  ``stop_abs``
-    stops early once |u| exceeds it (used by growth experiments).
+    weights on the shared (possibly graded) mesh.  Returns (times, values).
+    ``stop_abs`` stops early once |u| exceeds it (used by growth
+    experiments).
 
     With slopes s_k = (u_{k+1} - u_k) / dt_k and the multi-term kernel
     K(x) = sum_j q_j x^{-a_j} / Gamma(1 - a_j), step n solves
@@ -251,11 +251,14 @@ def l1_solve_mode(lam: float, orders, a_n: float, f_n=None,
         I_{n-1}(n) s_{n-1} + lam u_n = f_n - sum_{k < n-1} I_k(n) s_k,
 
     I_k(n) = int_{t_k}^{t_{k+1}} K(t_n - tau) dtau.  Steps advance in blocks
-    of B = _L1_BLOCK; inside one, I_k(n) are differenced powers summed step
-    by step.  With one exponential sum K(x) ~ sum_l w_l e^{-p_l x} on
-    [t_{B+1} - t_B, t_final] (steps never shrink), the history before block
-    start c is H_l = sum_{k<c} s_k e^{-p_l (t_c - t_{k+1})} (1 - e^{-p_l dt_k})
-    / p_l, which adds sum_l w_l e^{-p_l (t_n - t_c)} H_l to step n.  Each
+    of B = _L1_BLOCK.  Inside one, I_k(n) are differenced powers and, since
+    u_n = u_c + sum_{c <= k < n} dt_k s_k, the block's steps are one
+    lower-triangular system for its slopes; each step's checks then run on
+    the block's values in step order.  With one exponential sum
+    K(x) ~ sum_l w_l e^{-p_l x} on [t_{B+1} - t_B, t_final] (steps never
+    shrink), the history before block start c is H_l = sum_{k<c} s_k
+    e^{-p_l (t_c - t_{k+1})} (1 - e^{-p_l dt_k}) / p_l, which adds
+    sum_l w_l e^{-p_l (t_n - t_c)} H_l to step n.  Each
     interval's term is formed with ``expm1``, so nothing cancels next to the
     tiny first steps of a steep mesh.
 
@@ -270,13 +273,12 @@ def l1_solve_mode(lam: float, orders, a_n: float, f_n=None,
     if not np.all((alphas > 0.0) & (alphas < 1.0)):
         raise ValueError(f"L1 orders must lie in (0, 1), got {orders.alphas}")
     ts = l1_mesh(cfg)
-    fs = _source_values(f_n, ts).tolist()
+    fs = _source_values(f_n, ts)
     n_steps = cfg.n_steps
     lam = float(lam)
     expo = 1.0 - alphas
     coef = qs / gamma_real(2.0 - alphas)          # q_j / Gamma(2 - a_j)
     dt = np.diff(ts)
-    dt_list = dt.tolist()
     nodes = weights = np.empty(0)
     if n_steps > _L1_BLOCK:
         nodes, weights = _exp_sum(alphas, qs / gamma_real(1.0 - alphas), dt[_L1_BLOCK], ts[-1])
@@ -287,36 +289,37 @@ def l1_solve_mode(lam: float, orders, a_n: float, f_n=None,
     for n0 in range(1, n_steps + 1, _L1_BLOCK):
         n1 = min(n0 + _L1_BLOCK, n_steps + 1)
         c = n0 - 1
+        dt_b = dt[c:n1 - 1]
         # Nodes with p dt_c > T add below e^{-T} of K from here on.
-        live = np.searchsorted(nodes, _EXPSUM_LOG_TOL / dt_list[c])
+        live = np.searchsorted(nodes, _EXPSUM_LOG_TOL / dt[c])
         p = -nodes[:live]
         decay = np.exp((ts[n0:n1] - ts[c])[:, None] * p)
-        far = (decay @ (weights[:live] * hist[:live])).tolist()
-        near = _l1_weight_diffs(ts, n0, n1, expo, coef)
-        a_coefs = (np.diagonal(near) / dt[c:n1 - 1]).tolist()
-        rows = near.tolist()
-        block = []                      # the slopes of this block's steps
-        u_prev = float(u[c])
-        for i, a_coef in enumerate(a_coefs):
-            n = n0 + i
-            h_n = far[i] + sum(map(operator.mul, rows[i], block))
-            denom = a_coef + lam
-            if denom == 0.0:
-                raise ArithmeticError("singular L1 update (a_coef + lam = 0)")
-            u_n = (a_coef * u_prev - h_n + fs[n]) / denom
-            if not math.isfinite(u_n):
+        far = decay @ (weights[:live] * hist[:live])
+        # The block's slopes solve one lower-triangular system (dtrtrs reads
+        # only the lower triangle); an exact zero pivot ends the block there.
+        mat = _l1_weight_diffs(ts, n0, n1, expo, coef) + lam * dt_b
+        rhs = fs[n0:n1] - far - lam * u[c]
+        slopes, info = dtrtrs(mat, rhs, lower=1)
+        if info > 0:    # zero pivot at step n0 + info - 1: solve the steps before it
+            k = info - 1
+            slopes = dtrtrs(mat[:k, :k], rhs[:k], lower=1)[0] if k else rhs[:0]
+        vals = u[n0:n0 + slopes.size] = u[c] + np.cumsum(dt_b[:slopes.size] * slopes)
+        bad = ~np.isfinite(vals)    # each step's checks, in step order
+        if stop_abs is not None:
+            bad |= np.abs(vals) >= stop_abs
+        if bad.any():
+            n = n0 + int(bad.argmax())
+            if not math.isfinite(u[n]):
                 raise ArithmeticError(f"L1 step produced a non-finite value at t={ts[n]:.4g}")
-            u[n] = u_n
-            if stop_abs is not None and abs(u_n) >= stop_abs:
-                return ts[: n + 1], u[: n + 1]
-            block.append((u_n - u_prev) / dt_list[n - 1])
-            u_prev = u_n
+            return ts[: n + 1], u[: n + 1]
+        if info > 0:
+            raise ArithmeticError("singular L1 update (a_coef + lam = 0)")
         if n1 <= n_steps:   # carry the history to the next block's start
             ints = np.exp((ts[n1 - 1] - ts[n0:n1]) * p[:, None])
-            ints *= np.expm1(dt[c:n1 - 1] * p[:, None]) / p[:, None]
+            ints *= np.expm1(dt_b * p[:, None]) / p[:, None]
             hist = hist[:live]
             hist *= decay[-1]
-            hist += ints @ block
+            hist += ints @ slopes
     return ts, u
 
 
@@ -334,22 +337,29 @@ def laplace_symbol(orders, lam: float, s):
 
 def hankel_integrand(orders, lam: float, r):
     """H(r, lam) = -(1/pi) Im{ (1/w) sum_j q_j s^{a_j-1}
-                               - (q_m/lam) s^{a_m-1} } at s = r e^{i pi}."""
+                               - (q_m/lam) s^{a_m-1} } at s = r e^{i pi}.
+
+    On the cut, q_j s^{a_j} = q_j r^{a_j} e^{i pi a_j} and s^{a-1} = -s^a / r,
+    so with P = w - lam one real power per term gives
+    H = (lam Im P / |w|^2 - (q_m/lam) r^{a_m} sin(pi a_m)) / (pi r).
+    """
     r = np.asarray(r, dtype=float)
-    s = r * np.exp(1j * math.pi)
-    w = laplace_symbol(orders, lam, s)
-    num = np.zeros(s.shape, dtype=complex)
+    re, im = lam, 0.0
     for a, q in zip(orders.alphas, orders.qs):
-        num = num + q * s ** (a - 1.0)
-    lead = (orders.qs[-1] / lam) * s ** (orders.alphas[-1] - 1.0)
-    return -(1.0 / math.pi) * (num / w - lead).imag
+        term = q * r ** a
+        re = re + term * math.cos(math.pi * a)
+        im = im + term * math.sin(math.pi * a)
+    lead = term * math.sin(math.pi * a) / lam     # the last term, q_m r^{a_m}
+    return (lam * im / (re * re + im * im) - lead) / (math.pi * r)
+
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
 
 def _hankel_quad(orders, lam, t, cfg, n_panels):
     """Panel Gauss-Legendre of int_0^r_max H(r) e^{-rt} dr with a split at
     eps0*lam and geometric grading toward r = 0; every panel's 16 nodes are
     one row of a single integrand call."""
-    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
     r_split = min(cfg.eps0 * lam, cfg.r_max)
     edges = []
     # geometric panels from tiny radii up to the split
@@ -363,8 +373,8 @@ def _hankel_quad(orders, lam, t, cfg, n_panels):
         edges.append(lin)
     grid = np.concatenate(edges)
     half = 0.5 * np.diff(grid)[:, None]               # (panels, 1)
-    r = half * gl_x + 0.5 * (grid[1:] + grid[:-1])[:, None]
-    panels = (gl_w * hankel_integrand(orders, lam, r) * np.exp(-r * t)).sum(axis=1)
+    r = half * _GL_X + 0.5 * (grid[1:] + grid[:-1])[:, None]
+    panels = (_GL_W * hankel_integrand(orders, lam, r) * np.exp(-r * t)).sum(axis=1)
     total = float(half[:, 0] @ panels)
     # analytic bound on the dropped [0, r_lo] piece
     below = abs(hankel_integrand(orders, lam, np.array([r_lo]))[0]) * r_lo * 2.0

@@ -121,25 +121,27 @@ def test_l1_positivity_transfer():
         assert np.all(us <= 1.0 + 1e-12)
 
 
-def _l1_per_step(lam, orders, a_n, f_n=None, cfg=None, stop_abs=None):
-    """The L1 recurrence one step at a time, each step recomputing every
-    term's weights from the mesh.  A weight x^e - (x - dt)^e, x = t_n - t_k,
-    is formed as -x^e expm1(e log1p(-dt / x)), which does not cancel when
-    dt is far below x (the tiny first steps of a steep mesh seen from late
-    steps); differencing the two powers there loses up to 1e-7 of max|u|."""
+def _l1_per_step(lam, orders, a_n, f_n=None, cfg=None, stop_abs=None, dtype=float):
+    """The L1 recurrence one step at a time in ``dtype``, each step
+    recomputing every term's weights from the mesh.  A weight
+    x^e - (x - dt)^e, x = t_n - t_k, is formed as -x^e expm1(e log1p(-dt / x)),
+    which does not cancel when dt is far below x (the tiny first steps of a
+    steep mesh seen from late steps); differencing the two powers there
+    loses up to 1e-7 of max|u|."""
     alphas = np.asarray(orders.alphas, dtype=float)
     qs = np.asarray(orders.qs, dtype=float)
     ts = orc.l1_mesh(cfg)
-    fs = orc._source_values(f_n, ts)
-    u = np.empty(cfg.n_steps + 1)
+    fs = orc._source_values(f_n, ts).astype(dtype)
+    u = np.empty(cfg.n_steps + 1, dtype=dtype)
     u[0] = a_n
-    ginv = 1.0 / sf.gamma_real(2.0 - alphas)
+    ginv = (1.0 / sf.gamma_real(2.0 - alphas)).astype(dtype)
+    alphas, qs, ts = alphas.astype(dtype), qs.astype(dtype), ts.astype(dtype)
     for n in range(1, cfg.n_steps + 1):
         dt = np.diff(ts[: n + 1])
         back = ts[n] - ts[:n]
         with np.errstate(divide="ignore"):      # log1p(-1) at k = n - 1
             log_ratio = np.log1p(-dt / back)
-        du = np.diff(u[: n + 1])
+        du = np.diff(u[:n])
         a_coef = 0.0
         hist = 0.0
         for j in range(alphas.size):
@@ -147,7 +149,7 @@ def _l1_per_step(lam, orders, a_n, f_n=None, cfg=None, stop_abs=None):
             d = -back ** e * np.expm1(e * log_ratio) * ginv[j] / dt
             a_coef += qs[j] * d[-1]
             if n > 1:
-                hist += qs[j] * float(d[:-1] @ du[:-1])
+                hist += qs[j] * (d[:-1] @ du)
         denom = a_coef + lam
         if denom == 0.0:
             raise ArithmeticError("singular L1 update")
@@ -179,10 +181,25 @@ def test_l1_blocked_matches_per_step_reference(monkeypatch):
             np.testing.assert_array_equal(ts, ts_ref)
             assert np.max(np.abs(us - us_ref)) <= 1e-8 * np.max(np.abs(us_ref))
 
-    with pytest.raises(ArithmeticError, match="non-finite"):
+    # The first bad step of a block is the one named.
+    with pytest.raises(ArithmeticError, match=r"non-finite value at t=0\.51$"):
         orc.l1_solve_mode(1.0, FracOrders.single(0.5), 1.0,
                           lambda t: math.inf if t > 0.5 else 0.0,
                           orc.L1Config(t_final=1.0, n_steps=100))
+
+    # stop_abs inside a block: u rises monotonically to f / lam = 0.4, and the
+    # threshold is crossed first at step 2B + 17.
+    orders = FracOrders(alphas=(0.8, 0.4), qs=(1.0, 1.3))
+    cfg = orc.L1Config(t_final=1.5, n_steps=4 * b, grading=4.0)
+    n_stop = 2 * b + 17
+    _, us_full = _l1_per_step(2.5, orders, 0.0, lambda t: 1.0, cfg)
+    assert np.all(np.diff(us_full) > 0.0)
+    stop = 0.5 * (us_full[n_stop - 1] + us_full[n_stop])
+    ts, us = orc.l1_solve_mode(2.5, orders, 0.0, lambda t: 1.0, cfg, stop_abs=stop)
+    ts_ref, us_ref = _l1_per_step(2.5, orders, 0.0, lambda t: 1.0, cfg, stop_abs=stop)
+    assert us.size == us_ref.size == n_stop + 1
+    np.testing.assert_array_equal(ts, ts_ref)
+    assert np.max(np.abs(us - us_ref)) <= 1e-8 * np.max(np.abs(us_ref))
 
     # stop_abs ends the growing run at the same step as the reference.
     cfg = orc.L1Config(t_final=5.0, n_steps=4096, grading=4.0)
@@ -192,6 +209,41 @@ def test_l1_blocked_matches_per_step_reference(monkeypatch):
     assert [r.verdict for r in ours] == [r.verdict for r in refs] == ["grows", "decays"]
     assert [r.values.size for r in ours] == [r.values.size for r in refs]
     assert ours[0].values.size < cfg.n_steps + 1
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="needs an extended-precision long double")
+def test_l1_block_solve_rounding_does_not_accumulate():
+    # Slowly decaying modes over 600 steps, against the step-by-step
+    # recurrence in long double.  The step-by-step double recurrence drifts
+    # to 0.6-0.9e-14 of max|u| here; the block solve stays at a few eps.
+    for orders, lam, grading in ((FracOrders.single(0.9), 0.1, 1.0),
+                                 (FracOrders(alphas=(0.9, 0.5), qs=(1.0, 0.5)), 0.1, 1.0),
+                                 (FracOrders(alphas=(0.85, 0.6, 0.3), qs=(1.0, 0.7, 0.4)), 0.2, 1.5)):
+        cfg = orc.L1Config(t_final=2.0, n_steps=600, grading=grading)
+        _, us = orc.l1_solve_mode(lam, orders, 1.0, None, cfg)
+        _, us_ref = _l1_per_step(lam, orders, 1.0, None, cfg, dtype=np.longdouble)
+        assert np.max(np.abs(us - us_ref)) <= 1e-15 * np.max(np.abs(us_ref)), orders.m
+
+
+def test_l1_singular_update_raises():
+    # a_coef + lam is exactly 0 on the first step.
+    with pytest.raises(ArithmeticError, match="singular L1 update"):
+        orc.l1_solve_mode(-2.0 / math.gamma(1.5), FracOrders.single(0.5), 1.0,
+                          None, orc.L1Config(t_final=1.0, n_steps=4))
+    # ... and on the sixth, after the steps before it ran their checks.
+    orders = FracOrders.single(0.5)
+    cfg = orc.L1Config(t_final=1.0, n_steps=8, grading=2.0)
+    ts = orc.l1_mesh(cfg)
+    near = orc._l1_weight_diffs(ts, 1, 9, np.array([0.5]), 1.0 / sf.gamma_real(np.array([1.5])))
+    lam = -near[5, 5] / (ts[6] - ts[5])
+    assert near[5, 5] + lam * (ts[6] - ts[5]) == 0.0
+    with pytest.raises(ArithmeticError, match="singular L1 update"):
+        orc.l1_solve_mode(lam, orders, 1.0, None, cfg)
+    ts, us = orc.l1_solve_mode(lam, orders, 1.0, None, cfg, stop_abs=2.0)
+    ts_ref, us_ref = _l1_per_step(lam, orders, 1.0, None, cfg, stop_abs=2.0)
+    assert us.size == us_ref.size < 6
+    np.testing.assert_allclose(us, us_ref, rtol=1e-13)
 
 
 @pytest.mark.parametrize("a", (0.02, 0.1, 0.3, 0.5, 0.8, 0.99))
@@ -274,6 +326,23 @@ def test_hankel_integrand_two_regime_bounds():
     shape2 = (r_small2 ** -0.2 + r_small2 ** 0.2 + r_small2 ** -0.2)
     ratio2 = np.abs(orc.hankel_integrand(orders, lam, r_small2)) / (shape2 / lam)
     assert float(np.max(ratio2)) <= 1.1 * c_small
+
+
+def test_hankel_integrand_matches_complex_form():
+    # The real-axis integrand against the complex powers of s = r e^{i pi}.
+    r = np.geomspace(1e-12, 1e4, 400)
+    s = r * np.exp(1j * math.pi)
+    for orders in (FracOrders.single(0.45),
+                   FracOrders(alphas=(0.8, 0.4), qs=(1.0, 1.3)),
+                   FracOrders(alphas=(0.85, 0.5, 0.25), qs=(1.0, 0.7, 2.0))):
+        for lam in (0.3, 5.0, 2.0e4):
+            ratio = sum(q * s ** (a - 1.0) for a, q in zip(orders.alphas, orders.qs))
+            ratio = ratio / orc.laplace_symbol(orders, lam, s)
+            lead = (orders.qs[-1] / lam) * s ** (orders.alphas[-1] - 1.0)
+            ref = -(ratio - lead).imag / math.pi
+            size = (np.abs(ratio) + np.abs(lead)) / math.pi
+            err = np.abs(orc.hankel_integrand(orders, lam, r) - ref)
+            assert np.all(err <= 1e-13 * size), (orders.m, lam)
 
 
 def _hankel_quad_per_panel(orders, lam, t, cfg, n_panels):
