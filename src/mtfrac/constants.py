@@ -54,18 +54,12 @@ CONTOUR_REFINE_RTOL = 1e-6
 
 # Windowed hyperbolic Bromwich kernel of the solver family: an entry whose
 # error estimate (node-count refinement plus rounding floor) exceeds this
-# fraction of its value is recomputed on the wedge contour.  The hyperbola
-# misses it only for the propagator at large lambda t^{a_1}, where the value
-# is much smaller than the node contributions that sum to it.
-PARABOLA_FALLBACK_RTOL = 1e-10
+# fraction of its value raises QuadratureError rather than being returned.
+SOLVER_FAMILY_RTOL = 1e-10
 
 # Ray truncation for the contour integral: points where the exponential
 # factor falls below this are dropped.
 CONTOUR_TAIL_CUTOFF = 1e-18
-
-# Smallest admissible |imaginary part| / scale before a nominally real
-# special-function value is rejected.
-REAL_RESIDUE_TOL = 1e-8
 
 # Hankel-path evaluator: refinement disagreement threshold and the default
 # split radius factor between the small-r and large-r regimes.

@@ -17,9 +17,9 @@ The modal solver's kernel, :func:`e_solver_many`, inverts the Laplace
 transforms of the solver family on a hyperbolic Bromwich contour fixed over
 each time window [10^j, 10^{j+1}) instead: the resolvent
 1 / (sum_j q_j s^{a_j} + lam) at a contour node is built once per window
-and eigenvalue, and shared by every time in the window and every b_0.  An
-entry the hyperbola cannot resolve to its tolerance is recomputed on the
-wedge contour.
+and eigenvalue, and shared by every time in the window and every b_0.  The
+propagator b_0 = a_1 also takes a subtracted form free of cancellation, and
+an entry left above its tolerance raises rather than being returned.
 """
 
 from __future__ import annotations
@@ -39,11 +39,10 @@ from .constants import (
     SERIES_COMP_BUDGET,
     CONTOUR_REFINE_RTOL,
     CONTOUR_TAIL_CUTOFF,
-    PARABOLA_FALLBACK_RTOL,
-    REAL_RESIDUE_TOL,
     SERIES_CONTOUR_CROSSOVER,
     SERIES_MAX_SHELLS,
     SERIES_TOL,
+    SOLVER_FAMILY_RTOL,
 )
 
 __all__ = [
@@ -792,16 +791,6 @@ def solver_args(orders, lam: float, t: float) -> MLArgs:
     return MLArgs(z=tuple(z))
 
 
-def _check_real(values, ests, abs_values, context):
-    tol = np.maximum(REAL_RESIDUE_TOL * (1.0 + abs_values), 8.0 * ests + 1e-12)
-    bad = np.abs(values.imag) > tol
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ArithmeticError(
-            f"{context}: imaginary residue {values.imag.flat[i]:.3g} above tolerance")
-    return values.real
-
-
 # Hyperbolic Bromwich contour, fixed over a time window (Weideman &
 # Trefethen, Math. Comp. 2007; McLean & Thomee, J. Integral Equations Appl.
 # 2010).  With z_1 = -lam t^{a_1} and z_j = -q_j t^{a_1-a_j}, the Laplace
@@ -829,8 +818,7 @@ def _check_real(values, ests, abs_values, context):
 # hence the 1e-3) and a = 4.708.  The first node count gives the value; the
 # second, finer one checks it, and their difference is the refinement
 # estimate.  Nodes are generated for k >= 0 only, so the value is real by
-# construction; the imaginary-residue check applies to the entries that
-# fall back to the wedge contour.
+# construction.
 _WINDOW_RATIO = 10.0
 _HYPERBOLA_NODES = (40, 48)
 _HYPERBOLA_ALPHA = math.pi / 4.0 + 1e-3
@@ -874,17 +862,28 @@ def _window_eval(orders, beta0s, lams, ts):
     one real array of inverse squared moduli per window carries the
     resolvent, and the window's sums are real products of its weights
     with it.
+
+    Where 1/Gamma(beta0 - a_1) vanishes (the propagator), the sum is of
+    size 1/Z^2 but its terms of size 1/Z.  By 1/(P + Z) = 1/Z - P/Z^2 +
+    P^2/(Z^2 (P + Z)) and Hankel's integral such rows also read
+    (sum_k c'_k P_k^2 / (P_k + Z) - M_1) / Z^2, with the closed form
+    M_1 = sum_j q_j t0^{a_1-a_j} (t/t0)^{-a_1-a_j} / Gamma(beta0 - a_1 - a_j);
+    the floor adds 16 eps sum |M_1 terms|.  Each entry keeps the form with
+    the smaller estimate.
     """
     if lams.size % _LAM_PANEL:
         # Padded to whole panels of lams, with |R_k|^2 stored node by node,
         # the products round each lam's sums alike wherever it sits in the
-        # batch (OpenBLAS): an entry's value, estimate and fallback do not
-        # depend on the other entries of its call.
+        # batch (OpenBLAS): an entry's value and estimate do not depend on
+        # the other entries of its call.
         padded = np.pad(lams, (0, -lams.size % _LAM_PANEL))
         return _window_eval(orders, beta0s, padded, ts)[..., :lams.size]
     alphas, qs = np.array(orders.alphas), np.array(orders.qs)
     beta0s = np.array(beta0s)
     n, v = _NODES.size, _VALUE_NODES
+    # The rows summed in subtracted form follow the plain rows.
+    cancel = np.flatnonzero(special.rgamma(beta0s - alphas[0]) == 0.0)
+    moments = special.rgamma(beta0s[cancel, None] - alphas[0] - alphas)
     # Windows t0 = 10^j; the times sit in ascending order, so each window's
     # times are one run [lo, hi).
     j = np.floor(np.log10(ts))
@@ -892,11 +891,11 @@ def _window_eval(orders, beta0s, lams, ts):
     hi = np.append(lo[1:], ts.size)
     t0 = _WINDOW_RATIO ** j[lo]
     # t0^{a_1} w(s_k / t0) at every window's nodes, and g_k s_k^{a_1-beta0}.
-    symbols = ((qs * t0[:, None] ** (alphas[0] - alphas))
-               @ np.exp(np.multiply.outer(alphas, _LOG_NODES)))
+    scaled_qs = qs * t0[:, None] ** (alphas[0] - alphas)
+    symbols = scaled_qs @ np.exp(np.multiply.outer(alphas, _LOG_NODES))
     node_terms = _NODE_WEIGHTS * np.exp(np.multiply.outer(alphas[0] - beta0s,
                                                           _LOG_NODES))
-    out = np.empty((2, beta0s.size, ts.size, lams.size))
+    out = np.empty((2, beta0s.size + cancel.size, ts.size, lams.size))
     squares = np.empty((n, lams.size))
     for w, symbol in enumerate(symbols):
         z = lams * t0[w] ** alphas[0]
@@ -907,7 +906,10 @@ def _window_eval(orders, beta0s, lams, ts):
         tau = ts[lo[w]:hi[w]] / t0[w]
         # (t/t0)^{1-beta0} c'_k(t) by (beta0, time) rows.
         c = (node_terms[:, None, :] * np.exp(np.multiply.outer(tau, _NODES))
-             * (tau ** (1.0 - beta0s[:, None]))[:, :, None]).reshape(-1, n)
+             * (tau ** (1.0 - beta0s[:, None]))[:, :, None])
+        if cancel.size:
+            c = np.concatenate([c, c[cancel] * symbol ** 2])
+        c = c.reshape(-1, n)
         weights = np.concatenate([(c * symbol.conj()).real, c.real])
         value, est = out[:, :, lo[w]:hi[w]]
         for sum_, part in ((value, slice(None, v)), (est, slice(v, None))):
@@ -918,20 +920,30 @@ def _window_eval(orders, beta0s, lams, ts):
         np.abs(est, out=est)
         est += (16.0 * np.finfo(float).eps
                 * np.abs(c[:, :v]) @ np.sqrt(squares[:v])).reshape(est.shape)
-    return out
+        if cancel.size:   # M_1's terms by (beta0, time) row
+            m1 = ((moments * scaled_qs[w])[:, None]
+                  * np.power.outer(tau, -alphas[0] - alphas))
+            value[beta0s.size:] -= m1.sum(axis=2)[..., None]
+            est[beta0s.size:] += (16.0 * np.finfo(float).eps
+                                  * np.abs(m1).sum(axis=2)[..., None])
+            with np.errstate(divide="ignore", invalid="ignore"):  # Z = 0
+                out[:, beta0s.size:, lo[w]:hi[w]] /= z * z
+    if cancel.size:
+        plain, subtracted = out[:, cancel], out[:, beta0s.size:]
+        out[:, cancel] = np.where(subtracted[1] < plain[1], subtracted, plain)
+    return out[:, :beta0s.size]
 
 
 def _solver_family(lams, orders, beta0, ts):
     """E^{(n)}_{beta0}(t) for ``lams`` broadcast against ``ts``; a sequence
     ``beta0`` adds a leading axis over its entries.
 
-    Returns (values, abs_error_estimates, fell_back).  Positive times go
-    through the hyperbola of their time window, whose values are real by
-    construction, on the grid of the distinct times by the lams: its cost
-    is that of the outer product of the two.  An entry whose estimate exceeds
-    PARABOLA_FALLBACK_RTOL of its value is recomputed on the wedge contour,
-    its imaginary residue checked, and flagged in ``fell_back`` (and logged
-    at DEBUG to the ``mtfrac`` logger).  t = 0 entries take the exact limit.
+    Returns (values, abs_error_estimates).  Positive times go through the
+    hyperbola of their time window, whose values are real by construction,
+    on the grid of the distinct times by the lams: its cost is that of the
+    outer product of the two.  t = 0 entries take the exact limit.  An
+    estimate above SOLVER_FAMILY_RTOL of its value raises QuadratureError,
+    which names the worst entry.
     """
     lams = np.asarray(lams, dtype=float)
     ts = np.asarray(ts, dtype=float)
@@ -942,8 +954,6 @@ def _solver_family(lams, orders, beta0, ts):
         if (x < 0).any():
             raise ValueError(f"{name} must be non-negative")
     beta0s = tuple(float(b) for b in np.ravel(beta0))
-    alphas = orders.alphas
-    a1 = alphas[0]
     # The grid of distinct times by lams, and each entry's place in it.
     t_uniq, t_index = np.unique(ts, return_inverse=True)
     t_index, lam_index = (np.broadcast_to(i.reshape(x.shape), shape).ravel()
@@ -959,34 +969,16 @@ def _solver_family(lams, orders, beta0, ts):
         grid = np.take(grid, index, axis=2)   # unless the entries are the grid
     vals, ests = grid
     bound = np.abs(vals)
-    bound *= PARABOLA_FALLBACK_RTOL
-    redo = ests > bound
-    for i in np.flatnonzero(redo.any(axis=1)):
-        # Every z_1 <= 0 lies in the wedge |arg z_1| >= mu, where the
-        # contour of any one such argument serves all of them.
-        cfg = default_contour_config(solver_params(orders, beta0s[i]),
-                                     solver_args(orders, 1.0, 1.0))
-        r = redo[i]
-        t = t_uniq[t_index[r]]
-        z1 = -lams.ravel()[lam_index[r]] * t ** a1
-        z_rest = -np.asarray(orders.qs[1:]) * t[:, None] ** (a1 - np.asarray(alphas[1:]))
-        if _log.isEnabledFor(logging.DEBUG):
-            _log.debug("solver family: %d entries fall back to the wedge "
-                       "contour at beta0 = %.6g, largest lam t^a1 = %.6g",
-                       np.count_nonzero(r), beta0s[i], -z1.min())
-        wedge, err, scale = _contour_eval(alphas, beta0s[i], cfg, z1, z_rest)
-        # Elsewhere the refinement error is at most PARABOLA_FALLBACK_RTOL
-        # of the value, so only a wedge value can fail this check.
-        abs_wedge = np.abs(wedge)
-        if np.any(err > CONTOUR_REFINE_RTOL * np.maximum(abs_wedge, 1e-2 * scale)
-                  + 1e-15):
-            raise QuadratureError(
-                "contour refinement disagreement in the solver family")
-        ests[i, r] = err + 16.0 * np.finfo(float).eps * scale
-        vals[i, r] = _check_real(wedge, ests[i, r], abs_wedge, "solver family")
+    bound *= SOLVER_FAMILY_RTOL
+    if (ests > bound).any():
+        ratio = ests / np.maximum(np.abs(vals), np.finfo(float).tiny)
+        i, e = np.unravel_index(np.argmax(ratio), ratio.shape)
+        raise QuadratureError(
+            f"solver family: estimate {ratio[i, e]:.3g} of the value above "
+            f"SOLVER_FAMILY_RTOL at lam = {lams.ravel()[lam_index[e]]:.6g}, "
+            f"t = {t_uniq[t_index[e]]:.6g}, beta0 = {beta0s[i]:.6g}")
     out_shape = np.shape(beta0) + shape
-    return (vals.reshape(out_shape), ests.reshape(out_shape),
-            redo.reshape(out_shape))
+    return vals.reshape(out_shape), ests.reshape(out_shape)
 
 
 def e_solver(lam: float, orders, beta0: float, t: float) -> float:
@@ -1001,12 +993,11 @@ def e_solver_many(lams, orders, beta0, ts) -> np.ndarray:
 
     Positive times go through the hyperbolic Bromwich contour of their
     window [10^j, 10^{j+1}), whose resolvent at each node is built once per
-    lam and shared by every time in the window; entries it cannot resolve
-    to PARABOLA_FALLBACK_RTOL fall back to the wedge contour.  t = 0 entries
-    return the exact limit 1/Gamma(beta0); a negative or non-finite lam or
-    t raises ValueError.  Real-valued by construction: the hyperbola sums
-    conjugate node pairs as 2 Re over the nodes with u >= 0, and a wedge
-    value's imaginary residue is asserted to be below tolerance.
+    lam and shared by every time in the window; an entry whose estimate
+    exceeds SOLVER_FAMILY_RTOL of its value raises QuadratureError.  t = 0
+    entries return the exact limit 1/Gamma(beta0); a negative or non-finite
+    lam or t raises ValueError.  Real-valued by construction: the hyperbola
+    sums conjugate node pairs as 2 Re over the nodes with u >= 0.
     """
     return _solver_family(lams, orders, beta0, ts)[0]
 

@@ -271,11 +271,28 @@ def test_caputo_derivative_matches_talbot(laplace_op, laplace_spectrum):
         for t in TALBOT_TIMES:
             got = derivative(mode, t)
             ref = -lam * _talbot(orders, lam, 1.0 - beta, t)
-            _, est, _ = _solver_family(lam, orders, a1 + 1.0 - beta, t)
+            _, est = _solver_family(lam, orders, a1 + 1.0 - beta, t)
             tol = max(1e-12 * abs(ref), lam * t ** (a1 - beta) * float(est))
             assert abs(got - ref) <= tol, (mode, t, got, ref)
     # mode 200 at t = 2, pinned to its Talbot value at 40 digits
     assert abs(derivative(200, 2.0) - -0.62573947042950745) <= 1e-12 * 0.6257
+
+
+def test_time_derivative_matches_talbot(laplace_op, laplace_spectrum):
+    # d/dt u_n has transform -lam a_n / (w(s) + lam): the propagator
+    # E^{(n)}_{a_1}, whose plain contour sum cancels at large lam t^{a_1}.
+    # Each tested mode (0-based: the first, the middle and the last of the
+    # 255) is the initial value alone, and passes within 1e-12 relative.
+    orders = TALBOT_ORDERS
+    for mode in (0, 127, 254):
+        lam = laplace_spectrum.lambdas[mode]
+        p = sv.Problem(orders=orders, operator=laplace_op,
+                       spectrum=laplace_spectrum,
+                       initial=laplace_spectrum.eigvecs[:, mode])
+        for t in (1e-3, 0.1, 2.0, 300.0):
+            got = sp.project(sv.time_derivative(p, t), laplace_spectrum)[mode]
+            ref = -lam * _talbot(orders, lam, 0.0, t, dps=30)
+            assert abs(got - ref) <= 1e-12 * abs(ref), (mode, t, got, ref)
 
 
 def test_solve_source_matches_talbot(laplace_op, laplace_spectrum):
@@ -301,7 +318,7 @@ def test_solve_source_matches_talbot(laplace_op, laplace_spectrum):
         """(K_k(tau), its estimate) for mode idx[j]."""
         key = (j, k, tau)
         if key not in kernels:
-            _, est, _ = _solver_family(lams[j], orders, k + a1, tau)
+            _, est = _solver_family(lams[j], orders, k + a1, tau)
             kernels[key] = (_talbot(orders, lams[j], k, tau),
                             tau ** (k - 1 + a1) * float(est))
         return kernels[key]

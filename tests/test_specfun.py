@@ -383,49 +383,39 @@ def test_window_value_is_the_real_part_of_the_full_node_sum(laplace_spectrum):
             assert np.all(np.abs(ests[:, i] - want) <= floor), (alphas, t)
 
 
-def test_solver_family_checks_wedge_values_are_real(monkeypatch):
-    # Entries that fall back to the wedge contour keep its complex sum, and
-    # an imaginary part above tolerance is an error.
+def test_solver_family_raises_above_its_tolerance(monkeypatch):
+    # No entry is returned with an estimate above SOLVER_FAMILY_RTOL of its
+    # value.  With a zero tolerance every positive-time entry fails, and
+    # the error names the worst one; t = 0 entries are exact and pass.
     orders = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
-    contour_eval = sf._contour_eval
-
-    def skewed(*args):
-        values, errs, scales = contour_eval(*args)
-        return values + 1e-3j * np.abs(values), errs, scales
-
-    monkeypatch.setattr(sf, "PARABOLA_FALLBACK_RTOL", 0.0)
-    sf._solver_family(np.array([1.0, 40.0]), orders, (1.0, 0.8), 0.5)
-    monkeypatch.setattr(sf, "_contour_eval", skewed)
-    with pytest.raises(ArithmeticError, match="imaginary residue"):
-        sf._solver_family(np.array([1.0, 40.0]), orders, (1.0, 0.8), 0.5)
+    lams, beta0s = np.array([1.0, 40.0]), (1.0, 0.8)
+    values, ests = sf._solver_family(lams, orders, beta0s, 0.5)
+    i, j = np.unravel_index(np.argmax(ests / np.abs(values)), values.shape)
+    monkeypatch.setattr(sf, "SOLVER_FAMILY_RTOL", 0.0)
+    assert np.all(sf._solver_family(lams, orders, beta0s, 0.0)[1] == 0.0)
+    with pytest.raises(sf.QuadratureError, match="SOLVER_FAMILY_RTOL") as info:
+        sf._solver_family(lams, orders, beta0s, np.array([0.0, 0.5])[:, None])
+    message = str(info.value)
+    assert f"{ests[i, j] / abs(values[i, j]):.3g} of the value" in message
+    assert f"lam = {lams[j]:.6g}, t = 0.5, beta0 = {beta0s[i]:.6g}" in message
 
 
 def test_fallbacks_are_logged_at_debug(caplog):
-    # A wedge fallback of the solver family and a series-to-contour move of
-    # mml_eval are logged to the mtfrac logger at DEBUG, and nothing is
-    # logged above it.
+    # A series-to-contour move of mml_eval is logged to the mtfrac logger at
+    # DEBUG, and nothing is logged above it.  The solver family, which has
+    # no fallback, logs nothing, also where its plain sum cancels.
     orders = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
-    lams = np.array([1.0, 2.5e4])
-    with caplog.at_level(logging.DEBUG, logger="mtfrac"):
-        _, _, fell_back = sf._solver_family(lams, orders, 0.8, 300.0)
-    assert fell_back.tolist() == [False, True]
-    (record,) = caplog.records
-    assert record.name.startswith("mtfrac") and record.levelno == logging.DEBUG
-    assert "1 entries fall back" in record.getMessage()
-    assert "beta0 = 0.8" in record.getMessage()
-    assert f"{2.5e4 * 300.0 ** 0.8:.6g}" in record.getMessage()
-
-    caplog.clear()
     params = sf.solver_params(orders, 1.0)
     args = sf.solver_args(orders, 1.0, 0.5)  # sum |z_j| = 1.79, series side
     with caplog.at_level(logging.DEBUG, logger="mtfrac"):
+        sf._solver_family(np.array([1.0, 2.5e4]), orders, 0.8, 300.0)
         assert sf.mml_eval(params, args, max_k=2).method is sf.Method.CONTOUR
     (record,) = caplog.records
+    assert record.name.startswith("mtfrac") and record.levelno == logging.DEBUG
     assert "series did not converge at sum |z_j| = 1.79" in record.getMessage()
 
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="mtfrac"):
-        sf._solver_family(lams, orders, 0.8, 300.0)
         sf.mml_eval(params, args, max_k=2)
     assert not caplog.records
 
@@ -439,7 +429,7 @@ def test_solver_family_bookkeeping_matches_entrywise():
 
     def entrywise(lam, beta0, ts):
         lam, ts = np.broadcast_arrays(np.asarray(lam, float), np.asarray(ts, float))
-        out = [np.empty(np.shape(beta0) + lam.shape, dtype=d) for d in (float, float, bool)]
+        out = [np.empty(np.shape(beta0) + lam.shape) for _ in range(2)]
         for idx in np.ndindex(lam.shape):
             for o, r in zip(out, sf._solver_family(lam[idx], orders, beta0, ts[idx])):
                 o[(Ellipsis,) + idx] = r
@@ -454,10 +444,8 @@ def test_solver_family_bookkeeping_matches_entrywise():
         (7.0, 1.3, np.array([0.0, 1e-3, 0.5, 2.0, 300.0])),
         (lams, beta0s, np.array([1e-3, 0.5, 2.0])[:, None]),
     ]
-    flagged = 0
     for lam, beta0, ts in cases:
         got = sf._solver_family(lam, orders, beta0, ts)
-        flagged += got[2].sum()
         want = entrywise(lam, beta0, ts)
         shape = np.shape(beta0) + np.broadcast_shapes(np.shape(lam), np.shape(ts))
         for g, w in zip(got, want):
@@ -466,12 +454,9 @@ def test_solver_family_bookkeeping_matches_entrywise():
         # the two estimates, and the estimates' rounding parts differ a bit.
         assert np.all(np.abs(got[0] - want[0]) <= got[1] + want[1])
         assert np.all(np.abs(got[1] - want[1]) <= 0.25 * np.maximum(got[1], want[1]))
-        np.testing.assert_array_equal(got[2], want[2])
         zero = np.broadcast_to(np.asarray(ts) == 0.0, shape)
         assert np.array_equal(got[0][zero], want[0][zero])
-        assert np.all(got[1][zero] == 0.0) and not got[2][zero].any()
-    # The propagator (beta0 = a_1 = 0.8) falls back at the larger lam.
-    assert flagged > 0
+        assert np.all(got[1][zero] == 0.0)
 
 
 def test_e_solver_many_matches_extended_precision_below_crossover():
@@ -516,22 +501,21 @@ def _talbot(orders, lam, t, beta0, dps=30):
 
 
 def _amplitudes(orders, lams, ts):
-    """Mode amplitudes with their error estimates and fallback flags: the
-    sum E_1 + sum_{j>=2} q_j t^{a_1-a_j} E_{1+a_1-a_j} that
+    """Mode amplitudes with their error estimates: the sum
+    E_1 + sum_{j>=2} q_j t^{a_1-a_j} E_{1+a_1-a_j} that
     solver.mode_amplitudes evaluates, with the estimates of its terms added
     up likewise."""
     from mtfrac.solver import mode_amplitudes
     a1 = orders.alphas[0]
     shifts = [a1 - a for a in orders.alphas[1:]]
-    _, ests, fell_back = sf._solver_family(lams, orders,
-                                           [1.0] + [1.0 + d for d in shifts], ts)
+    _, ests = sf._solver_family(lams, orders, [1.0] + [1.0 + d for d in shifts], ts)
     est = ests[0]
     for q, d, e_j in zip(orders.qs[1:], shifts, ests[1:]):
         est = est + q * ts ** d * e_j
-    return mode_amplitudes(orders, lams, ts), est, fell_back.any(axis=0)
+    return mode_amplitudes(orders, lams, ts), est
 
 
-def test_solver_family_accuracy_map(laplace_spectrum, monkeypatch):
+def test_solver_family_accuracy_map(laplace_spectrum):
     # The (lam, t) range the solver visits: the whole n_interior = 255
     # spectrum (lam from about 1 to 2.66e4) and t over [1e-8, 1e4].  An
     # entry passes when its relative error is within max(1e-12, its own
@@ -549,8 +533,7 @@ def test_solver_family_accuracy_map(laplace_spectrum, monkeypatch):
     # the last.  Hankel inversion is the reference where it does not cancel
     # (lam t^{a_1} >= 1e-4); below that, 1 + z_1 E_{1+a_1} from the
     # extended-precision series.
-    amps, ests, fell_back = _amplitudes(orders, lams[None, :], ts[:, None])
-    assert not fell_back.any()
+    amps, ests = _amplitudes(orders, lams[None, :], ts[:, None])
     for i, t in enumerate(ts):
         for n in list(range(0, lams.size, 16)) + [lams.size - 1]:
             lam = float(lams[n])
@@ -570,80 +553,72 @@ def test_solver_family_accuracy_map(laplace_spectrum, monkeypatch):
         t = max(t for t in ts
                 if sum(abs(z) for z in sf.solver_args(orders, lam, t).z) <= XC)
         for beta0 in (a1, 1.0 + a1):
-            value, est, _ = sf._solver_family(lam, orders, beta0, t)
+            value, est = sf._solver_family(lam, orders, beta0, t)
             ref = highprec_series(sf.solver_params(orders, beta0),
                                   sf.solver_args(orders, lam, t),
                                   digits=20).value.real
             check(float(value), float(est), ref, ("series", lam, t, beta0))
 
-    # ... and against Talbot inversion above it.  The propagator at the top
-    # of the spectrum and late times is the region where the hyperbola's
-    # rounding floor exceeds its tolerance, so the wedge contour must take
-    # over there.
+    # ... and against Talbot inversion above it.
     lam_max = float(lams[-1])
-    hard = [(lam_max, 3e2, a1), (lam_max, 1e4, a1)]
-    for lam, t, beta0 in hard + [(lam_max, 1e4, 1.0 + a1), (1.0, 1e4, a1),
-                                 (float(lams[127]), 1.0, a1),
-                                 (float(lams[63]), 1e-2, 1.0 + a1)]:
-        value, est, fb = sf._solver_family(lam, orders, beta0, t)
+    for lam, t, beta0 in [(lam_max, 1e4, 1.0 + a1), (float(lams[127]), 1.0, a1),
+                          (float(lams[63]), 1e-2, 1.0 + a1)]:
+        value, est = sf._solver_family(lam, orders, beta0, t)
         check(float(value), float(est), _talbot(orders, lam, t, beta0),
               ("talbot", lam, t, beta0))
-        if (lam, t, beta0) in hard:
-            assert fb
+    # The propagator, whose plain sum cancels at large lam t^{a_1}, to
+    # 1e-12 of Talbot whatever its estimate.
+    for lam in (1.0, float(lams[127]), lam_max):
+        for t in (1e-3, 3e2, 1e4):
+            value, _ = sf._solver_family(lam, orders, a1, t)
+            ref = _talbot(orders, lam, t, a1)
+            assert abs(float(value) - ref) <= 1e-12 * abs(ref), ("propagator", lam, t)
 
-    # The thm23 time grid needs no fallback for any mode.
+    # The thm23 time grid stays within SOLVER_FAMILY_RTOL for every mode
+    # (else the call raises).
     grid = 2.0 * (np.arange(1, 26) / 25) ** 2
-    _, _, fell_back = _amplitudes(orders, lams[None, :], grid[:, None])
-    assert not fell_back.any()
+    _amplitudes(orders, lams[None, :], grid[:, None])
 
-    # With a zero tolerance every entry goes through the wedge-contour
-    # fallback; its values must agree with the hyperbola's within the sum of
-    # the two reported estimates.
-    lams = lams[::16][None, :]
-    ts = np.array([1e-6, 1e-2, 0.5, 2.0, 1e2])[:, None]
-    hyperbola = [_amplitudes(orders, lams, ts), sf._solver_family(lams, orders, a1, ts)]
-    monkeypatch.setattr(sf, "PARABOLA_FALLBACK_RTOL", 0.0)
-    wedge = [_amplitudes(orders, lams, ts), sf._solver_family(lams, orders, a1, ts)]
-    for (ref, ref_est, _), (value, est, fell_back) in zip(hyperbola, wedge):
-        assert fell_back.all()
-        bound = np.maximum(1e-12 * np.abs(ref), est + ref_est)
-        assert np.all(np.abs(value - ref) <= bound)
+    # The propagator's two forms overlap: where the plain sum, built here
+    # over the full symmetric node set, is accurate (its own estimate at
+    # most 1e-12 of its value), the returned value agrees with it within
+    # the sum of the two estimates.  The subtracted form is taken on some
+    # of those entries: its estimate is below the plain sum's.
+    eps = np.finfo(float).eps
+    lams = lams[::16]
+    subtracted = 0
+    for t in (1e-6, 1e-2, 0.5, 2.0, 1e2):
+        value, est = sf._solver_family(lams, orders, a1, t)
+        (plain, size), (check_sum, _) = (
+            _window_full_sum(orders, (a1,), lams, t, n) for n in sf._HYPERBOLA_NODES)
+        plain_est = np.abs(plain[0] - check_sum[0]) + 16.0 * eps * size[0]
+        plain = plain[0].real
+        accurate = plain_est <= 1e-12 * np.abs(plain)
+        assert np.all(np.abs(value - plain)[accurate] <= (est + plain_est)[accurate]), t
+        subtracted += np.count_nonzero(accurate & (est < plain_est))
+    assert subtracted > 0
 
 
-def test_window_batches_match_scalar_calls(laplace_spectrum, monkeypatch):
+def test_window_batches_match_scalar_calls(laplace_spectrum):
     # The window is set by t alone, so an entry does not depend on the
     # other times of its batch.  Times on and next to window edges, mixed
     # with t = 0, in one (T, 255) block and in one call per entry: values
-    # equal to rounding, the same fallbacks, and the exact t = 0 limit.
+    # equal to rounding, and the exact t = 0 limit.
     orders = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
     a1, a2 = orders.alphas
     beta0s = (1.0, 1.0 + a1 - a2, a1, 2.0 + a1)
     lams = laplace_spectrum.lambdas
     ts = np.array([1e-3, 0.0, 0.1, np.nextafter(0.1, 0.0), 1.0, 9.99])
-    values, ests, fell_back = sf._solver_family(lams[None, :], orders, beta0s,
-                                                ts[:, None])
+    values, ests = sf._solver_family(lams[None, :], orders, beta0s, ts[:, None])
     exact = 1.0 / sf.gamma_real(np.array(beta0s))
     assert np.all(values[:, 1] == exact[:, None]) and np.all(ests[:, 1] == 0.0)
-    single = [np.empty(values.shape), np.empty(ests.shape), np.empty(fell_back.shape, bool)]
+    single = [np.empty(values.shape), np.empty(ests.shape)]
     for i, t in enumerate(ts):
         for j, lam in enumerate(lams):
             for out, got in zip(single, sf._solver_family(lam, orders, beta0s, t)):
                 out[:, i, j] = got
-    np.testing.assert_array_equal(fell_back, single[2])
-    assert fell_back[2].any() and not fell_back[[0, 1, 3]].any()
     np.testing.assert_allclose(values, single[0], rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(ests, single[1], rtol=0.25, atol=0.0)
-
-    # With a zero tolerance every positive-time entry falls back to the
-    # wedge and is flagged; t = 0 entries stay exact.
-    monkeypatch.setattr(sf, "PARABOLA_FALLBACK_RTOL", 0.0)
-    wedge, wedge_ests, fell_back = sf._solver_family(lams[None, ::16], orders,
-                                                     beta0s[:3], ts[:, None])
-    assert fell_back[:, ts > 0.0].all() and not fell_back[:, ts == 0.0].any()
-    assert np.all(wedge[:, 1] == exact[:3, None])
-    ref, ref_ests = values[:3, :, ::16], ests[:3, :, ::16]
-    bound = np.maximum(1e-12 * np.abs(ref), ref_ests + wedge_ests)
-    assert np.all(np.abs(wedge - ref) <= bound)
 
 
 def test_window_edges_match_talbot():
@@ -655,7 +630,7 @@ def test_window_edges_match_talbot():
     beta0s = (1.0, 1.0 + a1 - a2, a1, 1.0 + a1 - 0.3, 1.0 + a1, 2.0 + a1)
     lams = np.array([1.0, 4096.0, 2.66e4])
     for t in (1e-3, 0.0999, 1.0, 9.99):
-        values, ests, _ = sf._solver_family(lams, orders, beta0s, t)
+        values, ests = sf._solver_family(lams, orders, beta0s, t)
         for i, beta0 in enumerate(beta0s):
             for j, lam in enumerate(lams):
                 ref = _talbot(orders, float(lam), t, beta0)
