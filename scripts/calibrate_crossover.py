@@ -15,18 +15,26 @@ The dispatch constant is the minimum over the parameter sets, rounded down
 to one decimal.  Its frozen value lives in
 ``mtfrac.constants.SERIES_CONTOUR_CROSSOVER``; rerun this script after any
 change to the series evaluator and update the constant if it moved.
+
+At the calibrated value the series is then checked against the window
+contour that ``mml_eval`` takes beyond the crossover.  The script exits
+with 1 if the calibrated value falls below the frozen constant or if any
+relative difference exceeds ``SPECFUN_CROSS_TOL``.
 """
+
+import sys
 
 import numpy as np
 
+from mtfrac.constants import SERIES_CONTOUR_CROSSOVER, SPECFUN_CROSS_TOL
 from mtfrac.specfun import (
     MLArgs,
     MLParams,
     SeriesConvergenceError,
+    _family_orders,
     _polyval,
     _series_weights,
-    mml_contour,
-    default_contour_config,
+    e_solver,
 )
 
 SHELL_LIMIT = 400
@@ -68,16 +76,23 @@ def main():
     crossover = np.floor(worst * 10.0 - 1.0) / 10.0
     print(f"\ncalibrated crossover (rounded down): {crossover:.1f}")
 
-    # Sanity: at the chosen crossover both routes must agree to 1e-8.
+    ok = crossover >= SERIES_CONTOUR_CROSSOVER
+    if not ok:
+        print(f"below SERIES_CONTOUR_CROSSOVER = {SERIES_CONTOUR_CROSSOVER}")
+
+    # Sanity: at the chosen crossover both routes must agree to
+    # SPECFUN_CROSS_TOL.
     for label, betas, z_rest in PARAMETER_SETS:
-        params = MLParams(beta0=1.0, betas=betas)
-        args = MLArgs(z=(-crossover,) + z_rest)
-        W, _, _, tail = _series_weights(1.0, betas, z_rest, crossover, TOL, 4 * SHELL_LIMIT)
+        lam, orders = _family_orders(MLParams(beta0=1.0, betas=betas),
+                                     MLArgs(z=(-crossover,) + z_rest))
+        W, _, _, _ = _series_weights(1.0, betas, z_rest, crossover, TOL, 4 * SHELL_LIMIT)
         series_val = complex(_polyval(W, -crossover)).real
-        contour_val = mml_contour(params, args, default_contour_config(params, args)).value.real
+        contour_val = e_solver(lam, orders, 1.0, 1.0)
         rel = abs(series_val - contour_val) / abs(contour_val)
+        ok = ok and rel <= SPECFUN_CROSS_TOL
         print(f"{label:32s} series/contour rel diff at crossover: {rel:.2e}")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -38,7 +38,6 @@ from .solver import (
     time_derivative,
 )
 from .specfun import (
-    ContourConfig,
     EvalResult,
     Method,
     MLArgs,
@@ -46,7 +45,6 @@ from .specfun import (
     e_solver,
     gamma_real,
     lemma31_residual,
-    mml_contour,
     mml_eval,
     mml_series,
     multinomial_coefficient,
@@ -72,8 +70,8 @@ __all__ = [
     "FracOrders", "ModalSolution", "Problem", "QuadConfig", "SampledSource",
     "caputo_derivative", "mode_amplitude", "solve_homogeneous",
     "solve_source", "time_derivative",
-    "ContourConfig", "EvalResult", "Method", "MLArgs", "MLParams",
-    "e_solver", "gamma_real", "lemma31_residual", "mml_contour", "mml_eval",
+    "EvalResult", "Method", "MLArgs", "MLParams",
+    "e_solver", "gamma_real", "lemma31_residual", "mml_eval",
     "mml_series", "multinomial_coefficient",
     "Operator1D", "Spectrum", "apply_inverse", "assemble", "eigendecompose",
     "frac_norm", "project", "synthesize",

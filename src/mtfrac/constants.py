@@ -33,33 +33,26 @@ SERIES_MAX_SHELLS = 600
 COMPOSITION_BUDGET = 2_000_000
 
 # Cumulative composition budget across all shells of one series evaluation;
-# slowly converging multi-argument series abort past this point (and the
-# dispatcher falls back to the contour when the arguments allow it).
+# slowly converging multi-argument series abort past this point (and
+# mml_eval moves to the window contour when the arguments allow it).
 SERIES_COMP_BUDGET = 1_500_000
 
-# Dispatch threshold of mml_eval between the series and the contour
-# integral, compared against sum_j |z_j|; no other evaluator uses it (the
-# solver-family E^{(n)} always goes through the contour).  Calibrated by
-# scripts/calibrate_crossover.py, which scans |z_1| with z_2..z_m held fixed:
-# the smallest |z_1| over the representative solver-family parameter sets at
-# which the series either needs more than 400 shells at tol 1e-12 or loses
-# alternating-sum accuracy in double precision (rounding floor above 1e-9
-# relative).  The binding set is m=1, a=0.3, where z_1 is the only argument
-# and cancellation bites first; rounded down for safety.
+# Dispatch threshold of mml_eval between the series and the window contour
+# of the solver family at t = 1, compared against sum_j |z_j|; no other
+# evaluator uses it (the solver-family E^{(n)} always goes through the
+# contour).  Calibrated by scripts/calibrate_crossover.py, which scans |z_1|
+# with z_2..z_m held fixed: the smallest |z_1| over the representative
+# solver-family parameter sets at which the series either needs more than
+# 400 shells at tol 1e-12 or loses alternating-sum accuracy in double
+# precision (rounding floor above 1e-9 relative).  The binding set is m=1,
+# a=0.3, where z_1 is the only argument and cancellation bites first;
+# rounded down for safety.
 SERIES_CONTOUR_CROSSOVER = 2.1
-
-# Contour quadrature: refinement disagreement above this relative tolerance
-# is reported as non-convergence.
-CONTOUR_REFINE_RTOL = 1e-6
 
 # Windowed hyperbolic Bromwich kernel of the solver family: an entry whose
 # error estimate (node-count refinement plus rounding floor) exceeds this
 # fraction of its value raises QuadratureError rather than being returned.
 SOLVER_FAMILY_RTOL = 1e-10
-
-# Ray truncation for the contour integral: points where the exponential
-# factor falls below this are dropped.
-CONTOUR_TAIL_CUTOFF = 1e-18
 
 # Hankel-path evaluator: refinement disagreement threshold and the default
 # split radius factor between the small-r and large-r regimes.

@@ -7,29 +7,30 @@ The function evaluated here is
           / Gamma(b_0 + sum_j b_j k_j),
 
 the m-variable generalization of the two-parameter Mittag-Leffler function.
-The special-function API has two evaluation routes: the defining power
-series (shell by shell, with an explicit truncation-tail estimate) and a
-contour-integral representation along a wedge path that is valid for the
-"solver family" of parameters b_1 = a_1, b_j = a_1 - a_j with decreasing
-orders a_j, together with an adaptive dispatcher between the two.
-
-The modal solver's kernel, :func:`e_solver_many`, inverts the Laplace
-transforms of the solver family on a hyperbolic Bromwich contour fixed over
-each time window [10^j, 10^{j+1}) instead: the resolvent
+It has two evaluation routes.  The defining power series is summed shell
+by shell, with an explicit truncation-tail estimate.  The "solver family"
+of parameters b_1 = a_1, b_j = a_1 - a_j with decreasing orders a_j
+instead inverts its Laplace transform on a hyperbolic Bromwich contour,
+fixed over each time window [10^j, 10^{j+1}): the resolvent
 1 / (sum_j q_j s^{a_j} + lam) at a contour node is built once per window
 and eigenvalue, and shared by every time in the window and every b_0.  The
 propagator b_0 = a_1 also takes a subtracted form free of cancellation, and
 an entry left above its tolerance raises rather than being returned.
+
+The modal solver's kernel, :func:`e_solver_many`, is that contour.  The
+adaptive dispatcher :func:`mml_eval` sums the series for small arguments
+and maps real, non-positive solver-family arguments beyond them to the
+same contour at t = 1.
 """
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import special
@@ -37,8 +38,6 @@ from scipy import special
 from .constants import (
     COMPOSITION_BUDGET,
     SERIES_COMP_BUDGET,
-    CONTOUR_REFINE_RTOL,
-    CONTOUR_TAIL_CUTOFF,
     SERIES_CONTOUR_CROSSOVER,
     SERIES_MAX_SHELLS,
     SERIES_TOL,
@@ -48,7 +47,6 @@ from .constants import (
 __all__ = [
     "MLParams",
     "MLArgs",
-    "ContourConfig",
     "EvalResult",
     "Method",
     "SeriesConvergenceError",
@@ -58,14 +56,12 @@ __all__ = [
     "lgamma_real",
     "multinomial_coefficient",
     "mml_series",
-    "mml_contour",
     "mml_eval",
     "e_solver",
     "e_solver_many",
     "lemma31_residual",
     "solver_params",
     "solver_args",
-    "default_contour_config",
 ]
 
 
@@ -88,7 +84,8 @@ class SeriesConvergenceError(ArithmeticError):
 
 
 class QuadratureError(ArithmeticError):
-    """Contour/panel quadrature failed its refinement self-check."""
+    """A contour or panel quadrature left an error estimate above its
+    tolerance."""
 
 
 class UncoveredRegionError(ValueError):
@@ -166,40 +163,6 @@ class MLArgs:
     @property
     def m(self):
         return len(self.z)
-
-
-@dataclass(frozen=True)
-class ContourConfig:
-    """Wedge-contour quadrature settings.
-
-    The path consists of a circular arc of radius ``R`` spanning arguments
-    [-theta, theta] and two outgoing rays at arguments +-theta, truncated
-    where the exponential factor drops below ``tail_cutoff``.  The angles
-    must satisfy a_1*pi/2 < theta < mu < a_1*pi.
-    """
-
-    R: float
-    theta: float
-    mu: float
-    quad_points: int = 20
-    tail_cutoff: float = CONTOUR_TAIL_CUTOFF
-
-    def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError("contour radius R must be positive")
-        if self.quad_points < 2:
-            raise ValueError("quad_points must be at least 2")
-        if not 0.0 < self.tail_cutoff < 1.0:
-            raise ValueError("tail_cutoff must lie in (0, 1)")
-
-    def validate_angles(self, alpha1):
-        lo = alpha1 * math.pi / 2.0
-        hi = alpha1 * math.pi
-        if not lo < self.theta < self.mu < hi:
-            raise ValueError(
-                "contour angles must satisfy "
-                f"a1*pi/2 < theta < mu < a1*pi, got theta={self.theta}, "
-                f"mu={self.mu} for a1={alpha1}")
 
 
 @dataclass(frozen=True)
@@ -538,7 +501,7 @@ def mml_series(params: MLParams, args: MLArgs, tol: float = SERIES_TOL,
 
 
 # ---------------------------------------------------------------------------
-# Contour evaluation (solver family)
+# Dispatch
 
 def _family_alphas(params: MLParams):
     """Recover the decreasing orders (a_1..a_m) from solver-family exponents
@@ -548,162 +511,31 @@ def _family_alphas(params: MLParams):
     for i in range(len(alphas) - 1):
         if not alphas[i] > alphas[i + 1]:
             raise ValueError(
-                "contour evaluation requires solver-family parameters "
+                "the window contour requires solver-family parameters "
                 "(b_1 = a_1, b_j = a_1 - a_j with decreasing a_j)")
     if alphas[-1] <= 0:
         raise ValueError("recovered orders must be positive")
     return tuple(alphas)
 
 
-def default_contour_config(params: MLParams, args: MLArgs) -> ContourConfig:
-    """Reasonable contour for the given arguments.
+def _family_orders(params: MLParams, args: MLArgs):
+    """(lam, orders) of the solver family at t = 1 that give back ``args``:
+    lam = -z_1, q_1 = 1 and q_j = -z_j, with the terms of z_j = 0 (j >= 2)
+    dropped.  ``orders`` carries the alphas and qs the window kernel reads.
+    None unless the parameters are of the solver family and every z_j is
+    real and non-positive."""
+    try:
+        alphas = _family_alphas(params)
+    except ValueError:
+        return None
+    z = np.array(args.z)
+    if np.any(np.abs(z.imag) > 1e-13 * (1.0 + np.abs(z.real))) or np.any(z.real > 0):
+        return None
+    keep = [0] + [j for j in range(1, z.size) if z[j].real != 0.0]
+    orders = SimpleNamespace(alphas=tuple(alphas[j] for j in keep),
+                             qs=(1.0,) + tuple(-z[j].real for j in keep[1:]))
+    return -z[0].real, orders
 
-    For arguments in the wedge mu <= |arg z_1| <= pi the radius may be held
-    small (the integrand has no pole between admissible contours there), so
-    R = 1 is used.  Outside the wedge R must clear the series-convergence
-    inequality R > |z_1| + K sum_j R^{a_j/a_1}.
-    """
-    alphas = _family_alphas(params)
-    a1 = alphas[0]
-    mu = 0.75 * a1 * math.pi
-    theta = 0.5 * (a1 * math.pi / 2.0 + mu)
-    z1 = args.z[0]
-    K = max([abs(v) for v in args.z[1:]], default=0.0)
-    if abs(cmath.phase(z1)) >= mu or z1 == 0:
-        R = 1.0
-    else:
-        R = abs(z1) + K + 1.0
-        for _ in range(60):
-            target = abs(z1) + K * sum(R ** (a / a1) for a in alphas[1:]) + 1.0
-            if R > target - 1.0 + 1e-12 and R > target * 0.999:
-                break
-            R = target
-        if R ** (1.0 / a1) > 700.0:
-            raise UncoveredRegionError(
-                "contour radius required for |arg z_1| < mu overflows the "
-                "exponential factor; no valid evaluation region")
-    return ContourConfig(R=R, theta=theta, mu=mu)
-
-
-@lru_cache(maxsize=64)
-def _contour_plan(alphas, beta0, R, theta, quad_points, tail_cutoff):
-    """Precomputed nodes: returns (zeta, numer, shift_pows) where numer
-    already contains the exponential factor, the power of zeta, the path
-    derivative, the quadrature weight and the 1/(2 a1 pi i) prefactor."""
-    a1 = alphas[0]
-    gl_x, gl_w = np.polynomial.legendre.leggauss(quad_points)
-
-    nodes = []
-    weights = []
-
-    # Arc |zeta| = R, phi in [-theta, theta], split into panels.
-    n_arc = max(4, int(math.ceil(theta / (math.pi / 16.0))))
-    edges = np.linspace(-theta, theta, n_arc + 1)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        phi = 0.5 * (hi - lo) * gl_x + 0.5 * (hi + lo)
-        zeta = R * np.exp(1j * phi)
-        dzeta = 1j * zeta
-        nodes.append(zeta)
-        weights.append(0.5 * (hi - lo) * gl_w * dzeta)
-
-    # Rays arg = +-theta, rho in [R, rho_max], geometric panels.
-    decay = abs(math.cos(theta / a1))
-    rho_max = (math.log(1.0 / tail_cutoff) / decay) ** a1
-    if rho_max > R:
-        ratio = 1.35
-        n_ray = max(3, int(math.ceil(math.log(rho_max / R) / math.log(ratio))))
-        redges = R * (rho_max / R) ** (np.arange(n_ray + 1) / n_ray)
-        for sign in (+1.0, -1.0):
-            phase = np.exp(1j * sign * theta)
-            for lo, hi in zip(redges[:-1], redges[1:]):
-                rho = 0.5 * (hi - lo) * gl_x + 0.5 * (hi + lo)
-                zeta = rho * phase
-                nodes.append(zeta)
-                weights.append(sign * 0.5 * (hi - lo) * gl_w * phase)
-
-    zeta = np.concatenate(nodes)
-    w = np.concatenate(weights)
-    numer = (np.exp(zeta ** (1.0 / a1)) * zeta ** ((1.0 - beta0) / a1)
-             * w / (2.0 * a1 * math.pi * 1j))
-    shift_pows = np.array([zeta ** (a / a1) for a in alphas[1:]])
-    return zeta, numer, shift_pows
-
-
-def _contour_eval(alphas, beta0, cfg, z1_arr, z_rest_arr):
-    """Evaluate the contour integral for a batch.
-
-    z1_arr has shape (B,); z_rest_arr has shape (B, m-1) or (m-1,) shared.
-    Returns (values, refinement_error, primary_scale) arrays of shape (B,):
-    primary_scale is the sum of node-contribution magnitudes, the natural
-    yardstick when the integral itself nearly cancels.
-    """
-    z1_arr = np.atleast_1d(np.asarray(z1_arr, dtype=complex))
-    z_rest_arr = np.asarray(z_rest_arr, dtype=complex)
-    out = []
-    scale = None
-    for qp in (cfg.quad_points, 2 * cfg.quad_points):
-        zeta, numer, pows = _contour_plan(tuple(alphas), beta0, cfg.R,
-                                          cfg.theta, qp, cfg.tail_cutoff)
-        denom = zeta[None, :] - z1_arr[:, None]
-        if pows.shape[0]:
-            denom = denom - z_rest_arr @ pows
-        dmin = np.abs(denom).min()
-        if dmin <= 1e-300:
-            raise QuadratureError("contour passes through a zero of the denominator")
-        contrib = numer[None, :] / denom
-        out.append(contrib.sum(axis=1))
-        scale = np.abs(contrib).sum(axis=1)
-    coarse, fine = out
-    return fine, np.abs(fine - coarse), scale
-
-
-def mml_contour(params: MLParams, args: MLArgs, cfg: ContourConfig) -> EvalResult:
-    """Evaluate the solver-family function by the wedge contour integral.
-
-    Requires mu <= |arg z_1| <= pi or, outside that wedge, a radius R
-    clearing R > |z_1| + K sum_j R^{a_j/a_1}; the remaining arguments must
-    be real and non-positive.
-    """
-    if params.m != args.m:
-        raise ValueError(f"parameter/argument length mismatch: {params.m} != {args.m}")
-    alphas = _family_alphas(params)
-    a1 = alphas[0]
-    cfg.validate_angles(a1)
-
-    z1 = complex(args.z[0])
-    z_rest = np.asarray(args.z[1:], dtype=complex)
-    if np.any(np.abs(z_rest.imag) > 1e-13 * (1.0 + np.abs(z_rest.real))):
-        raise UncoveredRegionError("contour evaluation needs real z_j for j >= 2")
-    if np.any(z_rest.real > 1e-300):
-        raise UncoveredRegionError("contour evaluation needs z_j <= 0 for j >= 2")
-    K = float(np.max(np.abs(z_rest))) if z_rest.size else 0.0
-
-    in_wedge = z1 == 0 or abs(cmath.phase(z1)) >= cfg.mu
-    if not in_wedge:
-        # Outside the wedge the representation is only backed by the series
-        # region, which needs the radius inequality.
-        required = abs(z1) + K * sum(cfg.R ** (a / a1) for a in alphas[1:])
-        if cfg.R <= required:
-            raise UncoveredRegionError(
-                f"contour radius R={cfg.R} violates R > |z_1| + K sum R^(a_j/a_1) "
-                f"= {required:.6g} and z_1 lies outside the wedge |arg| >= mu")
-        if cfg.R ** (1.0 / a1) > 700.0:
-            raise QuadratureError("contour radius overflows the exponential factor")
-
-    vals, errs, scales = _contour_eval(alphas, params.beta0, cfg,
-                                       np.array([z1]), z_rest.real)
-    value, err = complex(vals[0]), float(errs[0])
-    scale = max(abs(value), float(scales[0]) * 1e-2, 1e-300)
-    if err > CONTOUR_REFINE_RTOL * scale + 1e-15:
-        raise QuadratureError(
-            f"contour quadrature refinement disagreement {err:.3g} "
-            f"exceeds tolerance at value {value:.6g}")
-    est = err + 16.0 * np.finfo(float).eps * float(scales[0])
-    return EvalResult(value, est, Method.CONTOUR)
-
-
-# ---------------------------------------------------------------------------
-# Dispatch
 
 def _series_feasible(params: MLParams, args: MLArgs, tol, max_k):
     """Cheap shell-count estimate from the single-exponent majorant."""
@@ -724,51 +556,44 @@ def _series_feasible(params: MLParams, args: MLArgs, tol, max_k):
     return False
 
 
-def _contour_applicable(params: MLParams, args: MLArgs):
-    try:
-        alphas = _family_alphas(params)
-    except ValueError:
-        return False
-    mu = 0.75 * alphas[0] * math.pi
-    z1 = complex(args.z[0])
-    for v in args.z[1:]:
-        v = complex(v)
-        if abs(v.imag) > 1e-13 * (1.0 + abs(v.real)) or v.real > 1e-300:
-            return False
-    return z1 == 0 or abs(cmath.phase(z1)) >= mu
-
-
 def mml_eval(params: MLParams, args: MLArgs, tol: float = SERIES_TOL,
              max_k: int = SERIES_MAX_SHELLS) -> EvalResult:
     """Adaptive evaluation: series for small arguments, contour beyond.
 
     Dispatches on the total argument magnitude sum |z_j| (every argument
     feeds the alternating sum, so each contributes to the double-precision
-    cancellation budget).  The crossover constant is calibrated offline
-    (see scripts/calibrate_crossover.py) and stored in
-    :data:`mtfrac.constants.SERIES_CONTOUR_CROSSOVER`.
+    cancellation budget).  Up to the crossover, calibrated offline (see
+    scripts/calibrate_crossover.py) and stored in
+    :data:`mtfrac.constants.SERIES_CONTOUR_CROSSOVER`, the series is
+    summed.  Beyond it, or where the series does not converge, real
+    non-positive solver-family arguments go to the window contour of
+    :func:`e_solver_many` at t = 1, whose QuadratureError propagates.
+    Other arguments beyond the crossover, complex z_1 among them, get the
+    series where its majorant converges within ``max_k`` shells, and
+    UncoveredRegionError otherwise.
     """
     if params.m != args.m:
         raise ValueError(f"parameter/argument length mismatch: {params.m} != {args.m}")
     z_total = sum(abs(v) for v in args.z)
+    family = _family_orders(params, args)
     if z_total <= SERIES_CONTOUR_CROSSOVER:
         try:
             return mml_series(params, args, tol=tol, max_k=max_k)
         except SeriesConvergenceError:
-            if _contour_applicable(params, args):
-                if _log.isEnabledFor(logging.DEBUG):
-                    _log.debug("mml_eval: series did not converge at "
-                               "sum |z_j| = %.6g; using the contour", z_total)
-                return mml_contour(params, args, default_contour_config(params, args))
-            raise
-    if _contour_applicable(params, args):
-        return mml_contour(params, args, default_contour_config(params, args))
+            if family is None:
+                raise
+            if _log.isEnabledFor(logging.DEBUG):
+                _log.debug("mml_eval: series did not converge at "
+                           "sum |z_j| = %.6g; using the contour", z_total)
+    if family is not None:
+        value, est = _solver_family(*family, params.beta0, 1.0)
+        return EvalResult(complex(value), float(est), Method.CONTOUR)
     if _series_feasible(params, args, tol, max_k):
         return mml_series(params, args, tol=tol, max_k=max_k)
     raise UncoveredRegionError(
         f"sum |z_j| = {z_total:.3g} exceeds the series crossover but the "
         "arguments do not satisfy the contour requirements (solver-family "
-        "parameters, mu <= |arg z_1| <= pi, real non-positive z_j for j >= 2)")
+        "parameters, real non-positive z_j)")
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,8 @@ def test_series_batch_matches_series_alone():
 
 
 # ---------------------------------------------------------------------------
-# Contour evaluation
+# Contour evaluation: beyond the series crossover, mml_eval takes the window
+# contour of the solver family at t = 1
 
 def _family(alphas, qs, beta0, lam, t):
     orders = FracOrders(alphas=alphas, qs=qs)
@@ -177,57 +178,62 @@ def test_contour_agrees_with_series_overlap():
     ):
         params, args = _family(alphas, qs, 1.0 + alphas[0], lam, t)
         rs = sf.mml_series(params, args)
-        rc = sf.mml_contour(params, args, sf.default_contour_config(params, args))
-        assert abs(rs.value - rc.value) / abs(rc.value) < 1e-8
+        rc = sf.e_solver(lam, FracOrders(alphas=alphas, qs=qs), 1.0 + alphas[0], t)
+        assert abs(rs.value - rc) / abs(rc) < 1e-8
 
 
 def test_contour_large_argument_bound():
     # |E| <= C / |z_1| along the negative axis; the scaled product must stay
-    # bounded as |z_1| sweeps five decades.
+    # bounded as |z_1| sweeps three decades.
     params = sf.MLParams(beta0=0.5, betas=(0.5,))
     products = []
     for x in (1e3, 1e4, 1e5, 1e6):
-        res = sf.mml_contour(params, sf.MLArgs(z=(-x,)),
-                             sf.default_contour_config(params, sf.MLArgs(z=(-x,))))
+        res = sf.mml_eval(params, sf.MLArgs(z=(-x,)))
+        assert res.method is sf.Method.CONTOUR
         products.append((1.0 + x) * abs(res.value))
     assert max(products) < 10.0 * max(products[0], 1e-12)
 
 
-def test_contour_quad_point_doubling_within_estimate():
-    params, args = _family((0.7, 0.3), (1.0, 1.0), 1.7, 30.0, 1.0)
-    cfg = sf.default_contour_config(params, args)
-    r1 = sf.mml_contour(params, args, cfg)
-    cfg2 = sf.ContourConfig(R=cfg.R, theta=cfg.theta, mu=cfg.mu,
-                            quad_points=2 * cfg.quad_points,
-                            tail_cutoff=cfg.tail_cutoff)
-    r2 = sf.mml_contour(params, args, cfg2)
-    assert abs(r1.value - r2.value) <= r1.abs_error_estimate + r2.abs_error_estimate
-
-
 def test_contour_rejects_non_family_params():
-    params = sf.MLParams(beta0=1.0, betas=(0.3, 0.8))  # not a_1 > a_1 - a_j pattern
-    args = sf.MLArgs(z=(-5.0, -1.0))
-    with pytest.raises(ValueError):
-        sf.mml_contour(params, args, sf.ContourConfig(R=1.0, theta=0.2, mu=0.25))
-
-
-def test_contour_radius_inequality_outside_wedge():
-    # z_1 off the cut with |arg z_1| < mu requires the series-region radius.
-    params = sf.MLParams(beta0=1.0, betas=(0.5,))
-    z1 = 5.0 * complex(math.cos(0.3), math.sin(0.3))  # small argument
-    args = sf.MLArgs(z=(z1,))
-    cfg = sf.ContourConfig(R=1.0, theta=5 * 0.5 * math.pi / 8,
-                           mu=3 * 0.5 * math.pi / 4)
+    # b_2 > b_1 is not of the solver family, and the series cannot reach
+    # sum |z_j| = 6 within its shell budget.
+    params = sf.MLParams(beta0=1.0, betas=(0.3, 0.8))
     with pytest.raises(sf.UncoveredRegionError):
-        sf.mml_contour(params, args, cfg)
+        sf.mml_eval(params, sf.MLArgs(z=(-5.0, -1.0)))
 
 
-def test_contour_config_invariants():
-    with pytest.raises(ValueError):
-        sf.ContourConfig(R=-1.0, theta=0.3, mu=0.4)
-    cfg = sf.ContourConfig(R=1.0, theta=0.9, mu=0.4)  # theta > mu
-    with pytest.raises(ValueError):
-        cfg.validate_angles(0.5)
+def test_mml_eval_matches_talbot_beyond_crossover():
+    # Real solver-family arguments beyond the crossover, within 1e-12 of
+    # mpmath Talbot: the propagator at z_1 = -1e8, z_1 = 0 with m = 2, and
+    # z_2 = 0, which drops its term (then the reference is single(a_1)).
+    cases = [  # betas, beta0, z, reference orders, reference lam
+        ((0.3,), 0.3, (-1e8,), FracOrders.single(0.3), 1e8),
+        ((0.5,), 1.0, (-30.0,), FracOrders.single(0.5), 30.0),
+        ((0.8, 0.3), 1.8, (0.0, -5.0), FracOrders((0.8, 0.5), (1.0, 5.0)), 0.0),
+        ((0.9, 0.6), 1.5, (-10.0, 0.0), FracOrders.single(0.9), 10.0),
+        ((0.8, 0.3, 0.6), 0.8, (-1e3, -2.0, -0.5),
+         FracOrders((0.8, 0.5, 0.2), (1.0, 2.0, 0.5)), 1e3),
+    ]
+    for betas, beta0, z, orders, lam in cases:
+        res = sf.mml_eval(sf.MLParams(beta0, betas), sf.MLArgs(z=z))
+        assert res.method is sf.Method.CONTOUR and res.value.imag == 0.0
+        ref = _talbot(orders, lam, 1.0, beta0)
+        assert abs(res.value.real - ref) <= 1e-12 * abs(ref), (betas, beta0, z)
+
+
+def test_mml_eval_complex_z1_beyond_crossover():
+    # A complex z_1 beyond the crossover has the series alone: within its
+    # estimate of the extended-precision series at |z_1| = 5, and no route
+    # at |z_1| = 50, where the series needs too many shells.
+    from mtfrac.oracle import highprec_series
+    params = sf.solver_params(FracOrders.single(0.5), 1.0)
+    z1 = 5.0 * complex(math.cos(0.9 * math.pi), math.sin(0.9 * math.pi))
+    res = sf.mml_eval(params, sf.MLArgs(z=(z1,)))
+    assert res.method is sf.Method.SERIES
+    ref = highprec_series(params, sf.MLArgs(z=(z1,)), digits=40).value
+    assert abs(res.value - ref) <= res.abs_error_estimate
+    with pytest.raises(sf.UncoveredRegionError):
+        sf.mml_eval(params, sf.MLArgs(z=(10.0 * z1,)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,18 +251,18 @@ def test_dispatch_large_uses_contour():
 
 
 def test_dispatch_crossover_agreement():
-    from mtfrac.constants import SERIES_CONTOUR_CROSSOVER as XC
     params = sf.MLParams(beta0=1.0, betas=(0.6,))
     for x in (XC * 0.98, XC * 1.02):
-        args = sf.MLArgs(z=(-x,))
-        rs = sf.mml_series(params, args)
-        rc = sf.mml_contour(params, args, sf.default_contour_config(params, args))
-        assert abs(rs.value - rc.value) / abs(rc.value) < 1e-8
+        rs = sf.mml_series(params, sf.MLArgs(z=(-x,)))
+        rc = sf.e_solver(x, FracOrders.single(0.6), 1.0, 1.0)
+        assert abs(rs.value - rc) / abs(rc) < 1e-8
+    res = sf.mml_eval(params, sf.MLArgs(z=(-XC * 1.02,)))
+    assert res.method is sf.Method.CONTOUR and res.value == rc
 
 
 def test_dispatch_uncovered_region():
-    # Large argument away from the cut: contour needs an overflowing radius
-    # and the series cannot converge.
+    # Large argument away from the cut: no contour, and the series cannot
+    # converge.
     params = sf.MLParams(beta0=1.0, betas=(0.5,))
     with pytest.raises(sf.UncoveredRegionError):
         sf.mml_eval(params, sf.MLArgs(z=(1e8,)))
