@@ -14,6 +14,9 @@ Prints one JSON object with the median CPU milliseconds over N repeats of:
 * ``scalar_amplitude``: one scalar mode amplitude;
 * ``l1_criterion06``: one L1 oracle run of criterion 06's shape, orders
   (0.8, 0.4) with q = (1, 1), lambda = 2, t = 2, 3000 steps, grading 2.5;
+* ``l1_crosscheck_m3``: one L1 oracle run of the costliest shape of the
+  crosscheck benchmark, orders (0.8, 0.55, 0.3) with q = (1, 1.2, 0.8),
+  lambda = 10, t = 20, 4000 steps, grading 2.5;
 * ``hankel_eval``: one Hankel oracle value ``laplace_mode_eval`` of the
   same shape, orders (0.8, 0.4) with q = (1, 1), lambda = 2, t = 2.
 
@@ -90,6 +93,10 @@ def main(argv=None) -> dict:
     l1_cfg = oracle.L1Config(t_final=2.0, n_steps=3000, grading=2.5)
     report["l1_criterion06"] = cpu_ms(
         lambda: oracle.l1_solve_mode(2.0, l1_orders, 1.0, None, l1_cfg), repeats)
+    m3_orders = FracOrders(alphas=(0.8, 0.55, 0.3), qs=(1.0, 1.2, 0.8))
+    m3_cfg = oracle.L1Config(t_final=20.0, n_steps=4000, grading=2.5)
+    report["l1_crosscheck_m3"] = cpu_ms(
+        lambda: oracle.l1_solve_mode(10.0, m3_orders, 1.0, None, m3_cfg), repeats)
     report["hankel_eval"] = cpu_ms(
         lambda: oracle.laplace_mode_eval(2.0, l1_orders, 1.0, 2.0), repeats)
     return report

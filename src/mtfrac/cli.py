@@ -306,13 +306,17 @@ def _write_manifest(path, cfg: RunConfig, results: dict):
 def _cmd_mml_eval(cfg: RunConfig):
     orders = cfg.orders()
     grid = _parse_grid(cfg.t_grid)
-    rows = []
-    for t in grid:
-        params = specfun.solver_params(orders, cfg.beta0)
-        args = specfun.solver_args(orders, cfg.lam, float(t))
-        res = specfun.mml_eval(params, args, tol=cfg.tol)
-        rows.append((float(t), float(res.value.real),
-                     res.method.value, float(res.abs_error_estimate)))
+    params = specfun.solver_params(orders, cfg.beta0)
+    results = [specfun._mml_route(params, specfun.solver_args(orders, cfg.lam, float(t)),
+                                  tol=cfg.tol)[0] for t in grid]
+    # The rows mml_eval takes to the contour are one kernel call over their times.
+    contour = [i for i, res in enumerate(results) if res is None]
+    if contour:
+        values, ests = specfun._solver_family(cfg.lam, orders, cfg.beta0, grid[contour])
+        for i, value, est in zip(contour, values, ests):
+            results[i] = specfun.EvalResult(complex(value), float(est), specfun.Method.CONTOUR)
+    rows = [(float(t), float(res.value.real), res.method.value, float(res.abs_error_estimate))
+            for t, res in zip(grid, results)]
     return ["t", "value", "method", "abs_error_estimate"], rows, {}
 
 

@@ -9,7 +9,9 @@ Three routes that share no code with the primary evaluation path:
   history before each block of steps is carried by a recurrence over the
   nodes of one exponential sum for the whole multi-term kernel, so a step
   costs a few hundred exponentials, not one kernel weight per earlier
-  step;
+  step.  What depends on the mesh alone (each block's matrix and its
+  exponentials) is built for eight blocks at a time, and the block loop
+  keeps only the solve, its checks and the history;
 * :func:`laplace_mode_eval` evaluates the mode through its Laplace
   inversion along the cut negative axis, leading decay term plus remainder
   integral, each panel set of the quadrature in one integrand call.
@@ -20,6 +22,7 @@ configuration whose Laplace symbol acquires zeros off the cut.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -193,6 +196,7 @@ def _source_values(f, ts):
 
 
 _L1_BLOCK = 32       # steps per block of the L1 recurrence
+_L1_CHUNK = 8        # blocks whose mesh-only arrays are built together
 
 # With p = e^y / x_max and y = u - e^{-u} (McLean, "Exponential sum
 # approximations for t^{-beta}", 2018), x^{-a} Gamma(a) = int p^{a-1} e^{-px} dp
@@ -218,21 +222,36 @@ def _exp_sum(alphas, coefs, x_min, x_max):
     return np.exp(y), h * (1.0 + np.exp(-u)) * per_term
 
 
-def _l1_weight_diffs(ts, n0, n1, expo, coef):
-    """Differenced L1 weights of the steps n0 <= n < n1 over the columns
-    n0 - 1 <= k < n1 - 1 inside their block.
+@functools.lru_cache(maxsize=None)
+def _tril_indices(nb):
+    """Rows and columns of the entries on and below the diagonal of an
+    nb x (nb + 1) array, read-only since every caller shares them."""
+    rows, cols = np.tril_indices(nb, 0, nb + 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
-    Entry (n - n0, k - n0 + 1) is W[n, k] - W[n, k+1], with the combined
-    weight W[n, k] = sum_j coef_j (t_n - t_k)_+^{expo_j}.  Each term's
-    powers are differenced before they are scaled and summed.  They cancel
-    by the ratio (t_n - t_k) / dt_k: a few tens inside a block, but 1e6 in
-    the first block at grading 4 (about 2e-12 of max|u|).
+
+def _l1_near_weights(rows, cols, expo, coef):
+    """Differenced L1 weights inside blocks of steps.
+
+    Row b of ``rows`` (g, B) holds the times t_n of a block's steps
+    n0 <= n < n0 + B, and row b of ``cols`` (g, B + 1) the times t_k,
+    n0 - 1 <= k < n0 + B.  Entry (b, n - n0, k - n0 + 1) of the result is
+    W[n, k] - W[n, k+1], with the combined weight
+    W[n, k] = sum_j coef_j (t_n - t_k)_+^{expo_j}; above the diagonal it is
+    0, and only the powers on and below it are taken.  Each term's powers
+    are differenced before they are scaled and summed.  They cancel by the
+    ratio (t_n - t_k) / dt_k: a few tens inside a block, but 1e6 in the
+    first block at grading 4 (about 2e-12 of max|u|).
     """
-    back = np.maximum(ts[n0:n1, None] - ts[None, n0 - 1:n1], 0.0)
-    diffs = 0.0
+    g, nb = rows.shape
+    i, j = _tril_indices(nb)
+    back = rows[:, i] - cols[:, j]
+    pw = np.zeros((g, nb, nb + 1))
+    diffs = np.zeros((g, nb, nb))
     for e, c in zip(expo, coef):
-        pw = back ** e
-        diffs = diffs + c * (pw[:, :-1] - pw[:, 1:])
+        pw[:, i, j] = back ** e
+        diffs += c * (pw[..., :-1] - pw[..., 1:])
     return diffs
 
 
@@ -262,6 +281,12 @@ def l1_solve_mode(lam: float, orders, a_n: float, f_n=None,
     interval's term is formed with ``expm1``, so nothing cancels next to the
     tiny first steps of a steep mesh.
 
+    Only the far-history sum, the triangular solve, the checks and the
+    carry of H_l depend on the solution.  The rest (the block matrices, the
+    factors e^{-p_l (t_n - t_c)} and the carry factors of H_l) depends on
+    the mesh alone and is built for _L1_CHUNK blocks at a time, on the mesh
+    padded to whole blocks with its last time.
+
     ``orders`` only needs ``alphas``/``qs`` attributes, with orders in
     (0, 1); sign constraints are the caller's business, which lets
     deliberately ill-posed weight patterns be simulated.
@@ -278,48 +303,67 @@ def l1_solve_mode(lam: float, orders, a_n: float, f_n=None,
     lam = float(lam)
     expo = 1.0 - alphas
     coef = qs / gamma_real(2.0 - alphas)          # q_j / Gamma(2 - a_j)
-    dt = np.diff(ts)
+    B = _L1_BLOCK
+    n_blocks = -(-n_steps // B)
+    tp = np.concatenate((ts, np.full(n_blocks * B - n_steps, ts[-1])))
+    dtp = np.diff(tp)                             # 0 on the padding
     nodes = weights = np.empty(0)
-    if n_steps > _L1_BLOCK:
-        nodes, weights = _exp_sum(alphas, qs / gamma_real(1.0 - alphas), dt[_L1_BLOCK], ts[-1])
+    if n_steps > B:
+        nodes, weights = _exp_sum(alphas, qs / gamma_real(1.0 - alphas), dtp[B], ts[-1])
     hist = np.zeros(nodes.size)
+    # Nodes with p dt_c > T add below e^{-T} of K from block start c on.
+    lives = np.searchsorted(nodes, _EXPSUM_LOG_TOL / dtp[:n_steps:B])
 
     u = np.empty(n_steps + 1)
     u[0] = a_n
-    for n0 in range(1, n_steps + 1, _L1_BLOCK):
-        n1 = min(n0 + _L1_BLOCK, n_steps + 1)
-        c = n0 - 1
-        dt_b = dt[c:n1 - 1]
-        # Nodes with p dt_c > T add below e^{-T} of K from here on.
-        live = np.searchsorted(nodes, _EXPSUM_LOG_TOL / dt[c])
-        p = -nodes[:live]
-        decay = np.exp((ts[n0:n1] - ts[c])[:, None] * p)
-        far = decay @ (weights[:live] * hist[:live])
-        # The block's slopes solve one lower-triangular system (dtrtrs reads
-        # only the lower triangle); an exact zero pivot ends the block there.
-        mat = _l1_weight_diffs(ts, n0, n1, expo, coef) + lam * dt_b
-        rhs = fs[n0:n1] - far - lam * u[c]
-        slopes, info = dtrtrs(mat, rhs, lower=1)
-        if info > 0:    # zero pivot at step n0 + info - 1: solve the steps before it
-            k = info - 1
-            slopes = dtrtrs(mat[:k, :k], rhs[:k], lower=1)[0] if k else rhs[:0]
-        vals = u[n0:n0 + slopes.size] = u[c] + np.cumsum(dt_b[:slopes.size] * slopes)
-        bad = ~np.isfinite(vals)    # each step's checks, in step order
-        if stop_abs is not None:
-            bad |= np.abs(vals) >= stop_abs
-        if bad.any():
-            n = n0 + int(bad.argmax())
-            if not math.isfinite(u[n]):
-                raise ArithmeticError(f"L1 step produced a non-finite value at t={ts[n]:.4g}")
-            return ts[: n + 1], u[: n + 1]
-        if info > 0:
-            raise ArithmeticError("singular L1 update (a_coef + lam = 0)")
-        if n1 <= n_steps:   # carry the history to the next block's start
-            ints = np.exp((ts[n1 - 1] - ts[n0:n1]) * p[:, None])
-            ints *= np.expm1(dt_b * p[:, None]) / p[:, None]
-            hist = hist[:live]
-            hist *= decay[-1]
-            hist += ints @ slopes
+    for b0 in range(0, n_blocks, _L1_CHUNK):
+        b1 = min(b0 + _L1_CHUNK, n_blocks)
+        rows = tp[b0 * B + 1:b1 * B + 1].reshape(-1, B)        # t_n
+        t_c = tp[b0 * B:b1 * B:B]
+        dts = dtp[b0 * B:b1 * B].reshape(-1, B)                # dt_k, k >= c
+        mats = _l1_near_weights(rows, np.column_stack((t_c, rows)), expo, coef)
+        mats += lam * dts[:, None, :]
+        p = -nodes[:lives[b0:b1].max()]
+        ints = (rows[:, -1:] - rows)[:, None, :] * p[:, None]  # (g, L, B)
+        np.exp(ints, out=ints)
+        fac = dts[:, None, :] * p[:, None]
+        np.expm1(fac, out=fac)
+        fac /= p[:, None]
+        ints *= fac
+        del fac                 # before decs, to hold two (g, L, B) arrays at most
+        decs = (rows - t_c[:, None])[..., None] * p            # (g, B, L)
+        np.exp(decs, out=decs)
+        for b in range(b1 - b0):
+            c = (b0 + b) * B
+            n0, n1 = c + 1, min(c + 1 + B, n_steps + 1)
+            live = lives[b0 + b]
+            decay = decs[b, :n1 - n0, :live]
+            far = decay @ (weights[:live] * hist[:live])
+            # The block's slopes solve one lower-triangular system (dtrtrs
+            # reads only the lower triangle); an exact zero pivot ends the
+            # block there.
+            mat = mats[b, :n1 - n0, :n1 - n0]
+            rhs = fs[n0:n1] - far - lam * u[c]
+            slopes, info = dtrtrs(mat, rhs, lower=1)
+            if info > 0:    # zero pivot at step n0 + info - 1: solve the steps before it
+                k = info - 1
+                slopes = dtrtrs(mat[:k, :k], rhs[:k], lower=1)[0] if k else rhs[:0]
+            vals = u[n0:n0 + slopes.size] = u[c] + np.cumsum(dts[b, :slopes.size] * slopes)
+            bad = ~np.isfinite(vals)    # each step's checks, in step order
+            if stop_abs is not None:
+                bad |= np.abs(vals) >= stop_abs
+            if bad.any():
+                n = n0 + int(bad.argmax())
+                if not math.isfinite(u[n]):
+                    raise ArithmeticError(f"L1 step produced a non-finite value at t={ts[n]:.4g}")
+                return ts[: n + 1], u[: n + 1]
+            if info > 0:
+                raise ArithmeticError("singular L1 update (a_coef + lam = 0)")
+            if n1 <= n_steps:   # carry the history to the next block's start
+                hist = hist[:live]
+                hist *= decay[-1]
+                hist += ints[b, :live] @ slopes
+        del mats, ints, decs, mat, decay    # free the chunk before the next is built
     return ts, u
 
 

@@ -1,11 +1,12 @@
 import configparser
+import csv
 import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from mtfrac import cli
+from mtfrac import cli, specfun
 
 
 MINIMAL_CONFIG = """\
@@ -148,6 +149,30 @@ def test_run_mml_eval(tmp_path):
     lines = (tmp_path / "run.csv").read_text().splitlines()
     assert lines[0] == "t,value,method,abs_error_estimate"
     assert "series" in lines[1] or "contour" in lines[1]
+
+
+def test_mml_eval_rows_match_per_time_mml_eval(tmp_path):
+    # The contour rows are one kernel call over their times; each row keeps
+    # the method mml_eval picks at its time and agrees with mml_eval's value
+    # to within the row's estimate.
+    text = MINIMAL_CONFIG.replace("alphas = 0.5\nqs = 1.0",
+                                  "alphas = 0.8, 0.5, 0.2\nqs = 1.0, 1.5, 0.5")
+    text = text.replace("t_grid = 0.01:1.0:5:log", "t_grid = 0.001:1000:25:log")
+    cfg = cli.parse_config(_write(tmp_path, text))
+    cfg.command = "mml-eval"
+    cfg.lam = 10.0
+    cfg.beta0 = 1.3
+    cli.run(cfg, out_dir=str(tmp_path))
+    with open(tmp_path / "run.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    orders = cfg.orders()
+    params = specfun.solver_params(orders, cfg.beta0)
+    assert {row["method"] for row in rows} == {"series", "contour"}
+    for row in rows:
+        t = float(row["t"])
+        ref = specfun.mml_eval(params, specfun.solver_args(orders, cfg.lam, t), tol=cfg.tol)
+        assert row["method"] == ref.method.value, t
+        assert abs(float(row["value"]) - ref.value.real) <= float(row["abs_error_estimate"]), t
 
 
 def test_counterexample_outputs(tmp_path):

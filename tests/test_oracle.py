@@ -235,7 +235,8 @@ def test_l1_singular_update_raises():
     orders = FracOrders.single(0.5)
     cfg = orc.L1Config(t_final=1.0, n_steps=8, grading=2.0)
     ts = orc.l1_mesh(cfg)
-    near = orc._l1_weight_diffs(ts, 1, 9, np.array([0.5]), 1.0 / sf.gamma_real(np.array([1.5])))
+    near = orc._l1_near_weights(ts[None, 1:9], ts[None, 0:9], np.array([0.5]),
+                                1.0 / sf.gamma_real(np.array([1.5])))[0]
     lam = -near[5, 5] / (ts[6] - ts[5])
     assert near[5, 5] + lam * (ts[6] - ts[5]) == 0.0
     with pytest.raises(ArithmeticError, match="singular L1 update"):
@@ -244,6 +245,74 @@ def test_l1_singular_update_raises():
     ts_ref, us_ref = _l1_per_step(lam, orders, 1.0, None, cfg, stop_abs=2.0)
     assert us.size == us_ref.size < 6
     np.testing.assert_allclose(us, us_ref, rtol=1e-13)
+
+
+def _l1_by_chunk(monkeypatch, *args, **kw):
+    """l1_solve_mode with the default chunk of blocks and with one block per
+    chunk; an ArithmeticError is returned as its message."""
+    out = []
+    for chunk in (orc._L1_CHUNK, 1):
+        with monkeypatch.context() as mp:
+            mp.setattr(orc, "_L1_CHUNK", chunk)
+            try:
+                out.append(orc.l1_solve_mode(*args, **kw))
+            except ArithmeticError as exc:
+                out.append(str(exc))
+    return out
+
+
+def test_l1_chunk_size_does_not_change_the_solution(monkeypatch):
+    # The stepper builds its mesh-only arrays for _L1_CHUNK blocks at once.
+    # Building them one block at a time gives the same bits: at the edges of
+    # a chunk, over many chunks, and where a run stops or meets a zero pivot
+    # in a block that is not the first of its chunk.
+    b, g = orc._L1_BLOCK, orc._L1_CHUNK
+    assert g > 2
+    t_samp = np.linspace(0.0, 1.5, 7)
+    sources = (lambda t: math.cos(3.0 * t), (t_samp, t_samp ** 2 - 1.0))
+    for orders in (FracOrders.single(0.3),
+                   FracOrders(alphas=(0.8, 0.4), qs=(1.0, 1.3)),
+                   FracOrders(alphas=(0.85, 0.5, 0.25), qs=(1.0, 0.7, 2.0))):
+        for n_steps in (g * b - 1, g * b, g * b + 1, 3000):
+            cfg = orc.L1Config(t_final=1.5, n_steps=n_steps, grading=4.0)
+            for f_n in sources:
+                (ts, us), (ts_1, us_1) = _l1_by_chunk(monkeypatch, 2.5, orders, 0.7, f_n, cfg)
+                assert us.size == n_steps + 1
+                assert np.array_equal(ts, ts_1) and np.array_equal(us, us_1)
+
+    # stop_abs at step 2B + 17, in the third block of the first chunk.
+    orders = FracOrders(alphas=(0.8, 0.4), qs=(1.0, 1.3))
+    cfg = orc.L1Config(t_final=1.5, n_steps=4 * b, grading=4.0)
+    n_stop = 2 * b + 17
+    _, us_full = orc.l1_solve_mode(2.5, orders, 0.0, lambda t: 1.0, cfg)
+    assert np.all(np.diff(us_full) > 0.0)
+    stop = 0.5 * (us_full[n_stop - 1] + us_full[n_stop])
+    (ts, us), (ts_1, us_1) = _l1_by_chunk(monkeypatch, 2.5, orders, 0.0, lambda t: 1.0,
+                                          cfg, stop_abs=stop)
+    assert us.size == n_stop + 1
+    assert np.array_equal(ts, ts_1) and np.array_equal(us, us_1)
+
+    # An exact zero pivot at step B + 18, in the second block: both raise, and
+    # a stop two steps before it returns the same prefix from the block's
+    # re-solve.
+    orders = FracOrders.single(0.5)
+    cfg = orc.L1Config(t_final=1.0, n_steps=4 * b, grading=2.0)
+    ts = orc.l1_mesh(cfg)
+    near = orc._l1_near_weights(ts[None, b + 1:2 * b + 1], ts[None, b:2 * b + 1],
+                                np.array([0.5]), 1.0 / sf.gamma_real(np.array([1.5])))[0]
+    n_piv = b + 18
+    dt = ts[n_piv] - ts[n_piv - 1]
+    lam = -near[17, 17] / dt
+    assert near[17, 17] + lam * dt == 0.0
+    assert _l1_by_chunk(monkeypatch, lam, orders, 1.0, None, cfg) == [
+        "singular L1 update (a_coef + lam = 0)"] * 2
+    _, us_near = orc.l1_solve_mode(lam * (1.0 + 1e-9), orders, 1.0, None, cfg)
+    assert np.all(np.diff(np.abs(us_near[:n_piv])) > 0.0)
+    stop = math.sqrt(abs(us_near[n_piv - 3] * us_near[n_piv - 2]))
+    (ts, us), (ts_1, us_1) = _l1_by_chunk(monkeypatch, lam, orders, 1.0, None, cfg,
+                                          stop_abs=stop)
+    assert us.size == n_piv - 1
+    assert np.array_equal(ts, ts_1) and np.array_equal(us, us_1)
 
 
 @pytest.mark.parametrize("a", (0.02, 0.1, 0.3, 0.5, 0.8, 0.99))
