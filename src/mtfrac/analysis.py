@@ -247,9 +247,11 @@ def lipschitz_experiment(base: Problem, perturbed: Problem, gamma: float,
     For gamma < 1/2 the difference is measured in
     L^{1/(1-gamma)}(0,T; D((-L)^{1-tau})), otherwise in L^2(0,T; D(-L)).
     Norms use the base problem's spectrum; the time integral is a composite
-    trapezoid on a graded grid, each problem's amplitudes on it one block;
-    both solutions are synthesized on the grid and their difference
-    projected on the base modes.  Perturbation sweeps sharing one base may
+    trapezoid on a graded grid, each problem's amplitudes on it one block.
+    Where the perturbed problem shares the base spectrum, the difference of
+    the modal values is the difference's modal expansion; otherwise both
+    solutions are synthesized on the grid and their difference projected on
+    the base modes.  Perturbation sweeps sharing one base may
     pass its ModalSolution through ``base_solution`` to reuse the cached
     amplitudes.  ``threads`` is accepted and ignored.
     """
@@ -278,8 +280,11 @@ def lipschitz_experiment(base: Problem, perturbed: Problem, gamma: float,
     modal_b = sol_b.modal_values(grid)
     modal_p = ModalSolution(perturbed).modal_values(grid)
     s, s_p = base.spectrum, perturbed.spectrum
-    # rows are times: synthesize (a Phi^T), then project (h u Phi)
-    diff_modal = s.h * ((modal_b @ s.eigvecs.T - modal_p @ s_p.eigvecs.T) @ s.eigvecs)
+    if s_p is s:
+        diff_modal = modal_b - modal_p
+    else:   # rows are times: synthesize (a Phi^T), then project (h u Phi)
+        diff_modal = s.h * ((modal_b @ s.eigvecs.T - modal_p @ s_p.eigvecs.T)
+                            @ s.eigvecs)
     norms = np.linalg.norm(s.lambdas ** space_gamma * diff_modal, axis=1)
     diff = float(np.trapezoid(norms ** p_exp, grid) ** (1.0 / p_exp))
     return LipschitzReport(delta=delta, diff_norm=diff,

@@ -4,12 +4,11 @@ Homogeneous solutions use the closed per-mode amplitude
 
     u_n(t) = (1 - lambda_n t^{a_1} E^{(n)}_{1+a_1}(t)) (a, phi_n),
 
-evaluated as the sum of positive terms
-E^{(n)}_1(t) + sum_{j>=2} q_j t^{a_1-a_j} E^{(n)}_{1+a_1-a_j}(t), the
-inverse of its Laplace transform sum_j q_j s^{a_j-1} / (sum_j q_j s^{a_j} +
-lambda_n) (the difference cancels once lambda_n t^{a_1} is large, so it is
-never formed).  Caputo derivatives of solutions and forced solutions are
-closed forms from the same transform argument, with w(s) = sum_j q_j s^{a_j}:
+evaluated by one inversion of its Laplace transform
+w(s) / (s (w(s) + lambda_n)), w(s) = sum_j q_j s^{a_j}, on the solver
+kernel's contour (the difference cancels once lambda_n t^{a_1} is large, so
+it is never formed).  Caputo derivatives of solutions and forced solutions
+are closed forms from the same transform argument:
 t^{beta0-1} E^{(n)}_{beta0}(t) inverts s^{a_1-beta0} / (w(s) + lambda_n).
 Product quadrature of weakly singular integrals is kept as an independent
 check of the per-mode equation.
@@ -24,7 +23,7 @@ from scipy.special import betainc, betaln
 
 from . import spectral
 from .spectral import Operator1D, Spectrum
-from .specfun import e_solver_many, gamma_real
+from .specfun import AMPLITUDE, e_solver_many, gamma_real
 
 __all__ = [
     "FracOrders",
@@ -174,19 +173,12 @@ def mode_amplitudes(orders: FracOrders, lams, ts) -> np.ndarray:
     """Per-mode amplitude u(t) = 1 - lam t^{a_1} E^{(n)}_{1+a_1}(t) for
     ``lams`` broadcast against ``ts``; exactly 1 at t = 0.
 
-    Evaluated as E^{(n)}_1(t) + sum_{j>=2} q_j t^{a_1-a_j}
-    E^{(n)}_{1+a_1-a_j}(t), the inverse of the amplitude's Laplace transform
-    sum_j q_j s^{a_j-1} / (sum_j q_j s^{a_j} + lam): every term is positive,
-    so the difference, which cancels for large lam t^{a_1}, is never formed.
-    All m functions come from one :func:`e_solver_many` call."""
-    ts = np.asarray(ts, dtype=float)
-    a1 = orders.alphas[0]
-    shifts = [a1 - a for a in orders.alphas[1:]]
-    e = e_solver_many(lams, orders, [1.0] + [1.0 + d for d in shifts], ts)
-    u = e[0]
-    for q, d, e_j in zip(orders.qs[1:], shifts, e[1:]):
-        u = u + q * ts ** d * e_j
-    return u
+    One :func:`e_solver_many` row, the AMPLITUDE row, inverts the
+    amplitude's Laplace transform w(s) / (s (w(s) + lam)),
+    w(s) = sum_j q_j s^{a_j}, directly, and its estimate bounds the
+    amplitude itself.  The difference, which cancels for large
+    lam t^{a_1}, is never formed.  Returns a fresh array."""
+    return e_solver_many(lams, orders, AMPLITUDE, ts)
 
 
 class ModalSolution:

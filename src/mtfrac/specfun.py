@@ -15,7 +15,9 @@ fixed over each time window [10^j, 10^{j+1}): the resolvent
 1 / (sum_j q_j s^{a_j} + lam) at a contour node is built once per window
 and eigenvalue, and shared by every time in the window and every b_0.  The
 propagator b_0 = a_1 also takes a subtracted form free of cancellation, and
-an entry left above its tolerance raises rather than being returned.
+an entry left above its tolerance raises rather than being returned.  The
+mode amplitude, the inverse of w(s) / (s (w(s) + lam)), is one row of the
+same contour.
 
 The modal solver's kernel, :func:`e_solver_many`, is that contour.  The
 adaptive dispatcher :func:`mml_eval` sums the series for small arguments
@@ -59,6 +61,7 @@ __all__ = [
     "mml_eval",
     "e_solver",
     "e_solver_many",
+    "AMPLITUDE",
     "lemma31_residual",
     "solver_params",
     "solver_args",
@@ -683,11 +686,19 @@ _LOG_NODES = np.log(_NODES)
 _VALUE_NODES = _HYPERBOLA_NODES[0] + 1
 _LAM_PANEL = 16
 
+# The row of the solver family, in place of a beta0, that is the mode
+# amplitude u(t): the inverse of w(s) / (s (w(s) + lam)).
+AMPLITUDE = "amplitude"
+
+
+def _is_amplitude(beta0):
+    return isinstance(beta0, str) and beta0 == AMPLITUDE
+
 
 def _window_eval(orders, beta0s, lams, ts):
     """Values and error estimates of the hyperbola sums on the grid
     ``beta0s`` x ``ts`` x ``lams``, as one (2, len(beta0s), ts.size,
-    lams.size) array.
+    lams.size) array; ``beta0s`` = AMPLITUDE gives the one amplitude row.
 
     ``ts`` holds distinct positive times in ascending order.  The estimate
     is the distance from the check sum plus the rounding floor 16 eps
@@ -697,7 +708,9 @@ def _window_eval(orders, beta0s, lams, ts):
     Re(c'_k / (P_k + Z)) = (Z Re c'_k + Re(c'_k conj P_k)) / |P_k + Z|^2:
     one real array of inverse squared moduli per window carries the
     resolvent, and the window's sums are real products of its weights
-    with it.
+    with it.  The amplitude row inverts w(s) / (s (w(s) + lam)): its
+    weights are g_k (P_k / S_k) e^{S_k t/t0}, with S_k = t0 s_k the unit
+    nodes and no power of t/t0, and the same resolvent.
 
     Where 1/Gamma(beta0 - a_1) vanishes (the propagator), the sum is of
     size 1/Z^2 but its terms of size 1/Z.  By 1/(P + Z) = 1/Z - P/Z^2 +
@@ -715,7 +728,9 @@ def _window_eval(orders, beta0s, lams, ts):
         padded = np.pad(lams, (0, -lams.size % _LAM_PANEL))
         return _window_eval(orders, beta0s, padded, ts)[..., :lams.size]
     alphas, qs = np.array(orders.alphas), np.array(orders.qs)
-    beta0s = np.array(beta0s)
+    amplitude = _is_amplitude(beta0s)
+    beta0s = np.array(() if amplitude else beta0s)
+    rows = 1 if amplitude else beta0s.size
     n, v = _NODES.size, _VALUE_NODES
     # The rows summed in subtracted form follow the plain rows.
     cancel = np.flatnonzero(special.rgamma(beta0s - alphas[0]) == 0.0)
@@ -731,7 +746,7 @@ def _window_eval(orders, beta0s, lams, ts):
     symbols = scaled_qs @ np.exp(np.multiply.outer(alphas, _LOG_NODES))
     node_terms = _NODE_WEIGHTS * np.exp(np.multiply.outer(alphas[0] - beta0s,
                                                           _LOG_NODES))
-    out = np.empty((2, beta0s.size + cancel.size, ts.size, lams.size))
+    out = np.empty((2, rows + cancel.size, ts.size, lams.size))
     squares = np.empty((n, lams.size))
     for w, symbol in enumerate(symbols):
         z = lams * t0[w] ** alphas[0]
@@ -740,9 +755,12 @@ def _window_eval(orders, beta0s, lams, ts):
         squares += (symbol.imag ** 2)[:, None]
         np.reciprocal(squares, out=squares)           # 1 / |P_k + Z|^2 by node
         tau = ts[lo[w]:hi[w]] / t0[w]
-        # (t/t0)^{1-beta0} c'_k(t) by (beta0, time) rows.
-        c = (node_terms[:, None, :] * np.exp(np.multiply.outer(tau, _NODES))
-             * (tau ** (1.0 - beta0s[:, None]))[:, :, None])
+        growth = np.exp(np.multiply.outer(tau, _NODES))
+        if amplitude:   # g_k (P_k / S_k) e^{S_k tau}, one row
+            c = (_NODE_WEIGHTS * symbol / _NODES * growth)[None]
+        else:           # (t/t0)^{1-beta0} c'_k(t) by (beta0, time) rows
+            c = (node_terms[:, None, :] * growth
+                 * (tau ** (1.0 - beta0s[:, None]))[:, :, None])
         if cancel.size:
             c = np.concatenate([c, c[cancel] * symbol ** 2])
         c = c.reshape(-1, n)
@@ -759,20 +777,21 @@ def _window_eval(orders, beta0s, lams, ts):
         if cancel.size:   # M_1's terms by (beta0, time) row
             m1 = ((moments * scaled_qs[w])[:, None]
                   * np.power.outer(tau, -alphas[0] - alphas))
-            value[beta0s.size:] -= m1.sum(axis=2)[..., None]
-            est[beta0s.size:] += (16.0 * np.finfo(float).eps
-                                  * np.abs(m1).sum(axis=2)[..., None])
+            value[rows:] -= m1.sum(axis=2)[..., None]
+            est[rows:] += (16.0 * np.finfo(float).eps
+                           * np.abs(m1).sum(axis=2)[..., None])
             with np.errstate(divide="ignore", invalid="ignore"):  # Z = 0
-                out[:, beta0s.size:, lo[w]:hi[w]] /= z * z
+                out[:, rows:, lo[w]:hi[w]] /= z * z
     if cancel.size:
-        plain, subtracted = out[:, cancel], out[:, beta0s.size:]
+        plain, subtracted = out[:, cancel], out[:, rows:]
         out[:, cancel] = np.where(subtracted[1] < plain[1], subtracted, plain)
-    return out[:, :beta0s.size]
+    return out[:, :rows]
 
 
 def _solver_family(lams, orders, beta0, ts):
     """E^{(n)}_{beta0}(t) for ``lams`` broadcast against ``ts``; a sequence
-    ``beta0`` adds a leading axis over its entries.
+    ``beta0`` adds a leading axis over its entries, and ``beta0`` =
+    AMPLITUDE gives the mode amplitude instead.
 
     Returns (values, abs_error_estimates).  Positive times go through the
     hyperbola of their time window, whose values are real by construction,
@@ -789,17 +808,19 @@ def _solver_family(lams, orders, beta0, ts):
             raise ValueError(f"{name} must be finite")
         if (x < 0).any():
             raise ValueError(f"{name} must be non-negative")
-    beta0s = tuple(float(b) for b in np.ravel(beta0))
+    amplitude = _is_amplitude(beta0)
+    rows = AMPLITUDE if amplitude else tuple(float(b) for b in np.ravel(beta0))
+    n_rows = 1 if amplitude else len(rows)
     # The grid of distinct times by lams, and each entry's place in it.
     t_uniq, t_index = np.unique(ts, return_inverse=True)
     t_index, lam_index = (np.broadcast_to(i.reshape(x.shape), shape).ravel()
                           for x, i in ((ts, t_index), (lams, np.arange(lams.size))))
-    grid = _window_eval(orders, beta0s, lams.ravel(), t_uniq[t_uniq > 0.0])
+    grid = _window_eval(orders, rows, lams.ravel(), t_uniq[t_uniq > 0.0])
     if t_uniq.size and t_uniq[0] == 0.0:  # t = 0: the exact limit
-        limit = np.zeros((2, len(beta0s), 1, lams.size))
-        limit[0] = 1.0 / gamma_real(np.array(beta0s))[:, None, None]
+        limit = np.zeros((2, n_rows, 1, lams.size))
+        limit[0] = 1.0 if amplitude else 1.0 / gamma_real(np.array(rows))[:, None, None]
         grid = np.concatenate([limit, grid], axis=2)
-    grid = grid.reshape(2, len(beta0s), -1)
+    grid = grid.reshape(2, n_rows, -1)
     index = t_index * lams.size + lam_index
     if not np.array_equal(index, np.arange(grid.shape[-1])):
         grid = np.take(grid, index, axis=2)   # unless the entries are the grid
@@ -809,10 +830,11 @@ def _solver_family(lams, orders, beta0, ts):
     if (ests > bound).any():
         ratio = ests / np.maximum(np.abs(vals), np.finfo(float).tiny)
         i, e = np.unravel_index(np.argmax(ratio), ratio.shape)
+        row = "the amplitude" if amplitude else f"beta0 = {rows[i]:.6g}"
         raise QuadratureError(
             f"solver family: estimate {ratio[i, e]:.3g} of the value above "
             f"SOLVER_FAMILY_RTOL at lam = {lams.ravel()[lam_index[e]]:.6g}, "
-            f"t = {t_uniq[t_index[e]]:.6g}, beta0 = {beta0s[i]:.6g}")
+            f"t = {t_uniq[t_index[e]]:.6g}, {row}")
     out_shape = np.shape(beta0) + shape
     return vals.reshape(out_shape), ests.reshape(out_shape)
 
@@ -826,16 +848,20 @@ def e_solver_many(lams, orders, beta0, ts) -> np.ndarray:
     """E^{(n)}_{beta0}(t) with z_1 = -lam t^{a_1}, z_j = -q_j t^{a_1-a_j},
     for ``lams`` broadcast against ``ts``.  A sequence ``beta0`` adds a
     leading axis over its entries, which share the contour work.
+    ``beta0`` = AMPLITUDE gives instead the mode amplitude, the inverse of
+    w(s) / (s (w(s) + lam)), w(s) = sum_j q_j s^{a_j}, as one row.
 
     Positive times go through the hyperbolic Bromwich contour of their
     window [10^j, 10^{j+1}), whose resolvent at each node is built once per
     lam and shared by every time in the window; an entry whose estimate
     exceeds SOLVER_FAMILY_RTOL of its value raises QuadratureError.  t = 0
-    entries return the exact limit 1/Gamma(beta0); a negative or non-finite
-    lam or t raises ValueError.  Real-valued by construction: the hyperbola
-    sums conjugate node pairs as 2 Re over the nodes with u >= 0.
+    entries return the exact limit 1/Gamma(beta0) (the amplitude: 1); a
+    negative or non-finite lam or t raises ValueError.  Real-valued by
+    construction: the hyperbola sums conjugate node pairs as 2 Re over the
+    nodes with u >= 0.  The result is a fresh array, which holds neither
+    the estimates nor the kernel's padded grid.
     """
-    return _solver_family(lams, orders, beta0, ts)[0]
+    return _solver_family(lams, orders, beta0, ts)[0].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -155,10 +155,17 @@ def eigendecompose(matrix: Tridiag) -> Spectrum:
     """Full eigendecomposition, eigenvalues ascending, eigenvectors
     normalized in (.,.)_h with first nonzero component positive."""
     lams, vecs = eigh_tridiagonal(matrix.diag, matrix.off)
-    vecs = vecs / np.sqrt(matrix.h)
-    first = np.argmax(np.abs(vecs) > 1e-14, axis=0)
-    flip = vecs[first, np.arange(vecs.shape[1])] < 0
-    vecs[:, flip] = -vecs[:, flip]
+    root_h = np.sqrt(matrix.h)
+    # Each column's sign comes from its first entry above 1e-14 after the
+    # scaling: row 0, unless that entry is at or below it.
+    lead = vecs[0] / root_h
+    weak = np.flatnonzero(np.abs(lead) <= 1e-14)
+    if weak.size:
+        scaled = vecs[:, weak] / root_h
+        first = np.argmax(np.abs(scaled) > 1e-14, axis=0)
+        lead[weak] = scaled[first, np.arange(weak.size)]
+    # x / -r is exactly -(x / r): one in-place pass scales and flips.
+    vecs /= np.where(lead < 0, -root_h, root_h)
     return Spectrum(lambdas=lams, eigvecs=vecs, h=matrix.h)
 
 

@@ -72,6 +72,24 @@ def test_amplitude_properties_on_thm23_grid(laplace_spectrum):
     assert np.max(np.abs(amps - diff_form)[small]) <= 1e-12
 
 
+def test_mode_amplitudes_own_their_memory(laplace_spectrum):
+    # ModalSolution caches rows of the returned block, so the block must not
+    # be a view into the kernel's (2, ...) value/estimate buffer or its
+    # lam grid padded to whole panels.  Grids with and without t = 0 and
+    # repeated times, and a scalar.
+    lams = laplace_spectrum.lambdas[:100]
+    grids = (2.0 * (np.arange(1, 26) / 25) ** 2, np.array([0.5, 0.0, 0.5, 3.0]))
+    for orders in (sv.FracOrders.single(0.6),
+                   sv.FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5)),
+                   sv.FracOrders(alphas=(0.8, 0.5, 0.2), qs=(1.0, 1.5, 0.5))):
+        for lam, ts in [(lams[None, :], g[:, None]) for g in grids] + [(7.0, 0.5)]:
+            amps = sv.mode_amplitudes(orders, lam, ts)
+            owner = amps
+            while owner.base is not None:
+                owner = owner.base
+            assert owner.nbytes == amps.nbytes, (orders.m, np.shape(ts))
+
+
 def test_solve_homogeneous_initial_value(homog_problem):
     u0 = sv.solve_homogeneous(homog_problem, 0.0)
     assert np.max(np.abs(u0 - homog_problem.initial)) < 1e-10

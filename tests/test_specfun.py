@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtfrac import specfun as sf
-from mtfrac.constants import SERIES_CONTOUR_CROSSOVER as XC
+from mtfrac.constants import SERIES_CONTOUR_CROSSOVER as XC, SOLVER_FAMILY_RTOL
 from mtfrac.solver import FracOrders
 
 # Classical two-parameter value E_{1/2,1}(-1) = e * erfc(1).
@@ -517,18 +517,91 @@ def _talbot(orders, lam, t, beta0, dps=30):
 
 
 def _amplitudes(orders, lams, ts):
-    """Mode amplitudes with their error estimates: the sum
-    E_1 + sum_{j>=2} q_j t^{a_1-a_j} E_{1+a_1-a_j} that
-    solver.mode_amplitudes evaluates, with the estimates of its terms added
-    up likewise."""
+    """Mode amplitudes, as solver.mode_amplitudes evaluates them, with
+    their error estimates: the kernel's amplitude row."""
     from mtfrac.solver import mode_amplitudes
+    _, est = sf._solver_family(lams, orders, sf.AMPLITUDE, ts)
+    return mode_amplitudes(orders, lams, ts), est
+
+
+def _amplitude_term_sum(orders, lams, ts):
+    """The amplitude as the sum of positive terms
+    E_1 + sum_{j>=2} q_j t^{a_1-a_j} E_{1+a_1-a_j}, each the kernel's own
+    row, with the estimates of its terms added up likewise."""
     a1 = orders.alphas[0]
     shifts = [a1 - a for a in orders.alphas[1:]]
-    _, ests = sf._solver_family(lams, orders, [1.0] + [1.0 + d for d in shifts], ts)
-    est = ests[0]
-    for q, d, e_j in zip(orders.qs[1:], shifts, ests[1:]):
+    values, ests = sf._solver_family(lams, orders, [1.0] + [1.0 + d for d in shifts], ts)
+    value, est = values[0], ests[0]
+    for q, d, v_j, e_j in zip(orders.qs[1:], shifts, values[1:], ests[1:]):
+        value = value + q * ts ** d * v_j
         est = est + q * ts ** d * e_j
-    return mode_amplitudes(orders, lams, ts), est
+    return value, est
+
+
+def _talbot_amplitude(orders, lam, t, dps=30):
+    """mpmath Talbot inversion of w(s) / (s (w(s) + lam)), the mode
+    amplitude, with no code shared with specfun."""
+    with mp.workdps(dps):
+        alphas = [mp.mpf(a) for a in orders.alphas]
+        qs = [mp.mpf(q) for q in orders.qs]
+
+        def transform(s):
+            w = sum(q * s ** a for a, q in zip(alphas, qs))
+            return w / (s * (w + lam))
+
+        return float(mp.invertlaplace(transform, mp.mpf(t), method="talbot"))
+
+
+AMPLITUDE_ORDERS = [((0.8, 0.5), (1.0, 1.5)), ((0.986, 0.5, 0.2), (1.0, 0.3, 0.2)),
+                    ((0.25,), (1.0,)), ((0.9, 0.3), (1.0, 0.5)),
+                    ((0.75, 0.55, 0.35), (1.0, 1.2, 0.8))]
+
+
+def test_amplitude_row_matches_term_sum(laplace_spectrum):
+    # The amplitude row inverts w(s) / (s (w(s) + lam)) in one sum; the m
+    # rows E_1 and E_{1+a_1-a_j} invert its terms.  Over the whole
+    # 255-mode spectrum and 73 times in [1e-8, 1e4], on window edges
+    # (every fifth log-spaced time) and just below them, the two agree
+    # within the sum of their estimates, and the row's own estimate stays
+    # below SOLVER_FAMILY_RTOL of its value.
+    lams = laplace_spectrum.lambdas[None, :]
+    below_edges = np.nextafter(10.0 ** np.arange(-7, 5), 0.0)
+    ts = np.sort(np.concatenate([np.logspace(-8, 4, 61), below_edges]))[:, None]
+    for alphas, qs in AMPLITUDE_ORDERS:
+        orders = FracOrders(alphas=alphas, qs=qs)
+        value, est = sf._solver_family(lams, orders, sf.AMPLITUDE, ts)
+        term_sum, term_est = _amplitude_term_sum(orders, lams, ts)
+        assert value.shape == est.shape == (ts.size, lams.size)
+        assert np.all(np.abs(value - term_sum) <= est + term_est), alphas
+        assert np.all(est <= SOLVER_FAMILY_RTOL * value), alphas
+
+
+def test_amplitude_matches_talbot_at_window_edges():
+    # The times of test_window_edges_match_talbot, for a low, a middle and
+    # the top mode of the 255-mode Laplacian: the amplitude row is within
+    # max(1e-12, estimate) of mpmath Talbot.
+    orders = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
+    lams = np.array([1.0, 4096.0, 2.66e4])
+    for t in (1e-3, 0.0999, 1.0, 9.99):
+        values, ests = sf._solver_family(lams, orders, sf.AMPLITUDE, t)
+        for j, lam in enumerate(lams):
+            ref = _talbot_amplitude(orders, float(lam), t)
+            assert abs(values[j] - ref) <= max(1e-12 * abs(ref), ests[j]), \
+                (t, lam, values[j], ref)
+
+
+def test_amplitude_row_bookkeeping(monkeypatch):
+    # AMPLITUDE adds no leading axis, gives exactly 1 at t = 0, and names
+    # itself in the tolerance error.
+    orders = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
+    lams, ts = np.array([1.0, 40.0]), np.array([0.0, 0.5])[:, None]
+    values, ests = sf._solver_family(lams, orders, sf.AMPLITUDE, ts)
+    assert values.shape == ests.shape == (2, 2)
+    assert np.all(values[0] == 1.0) and np.all(ests[0] == 0.0)
+    assert sf.e_solver(40.0, orders, sf.AMPLITUDE, 0.5) == values[1, 1]
+    monkeypatch.setattr(sf, "SOLVER_FAMILY_RTOL", 0.0)
+    with pytest.raises(sf.QuadratureError, match=r"t = 0.5, the amplitude"):
+        sf._solver_family(lams, orders, sf.AMPLITUDE, ts)
 
 
 def test_solver_family_accuracy_map(laplace_spectrum):

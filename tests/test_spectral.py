@@ -159,3 +159,26 @@ def test_variable_coefficients_keep_orthonormality():
     s = sp.eigendecompose_operator(op)
     assert sp.check_orthonormal(s) < 1e-10
     assert s.lambdas[0] > 0
+
+
+def test_eigenvector_signs_match_first_entry_reference():
+    # Each column's sign makes its first entry above 1e-14 positive.  The
+    # columns whose row-0 entry is at or below it take the fallback: the
+    # top modes of a linear diffusion (evanescent near x = 0) and a
+    # decoupled matrix whose first row is an eigenvector of its own.  The
+    # result equals, bit for bit, the reference that scales every column
+    # first and then searches each one.
+    from scipy.linalg import eigh_tridiagonal
+    linear = sp.assemble(sp.Operator1D.from_callables((0.0, np.pi), 255,
+                                                      diffusion=lambda x: 1.0 + 0.5 * x))
+    decoupled = sp.Tridiag(diag=np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+                           off=np.array([0.0, 0.0, 1.0, 0.0, 1.0]), h=0.3)
+    for matrix in (linear, decoupled):
+        vecs = eigh_tridiagonal(matrix.diag, matrix.off)[1] / np.sqrt(matrix.h)
+        assert np.any(np.abs(vecs[0]) <= 1e-14)
+        first = np.argmax(np.abs(vecs) > 1e-14, axis=0)
+        flip = vecs[first, np.arange(vecs.shape[1])] < 0
+        vecs[:, flip] = -vecs[:, flip]
+        got = sp.eigendecompose(matrix).eigvecs
+        assert got.tobytes() == vecs.tobytes()
+        assert np.all(got[first, np.arange(got.shape[1])] > 0.0)
