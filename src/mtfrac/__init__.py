@@ -18,7 +18,6 @@ from .analysis import (
     short_time_checks,
 )
 from .oracle import (
-    HankelConfig,
     L1Config,
     counterexample_run,
     highprec_series,
@@ -65,8 +64,8 @@ __all__ = [
     "AdmissibleSets", "DecayFit", "asymptotic_leading_term",
     "asymptotic_residual", "decay_fit", "lipschitz_experiment",
     "short_time_checks",
-    "HankelConfig", "L1Config", "counterexample_run", "highprec_series",
-    "l1_solve_mode", "laplace_mode_eval",
+    "L1Config", "counterexample_run", "highprec_series", "l1_solve_mode",
+    "laplace_mode_eval",
     "FracOrders", "ModalSolution", "Problem", "QuadConfig", "SampledSource",
     "caputo_derivative", "mode_amplitude", "solve_homogeneous",
     "solve_source", "time_derivative",

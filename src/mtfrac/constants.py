@@ -54,7 +54,8 @@ SERIES_CONTOUR_CROSSOVER = 2.1
 # fraction of its value raises QuadratureError rather than being returned.
 SOLVER_FAMILY_RTOL = 1e-10
 
-# Hankel-path evaluator: refinement disagreement threshold and the default
-# split radius factor between the small-r and large-r regimes.
+# Hankel-path evaluator: refinement disagreement threshold, and the factor
+# of the split radius HANKEL_EPS0 * lambda between the small-r and large-r
+# regimes of its quadrature.
 HANKEL_REFINE_RTOL = 1e-6
 HANKEL_EPS0 = 0.1

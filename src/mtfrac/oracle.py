@@ -35,7 +35,6 @@ from .specfun import MLArgs, MLParams, gamma_real
 
 __all__ = [
     "L1Config",
-    "HankelConfig",
     "HighPrecResult",
     "CounterexampleResult",
     "highprec_series",
@@ -67,33 +66,6 @@ class L1Config:
             raise ValueError("n_steps must be at least 2")
         if self.grading < 1.0:
             raise ValueError("grading must be >= 1")
-
-
-@dataclass(frozen=True)
-class HankelConfig:
-    """Quadrature for the cut-axis integral.
-
-    ``eps0`` sets the split radius eps0 * lambda between the small-r regime,
-    where the symbol is dominated by lambda, and the large-r regime.
-    """
-
-    r_max: float
-    n_panels: int = 48
-    eps0: float = HANKEL_EPS0
-
-    def __post_init__(self):
-        if self.r_max <= 0 or self.n_panels < 4 or self.eps0 <= 0:
-            raise ValueError("invalid Hankel quadrature configuration")
-
-    def validate_for(self, t: float):
-        if self.r_max * t < 36.8:  # e^{-r_max t} above ~1e-16
-            raise ValueError(
-                f"r_max={self.r_max} too small for t={t}: "
-                "exp(-r_max t) tail above 1e-16")
-
-    @classmethod
-    def for_time(cls, t: float, **kw) -> "HankelConfig":
-        return cls(r_max=40.0 / t, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +227,15 @@ def _l1_near_weights(rows, cols, expo, coef):
     return diffs
 
 
-def l1_solve_mode(lam: float, orders, a_n: float, f_n=None,
-                  cfg: L1Config = None, stop_abs: float = None):
+def l1_solve_mode(lam: float, orders, a_n: float, f_n, cfg: L1Config,
+                  stop_abs: float = None):
     """L1 time stepping of  sum_j q_j D^{a_j} u + lam u = f,  u(0) = a_n.
 
     Each Caputo term is discretized with the piecewise-linear kernel
     weights on the shared (possibly graded) mesh.  Returns (times, values).
-    ``stop_abs`` stops early once |u| exceeds it (used by growth
-    experiments).
+    ``f_n`` is the mode's source: None (zero), a callable of t, or samples
+    (times, values) interpolated linearly.  ``stop_abs`` stops early once
+    |u| exceeds it (used by growth experiments).
 
     With slopes s_k = (u_{k+1} - u_k) / dt_k and the multi-term kernel
     K(x) = sum_j q_j x^{-a_j} / Gamma(1 - a_j), step n solves
@@ -291,8 +264,6 @@ def l1_solve_mode(lam: float, orders, a_n: float, f_n=None,
     (0, 1); sign constraints are the caller's business, which lets
     deliberately ill-posed weight patterns be simulated.
     """
-    if cfg is None:
-        raise ValueError("an L1Config is required")
     alphas = np.asarray(orders.alphas, dtype=float)
     qs = np.asarray(orders.qs, dtype=float)
     if not np.all((alphas > 0.0) & (alphas < 1.0)):
@@ -399,21 +370,26 @@ def hankel_integrand(orders, lam: float, r):
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
+# Panels of the coarse rule on each side of the split; the check doubles
+# them.  The integral stops at r_max = _HANKEL_RT_MAX / t, where e^{-rt} is
+# e^{-40}, about 4e-18.
+_HANKEL_PANELS = 48
+_HANKEL_RT_MAX = 40.0
 
-def _hankel_quad(orders, lam, t, cfg, n_panels):
+
+def _hankel_quad(orders, lam, t, n_panels):
     """Panel Gauss-Legendre of int_0^r_max H(r) e^{-rt} dr with a split at
-    eps0*lam and geometric grading toward r = 0; every panel's 16 nodes are
-    one row of a single integrand call."""
-    r_split = min(cfg.eps0 * lam, cfg.r_max)
+    HANKEL_EPS0*lam and geometric grading toward r = 0; every panel's 16
+    nodes are one row of a single integrand call."""
+    r_max = _HANKEL_RT_MAX / t
+    r_split = min(HANKEL_EPS0 * lam, r_max)
     edges = []
     # geometric panels from tiny radii up to the split
     r_lo = r_split * 1e-60
-    n_geo = max(8, n_panels)
-    geo = r_lo * (r_split / r_lo) ** (np.arange(n_geo + 1) / n_geo)
+    geo = r_lo * (r_split / r_lo) ** (np.arange(n_panels + 1) / n_panels)
     edges.append(geo)
-    if cfg.r_max > r_split:
-        n_lin = max(8, n_panels)
-        lin = r_split * (cfg.r_max / r_split) ** (np.arange(1, n_lin + 1) / n_lin)
+    if r_max > r_split:
+        lin = r_split * (r_max / r_split) ** (np.arange(1, n_panels + 1) / n_panels)
         edges.append(lin)
     grid = np.concatenate(edges)
     half = 0.5 * np.diff(grid)[:, None]               # (panels, 1)
@@ -425,24 +401,21 @@ def _hankel_quad(orders, lam, t, cfg, n_panels):
     return total, below, grid
 
 
-def laplace_mode_eval(lam: float, orders, a_n: float, t: float,
-                      cfg: HankelConfig = None) -> float:
+def laplace_mode_eval(lam: float, orders, a_n: float, t: float) -> float:
     """Mode value a_n [ q_m / (lam Gamma(1-a_m) t^{a_m}) + int_0^inf H e^{-rt} dr ].
 
-    The integral is evaluated by panel quadrature split at eps0*lam; a
-    doubled-panel refinement must agree or an error is raised.
+    The integral is evaluated by panel quadrature on [0, 40/t], split at
+    HANKEL_EPS0*lam; a doubled-panel refinement must agree within
+    HANKEL_REFINE_RTOL or an error is raised.
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    if cfg is None:
-        cfg = HankelConfig.for_time(t)
-    cfg.validate_for(t)
     alpha_m = orders.alphas[-1]
     q_m = orders.qs[-1]
     leading = q_m / (lam * gamma_real(1.0 - alpha_m) * t ** alpha_m)
 
-    coarse, below_c, _ = _hankel_quad(orders, lam, t, cfg, cfg.n_panels)
-    fine, below_f, _ = _hankel_quad(orders, lam, t, cfg, 2 * cfg.n_panels)
+    coarse = _hankel_quad(orders, lam, t, _HANKEL_PANELS)[0]
+    fine, below_f, _ = _hankel_quad(orders, lam, t, 2 * _HANKEL_PANELS)
     err = abs(fine - coarse) + below_f
     scale = max(abs(leading + fine), abs(leading), 1e-300)
     if err > HANKEL_REFINE_RTOL * scale:

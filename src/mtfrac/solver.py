@@ -259,24 +259,20 @@ def caputo_derivative(p: Problem, beta: float, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Mesh for the singular convolution quadratures.
+    """Mesh for the singular convolution quadratures: ``n_panels`` panels
+    graded toward the origin, s_k = t (k/n_panels)^grading.
 
     ``grading`` defaults to 2/a_1 (resolves the s^{a_1 gamma - 1} behavior
-    of solution derivatives near the origin).  With ``refine_check`` set,
-    results are recomputed on a doubled mesh and a relative disagreement
-    above ``refine_rtol`` raises.
+    of solution derivatives near the origin).
     """
 
     n_panels: int = 256
     grading: float | None = None
-    refine_check: bool = False
-    refine_rtol: float = 1e-4
 
-    def mesh(self, t: float, alpha1: float, factor: int = 1) -> np.ndarray:
+    def mesh(self, t: float, alpha1: float) -> np.ndarray:
         g = self.grading if self.grading is not None else 2.0 / alpha1
-        n = factor * self.n_panels
-        k = np.arange(n + 1, dtype=float)
-        return t * (k / n) ** g
+        k = np.arange(self.n_panels + 1, dtype=float)
+        return t * (k / self.n_panels) ** g
 
 
 def _beta_moments(mesh, t, a, b):
@@ -302,35 +298,22 @@ def _product_panels(mesh, gvals, t, singular_power, beta):
     return float(np.sum(c0 * m0 + slope * m1))
 
 
-def caputo_quadrature(smooth, t: float, beta: float, quad: QuadConfig,
-                      singular_power: float = 0.0,
-                      alpha1: float | None = None) -> float:
-    """(1/Gamma(1-beta)) int_0^t s^p g(s) (t-s)^{-beta} ds with p =
-    ``singular_power`` and g = ``smooth`` (callable on a vector of s).
+def caputo_quadrature(smooth, t: float, beta: float, quad: QuadConfig) -> float:
+    """(1/Gamma(1-beta)) int_0^t g(s) (t-s)^{-beta} ds with g = ``smooth``
+    (callable on a vector of s), by product quadrature on ``quad``'s mesh;
+    a grading left unset is 2.
 
-    With smooth = 1, p = 0 this is the Caputo derivative of f(t) = t,
-    equal to t^{1-beta}/Gamma(2-beta)."""
+    With smooth = 1 this is the Caputo derivative of f(t) = t, equal to
+    t^{1-beta}/Gamma(2-beta)."""
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
     if t <= 0:
         raise ValueError("t must be positive")
-
-    def on_mesh(factor):
-        mesh = quad.mesh(t, alpha1 if alpha1 is not None else 1.0, factor)
-        gvals = np.asarray(smooth(mesh), dtype=float)
-        if gvals.shape != mesh.shape:
-            gvals = np.broadcast_to(gvals, mesh.shape).astype(float)
-        return _product_panels(mesh, gvals, t, singular_power, beta)
-
-    val = on_mesh(1)
-    if quad.refine_check:
-        fine = on_mesh(2)
-        if abs(fine - val) > quad.refine_rtol * max(abs(fine), 1e-300):
-            raise ArithmeticError(
-                f"Caputo quadrature refinement disagreement "
-                f"{abs(fine - val):.3g} at t={t}")
-        val = fine
-    return val / gamma_real(1.0 - beta)
+    mesh = quad.mesh(t, 1.0)
+    gvals = np.asarray(smooth(mesh), dtype=float)
+    if gvals.shape != mesh.shape:
+        gvals = np.broadcast_to(gvals, mesh.shape).astype(float)
+    return _product_panels(mesh, gvals, t, 0.0, beta) / gamma_real(1.0 - beta)
 
 
 def mode_ode_residual(orders: FracOrders, lam: float, t: float,

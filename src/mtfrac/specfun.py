@@ -55,7 +55,6 @@ __all__ = [
     "QuadratureError",
     "UncoveredRegionError",
     "gamma_real",
-    "lgamma_real",
     "multinomial_coefficient",
     "mml_series",
     "mml_eval",
@@ -108,15 +107,6 @@ def gamma_real(x):
     if np.any((x_arr <= 0) & (x_arr == np.round(x_arr))):
         raise ValueError("gamma_real: pole at non-positive integer argument")
     out = special.gamma(x_arr)
-    return float(out) if x_arr.ndim == 0 else out
-
-
-def lgamma_real(x):
-    """log Gamma(x) for real x > 0.  Vectorized."""
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0):
-        raise ValueError("lgamma_real requires positive arguments")
-    out = special.gammaln(x_arr)
     return float(out) if x_arr.ndim == 0 else out
 
 
@@ -725,7 +715,7 @@ def _window_eval(orders, beta0s, lams, ts):
         # the products round each lam's sums alike wherever it sits in the
         # batch (OpenBLAS): an entry's value and estimate do not depend on
         # the other entries of its call.
-        padded = np.pad(lams, (0, -lams.size % _LAM_PANEL))
+        padded = np.concatenate((lams, np.zeros(-lams.size % _LAM_PANEL)))
         return _window_eval(orders, beta0s, padded, ts)[..., :lams.size]
     alphas, qs = np.array(orders.alphas), np.array(orders.qs)
     amplitude = _is_amplitude(beta0s)

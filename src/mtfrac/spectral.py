@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .constants import ALGEBRAIC_TOL
-
 __all__ = [
     "Operator1D",
     "Spectrum",
@@ -196,8 +194,7 @@ def frac_norm(f, gamma: float, s: Spectrum) -> float:
     gamma = 0 is the discrete L2 norm; gamma = 1 the graph norm of the
     operator (the H2-equivalent norm used by the regularity estimates).
     """
-    a = project(f, s)
-    return float(np.sqrt(np.sum((s.lambdas ** gamma * a) ** 2)))
+    return modal_frac_norm(project(f, s), gamma, s)
 
 
 def modal_frac_norm(coeffs, gamma: float, s: Spectrum) -> float:
@@ -212,7 +209,7 @@ def apply_inverse(f, s: Spectrum) -> np.ndarray:
     return synthesize(a / s.lambdas, s)
 
 
-def check_orthonormal(s: Spectrum, tol: float = ALGEBRAIC_TOL) -> float:
+def check_orthonormal(s: Spectrum) -> float:
     """Max deviation of h * Phi^T Phi from the identity."""
     g = s.h * (s.eigvecs.T @ s.eigvecs)
     return float(np.max(np.abs(g - np.eye(s.n_modes))))

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_orders
 from mtfrac import oracle as orc
 from mtfrac import specfun as sf
+from mtfrac.constants import HANKEL_EPS0
 from mtfrac.solver import FracOrders, mode_amplitude
 
 
@@ -121,7 +122,7 @@ def test_l1_positivity_transfer():
         assert np.all(us <= 1.0 + 1e-12)
 
 
-def _l1_per_step(lam, orders, a_n, f_n=None, cfg=None, stop_abs=None, dtype=float):
+def _l1_per_step(lam, orders, a_n, f_n, cfg, stop_abs=None, dtype=float):
     """The L1 recurrence one step at a time in ``dtype``, each step
     recomputing every term's weights from the mesh.  A weight
     x^e - (x - dt)^e, x = t_n - t_k, is formed as -x^e expm1(e log1p(-dt / x)),
@@ -361,8 +362,7 @@ def test_hankel_remainder_scaling():
     lam = 5.0
     scaled = []
     for t in (1e2, 1e3, 1e4):
-        val = orc.laplace_mode_eval(lam, orders, 1.0, t,
-                                    orc.HankelConfig.for_time(t))
+        val = orc.laplace_mode_eval(lam, orders, 1.0, t)
         lead = 1.0 / (lam * sf.gamma_real(0.6) * t ** 0.4)
         scaled.append(abs(val - lead) * lam * t ** 0.8)
     assert max(scaled) < 10.0 * max(min(scaled), 1e-12)
@@ -414,15 +414,15 @@ def test_hankel_integrand_matches_complex_form():
             assert np.all(err <= 1e-13 * size), (orders.m, lam)
 
 
-def _hankel_quad_per_panel(orders, lam, t, cfg, n_panels):
+def _hankel_quad_per_panel(orders, lam, t, n):
     """Panel quadrature of the cut integral, one integrand call per panel."""
     gl_x, gl_w = np.polynomial.legendre.leggauss(16)
-    r_split = min(cfg.eps0 * lam, cfg.r_max)
+    r_max = orc._HANKEL_RT_MAX / t
+    r_split = min(HANKEL_EPS0 * lam, r_max)
     r_lo = r_split * 1e-60
-    n = max(8, n_panels)
     edges = [r_lo * (r_split / r_lo) ** (np.arange(n + 1) / n)]
-    if cfg.r_max > r_split:
-        edges.append(r_split * (cfg.r_max / r_split) ** (np.arange(1, n + 1) / n))
+    if r_max > r_split:
+        edges.append(r_split * (r_max / r_split) ** (np.arange(1, n + 1) / n))
     grid = np.concatenate(edges)
     total = 0.0
     for lo, hi in zip(grid[:-1], grid[1:]):
@@ -433,34 +433,28 @@ def _hankel_quad_per_panel(orders, lam, t, cfg, n_panels):
     return total, below, grid
 
 
-def test_hankel_panels_match_per_panel_reference():
+def test_hankel_panels_match_per_panel_reference(monkeypatch):
     orders = FracOrders(alphas=(0.8, 0.4), qs=(1.0, 1.0))
     split_kinds = set()
     for t in (0.5, 20.0):
-        cfg = orc.HankelConfig.for_time(t)
         for lam in (5.0, 2000.0):
-            split_kinds.add(cfg.eps0 * lam < cfg.r_max)
-            for n_panels in (cfg.n_panels, 2 * cfg.n_panels):
-                total, below, grid = orc._hankel_quad(orders, lam, t, cfg, n_panels)
+            split_kinds.add(HANKEL_EPS0 * lam < orc._HANKEL_RT_MAX / t)
+            for n_panels in (orc._HANKEL_PANELS, 2 * orc._HANKEL_PANELS):
+                total, below, grid = orc._hankel_quad(orders, lam, t, n_panels)
                 ref_total, ref_below, ref_grid = _hankel_quad_per_panel(
-                    orders, lam, t, cfg, n_panels)
+                    orders, lam, t, n_panels)
                 np.testing.assert_array_equal(grid, ref_grid)
                 assert below == ref_below
                 assert abs(total - ref_total) <= 1e-14 * abs(ref_total)
     assert split_kinds == {True, False}
     # Too few panels: the doubled-panel check still refuses the value.
+    monkeypatch.setattr(orc, "_HANKEL_PANELS", 8)
     for lam in (5.0, 2000.0):
         with pytest.raises(ArithmeticError, match="refinement disagreement"):
-            orc.laplace_mode_eval(lam, orders, 1.0, 20.0,
-                                  orc.HankelConfig.for_time(20.0, n_panels=8))
+            orc.laplace_mode_eval(lam, orders, 1.0, 20.0)
 
 
 def test_hankel_config_validation():
-    cfg = orc.HankelConfig(r_max=1.0)
-    with pytest.raises(ValueError):
-        cfg.validate_for(1.0)  # r_max * t too small
-    with pytest.raises(ValueError):
-        orc.HankelConfig(r_max=-1.0)
     with pytest.raises(ValueError):
         orc.laplace_mode_eval(1.0, FracOrders.single(0.5), 1.0, 0.0)
 

@@ -457,19 +457,6 @@ def test_problem_consistency_checks(laplace_op, small_spectrum):
                    initial=np.zeros(laplace_op.n_interior))
 
 
-def test_caputo_refinement_check_paths():
-    q = sv.QuadConfig(n_panels=96, grading=2.0, refine_check=True)
-    got = sv.caputo_quadrature(lambda s: np.ones_like(s), 1.0, 0.5, q)
-    want = 1.0 / gamma_real(1.5)
-    assert abs(got - want) < 1e-10
-    # a hostile tolerance must trigger the disagreement error
-    bad = sv.QuadConfig(n_panels=4, grading=1.0, refine_check=True,
-                        refine_rtol=1e-14)
-    with pytest.raises(ArithmeticError):
-        sv.caputo_quadrature(lambda s: np.cos(3 * s), 2.0, 0.5, bad,
-                             singular_power=-0.5)
-
-
 def test_sampled_source_from_callable(laplace_op, laplace_spectrum):
     src = sv.SampledSource.from_callable(
         lambda xs, t: np.sin(xs) * (1.0 + t), 2.0, 33, laplace_op.interior_x)

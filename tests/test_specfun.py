@@ -36,18 +36,9 @@ def test_gamma_accuracy_strip():
     assert np.max(np.abs(ours - ref) / np.abs(ref)) < 1e-13
 
 
-def test_lgamma_accuracy():
-    xs = np.linspace(0.05, 500.0, 300)
-    ours = sf.lgamma_real(xs)
-    ref = np.array([math.lgamma(float(x)) for x in xs])
-    assert np.max(np.abs(ours - ref) / np.maximum(np.abs(ref), 1.0)) < 1e-13
-
-
 def test_gamma_pole_rejected():
     with pytest.raises(ValueError):
         sf.gamma_real(0.0)
-    with pytest.raises(ValueError):
-        sf.lgamma_real(-1.0)
 
 
 # ---------------------------------------------------------------------------
