@@ -20,7 +20,10 @@ Prints one JSON object with the median CPU milliseconds over N repeats of:
   crosscheck benchmark, orders (0.8, 0.55, 0.3) with q = (1, 1.2, 0.8),
   lambda = 10, t = 20, 4000 steps, grading 2.5;
 * ``hankel_eval``: one Hankel oracle value ``laplace_mode_eval`` of the
-  same shape, orders (0.8, 0.4) with q = (1, 1), lambda = 2, t = 2.
+  same shape, orders (0.8, 0.4) with q = (1, 1), lambda = 2, t = 2;
+* ``series_m3`` / ``lemma31_m3``: one ``mml_series`` value and one
+  ``lemma31_residual`` (four series in one pass) at m = 3 near the series
+  crossover, exponents (0.8, 0.3, 0.6), b_0 = 1, z = (-1, -0.6, -0.4).
 
 Each case runs once untimed first.  The mtfrac imported is the first one on
 sys.path, so ``PYTHONPATH=TREE/src`` times another source tree.
@@ -106,6 +109,10 @@ def main(argv=None) -> dict:
         lambda: oracle.l1_solve_mode(10.0, m3_orders, 1.0, None, m3_cfg), repeats)
     report["hankel_eval"] = cpu_ms(
         lambda: oracle.laplace_mode_eval(2.0, l1_orders, 1.0, 2.0), repeats)
+    params = specfun.MLParams(beta0=1.0, betas=(0.8, 0.3, 0.6))
+    args = specfun.MLArgs(z=(-1.0, -0.6, -0.4))
+    report["series_m3"] = cpu_ms(lambda: specfun.mml_series(params, args), repeats)
+    report["lemma31_m3"] = cpu_ms(lambda: specfun.lemma31_residual(params, args), repeats)
     return report
 
 

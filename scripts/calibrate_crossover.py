@@ -8,8 +8,8 @@ first point at which the power series either
 
 * needs more than 400 shells to meet a truncation tolerance of 1e-12, or
 * loses alternating-sum accuracy in double precision: the rounding floor
-  (largest absolute term times machine epsilon) exceeds 1e-9 relative to
-  the evaluated value.
+  (the sum of the term magnitudes times machine epsilon) exceeds 1e-9
+  relative to the evaluated value.
 
 The dispatch constant is the minimum over the parameter sets, rounded down
 to one decimal.  Its frozen value lives in
@@ -32,8 +32,7 @@ from mtfrac.specfun import (
     MLParams,
     SeriesConvergenceError,
     _family_orders,
-    _polyval,
-    _series_weights,
+    _series_batch,
     e_solver,
 )
 
@@ -51,18 +50,22 @@ PARAMETER_SETS = [
 ]
 
 
+def series(beta0, betas, z):
+    """(value, sum of term magnitudes, shells) of the series at ``z``."""
+    (value, abs_sum, shells, _), = _series_batch((beta0,), betas, z, TOL, 4 * SHELL_LIMIT)
+    return value, abs_sum, shells
+
+
 def first_bad_x(betas, z_rest, beta0=1.0):
     eps = np.finfo(float).eps
     for x in np.arange(0.2, 40.0, 0.1):
         try:
-            W, absW, shells, _ = _series_weights(beta0, betas, z_rest, x, TOL, 4 * SHELL_LIMIT)
+            value, abs_sum, shells = series(beta0, betas, (-x,) + z_rest)
         except SeriesConvergenceError:
             return x
         if shells > SHELL_LIMIT:
             return x
-        value = abs(complex(_polyval(W, -x)))
-        floor = float(_polyval(absW.astype(complex), np.array(x)).real) * eps
-        if floor > CANCEL_RTOL * max(value, 1e-300):
+        if abs_sum * eps > CANCEL_RTOL * max(abs(value), 1e-300):
             return x
     return np.inf
 
@@ -85,8 +88,7 @@ def main():
     for label, betas, z_rest in PARAMETER_SETS:
         lam, orders = _family_orders(MLParams(beta0=1.0, betas=betas),
                                      MLArgs(z=(-crossover,) + z_rest))
-        W, _, _, _ = _series_weights(1.0, betas, z_rest, crossover, TOL, 4 * SHELL_LIMIT)
-        series_val = complex(_polyval(W, -crossover)).real
+        series_val = series(1.0, betas, (-crossover,) + z_rest)[0].real
         contour_val = e_solver(lam, orders, 1.0, 1.0)
         rel = abs(series_val - contour_val) / abs(contour_val)
         ok = ok and rel <= SPECFUN_CROSS_TOL

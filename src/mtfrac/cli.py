@@ -482,11 +482,13 @@ def _verify_suite():
         return abs(order - 2.0) < 0.3, f"observed order {order:.3f}"
 
     def check_positivity():
-        for _ in range(20):
+        samples = 0
+        while samples < 20:
             m = int(rng.integers(1, 4))
             alphas = np.sort(rng.uniform(0.1, 0.95, m))[::-1]
-            if np.min(np.abs(np.diff(alphas))) < 0.05 if m > 1 else False:
+            if m > 1 and np.min(-np.diff(alphas)) < 0.05:
                 continue
+            samples += 1
             orders = solver.FracOrders(
                 alphas=tuple(alphas),
                 qs=(1.0,) + tuple(rng.uniform(0.2, 3.0, m - 1)))

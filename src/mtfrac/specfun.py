@@ -76,7 +76,8 @@ _log = logging.getLogger(__name__)
 class SeriesConvergenceError(ArithmeticError):
     """Series did not meet its truncation target within the shell budget.
 
-    Carries the partial sum and the number of shells actually summed.
+    ``partial`` is the complex sum of the shells summed before the error,
+    and ``shells`` the shell at which summing stopped.
     """
 
     def __init__(self, message, partial=None, shells=None):
@@ -257,19 +258,14 @@ def _shell_blocks(m, max_k):
 def _block_table(k0, k1, m):
     """The compositions of shells k0..k1-1 as one table, shared across calls.
 
-    Rows come in groups of equal (k, k_1), the pairs in which the series is
-    accumulated as a polynomial in z_1.  Returns the (N, m) compositions
-    (int32, half the memory of int64), log (k; k_1..k_m) per row, the
-    first row of each group, each group's k_1, and the first group of each
-    shell.
+    Returns the (N, m) compositions (int32, half the memory of int64),
+    log (k; k_1..k_m) per row, and the first row of each shell.
     """
     comps = np.vstack([_compositions(k, m) for k in range(k0, k1)]).astype(np.int32)
     k_row = comps.sum(axis=1)
     log_fact = special.gammaln(np.arange(1.0, k1 + 1.0))  # log n!, n < k1
     lnmult = log_fact[k_row] - log_fact[comps].sum(axis=1)
-    starts = np.flatnonzero(np.diff(k_row * k1 + comps[:, 0], prepend=-1))
-    shell_starts = np.flatnonzero(np.diff(k_row[starts], prepend=-1))
-    return comps, lnmult, starts, comps[starts, 0], shell_starts
+    return comps, lnmult, np.flatnonzero(np.diff(k_row, prepend=-1))
 
 
 def _log_majorant(k, S, beta0, beta_min):
@@ -311,49 +307,36 @@ class _Truncation:
         return _geometric_tail(self.bounds, self.S, self.beta_min, self.beta0)
 
 
-def _logsumexp_segments(v, seg_starts):
-    """log(sum(exp(v))) over each row segment of v starting at seg_starts;
-    -inf for segments that are all -inf."""
-    mx = np.maximum.reduceat(v, seg_starts, axis=1)
-    mx = np.where(np.isfinite(mx), mx, 0.0)
-    widths = np.diff(seg_starts, append=v.shape[1])
-    shifted = np.exp(v - np.repeat(mx, widths, axis=1))
-    return mx + np.log(np.add.reduceat(shifted, seg_starts, axis=1))
+def _series_batch(beta0s, betas, z, tol, max_k):
+    """Sum several series that differ only in b_0 in one pass over the
+    shared compositions.
 
-
-def _series_batch(beta0s, betas, z_rest, z1_absmax, tol, max_k):
-    """Accumulate several series that differ only in b_0, each as a
-    polynomial in z_1, in one pass over the shared compositions.
-
-    Returns one (W, absW, shells, tail_estimate) tuple per entry of beta0s,
-    as :func:`_series_weights` describes.  Each series keeps its own
+    Returns one (value, abs_sum, shells, tail) tuple per entry of beta0s:
+    the sum of shells 0..shells, the sum of the magnitudes of its terms
+    (the cancellation budget of the alternating sum), the last shell
+    summed, and an estimate of the dropped tail.  Each series keeps its own
     stopping rule, so its result is the one it would get alone.
     """
-    m = 1 + len(z_rest)
+    m = len(z)
     betas = np.asarray(betas, dtype=float)
-    z_rest = np.asarray(z_rest, dtype=complex)
-    abs_rest = np.abs(z_rest)
-    dead = abs_rest == 0.0           # any positive power of a zero z_j vanishes
-    # comps @ coeffs: the Gamma argument less b_0, and log |prod_{j>=2} z_j^{k_j}|.
-    coeffs = np.column_stack(
-        [betas, np.concatenate([[0.0], np.log(np.where(dead, 1.0, abs_rest))])])
+    z = np.asarray(z, dtype=complex)
+    abs_z = np.abs(z)
+    dead = abs_z == 0.0              # any positive power of a zero z_j vanishes
+    # comps @ coeffs: the Gamma argument less b_0, and log |prod_j z_j^{k_j}|.
+    coeffs = np.column_stack([betas, np.log(np.where(dead, 1.0, abs_z))])
     # Phase factors (z_j / |z_j|)^n, grown as the shells advance: a table
     # lookup is cheaper and more accurate than exp(i sum_j k_j arg z_j).
-    arg_rest = np.angle(z_rest)
-    unit_pows = np.ones((m - 1, 0), dtype=complex)
-    ln_z1max = math.log(z1_absmax) if z1_absmax > 0 else -math.inf
-    with np.errstate(invalid="ignore"):
-        k1_log = np.arange(max_k + 1) * ln_z1max     # log |z_1|max^{k_1}
-    k1_log[0] = 0.0                                  # also when z_1 = 0
-    S = z1_absmax + abs_rest.sum()
+    arg = np.angle(z)
+    unit_pows = np.ones((m, 0), dtype=complex)
+    S = abs_z.sum()
     log_tol = math.log(tol) if tol > 0 else -math.inf
 
     n_ser = len(beta0s)
     beta0s = np.asarray(beta0s, dtype=float)
     rules = [_Truncation(b0, S, float(betas.min()), log_tol, max_k) for b0 in beta0s]
     shells = [max_k] * n_ser
-    W = np.zeros((n_ser, max_k + 1), dtype=complex)
-    absW = np.zeros((n_ser, max_k + 1))
+    value = np.zeros(n_ser, dtype=complex)
+    abs_sum = np.zeros(n_ser)
     active = list(range(n_ser))
     comp_total = 0
     for k0, k1 in _shell_blocks(m, max_k):
@@ -365,41 +348,37 @@ def _series_batch(beta0s, betas, z_rest, z1_absmax, tol, max_k):
             raise SeriesConvergenceError(
                 f"series cost budget exhausted at shell {k0} with m={m} "
                 f"({comp_total + n_first} compositions enumerated)",
-                partial=W[s, :k0].copy(), shells=k0)
-        comps, lnmult, starts, group_k1, shell_starts = _block_table(k0, k1, m)
+                partial=complex(value[s]), shells=k0)
+        comps, lnmult, shell_starts = _block_table(k0, k1, m)
         garg, ln_pow = (comps @ coeffs).T
         if dead.any():
-            ln_pow = np.where(comps[:, 1:][:, dead].any(axis=1), -math.inf, ln_pow)
+            ln_pow = np.where(comps[:, dead].any(axis=1), -math.inf, ln_pow)
         if unit_pows.shape[1] < k1:
-            unit_pows = np.exp(1j * np.outer(arg_rest, np.arange(2 * k1)))
-        rot = 1.0
-        for j in range(m - 1):
-            rot = rot * unit_pows[j, comps[:, j + 1]]
+            unit_pows = np.exp(1j * np.outer(arg, np.arange(2 * k1)))
+        rot = unit_pows[0, comps[:, 0]]
+        for j in range(1, m):
+            rot = rot * unit_pows[j, comps[:, j]]
         logmag = (lnmult + ln_pow) - special.gammaln(beta0s[active, None] + garg)
         mag = np.exp(logmag, out=np.zeros_like(logmag), where=logmag > _LOG_TINY)
-        group_sum = np.add.reduceat(mag * rot, starts, axis=1)
-        group_abs = np.add.reduceat(mag, starts, axis=1)
-        # log of each shell's majorant sum_{k_1} |terms| |z_1|max^{k_1}
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_b = _logsumexp_segments(np.log(group_abs) + k1_log[group_k1],
-                                        shell_starts)
+        shell_sum = np.add.reduceat(mag * rot, shell_starts, axis=1)
+        shell_abs = np.add.reduceat(mag, shell_starts, axis=1)
+        with np.errstate(divide="ignore"):
+            log_b = np.log(shell_abs)        # each shell's majorant
 
         totals = comp_total + np.cumsum([_shell_count(k, m) for k in range(k0, k1)])
-        n_keep = np.full(len(active), len(starts))   # groups each row keeps
+        n_keep = np.full(len(active), k1 - k0)     # shells each row keeps
         still = []
         for r, s in enumerate(active):
             for i, k in enumerate(range(k0, k1)):
                 if rules[s].done_after(k, float(log_b[r, i]), int(totals[i])):
                     shells[s] = k
-                    if i + 1 < len(shell_starts):
-                        n_keep[r] = shell_starts[i + 1]
+                    n_keep[r] = i + 1
                     break
             else:
                 still.append(s)
-        keep = np.arange(len(starts)) < n_keep[:, None]
-        rows = np.array(active)[:, None]
-        np.add.at(W, (rows, group_k1), np.where(keep, group_sum, 0.0))
-        np.add.at(absW, (rows, group_k1), np.where(keep, group_abs, 0.0))
+        keep = np.arange(k1 - k0) < n_keep[:, None]
+        value[active] += np.where(keep, shell_sum, 0.0).sum(axis=1)
+        abs_sum[active] += np.where(keep, shell_abs, 0.0).sum(axis=1)
         comp_total = int(totals[-1])
         active = still
         if not active:
@@ -408,23 +387,10 @@ def _series_batch(beta0s, betas, z_rest, z1_absmax, tol, max_k):
         raise SeriesConvergenceError(
             f"series did not converge within {max_k} shells "
             f"(sum of |z_j| = {S:.3g})",
-            partial=W[active[0]].copy(), shells=max_k)
+            partial=complex(value[active[0]]), shells=max_k)
 
-    return [(W[s, :shells[s] + 1], absW[s, :shells[s] + 1], shells[s],
-             rules[s].tail()) for s in range(n_ser)]
-
-
-def _series_weights(beta0, betas, z_rest, z1_absmax, tol, max_k):
-    """Accumulate the series as a polynomial in z_1.
-
-    Returns (W, absW, shells, tail_estimate) where W[k1] is the
-    coefficient of z_1^{k1}, absW[k1] the corresponding sum of term
-    magnitudes (the cancellation budget of the inner sums), shells the
-    number of shells summed, and tail_estimate a bound on the dropped tail
-    at |z_1| = z1_absmax.  Truncation stops once the absolute-value shell
-    majorant falls below tol for three consecutive shells.
-    """
-    return _series_batch((beta0,), betas, z_rest, z1_absmax, tol, max_k)[0]
+    return [(complex(value[s]), float(abs_sum[s]), shells[s], rules[s].tail())
+            for s in range(n_ser)]
 
 
 def _geometric_tail(log_bounds, S, beta_min, beta0):
@@ -453,22 +419,6 @@ def _geometric_tail(log_bounds, S, beta_min, beta0):
     return tail
 
 
-def _polyval(W, z):
-    """Horner evaluation of sum_k W[k] z^k, vectorized over z."""
-    z = np.asarray(z, dtype=complex)
-    acc = np.full(z.shape, W[-1], dtype=complex)
-    for c in W[-2::-1]:
-        acc = acc * z + c
-    return acc
-
-
-def _rounding_floor(absW, z_abs):
-    """Estimated rounding noise at |z| = z_abs, from the accumulated term
-    magnitudes (inner-sum cancellation included)."""
-    mags = _polyval(absW.astype(complex), np.asarray(z_abs, dtype=float)).real
-    return 16.0 * np.finfo(float).eps * mags
-
-
 def mml_series(params: MLParams, args: MLArgs, tol: float = SERIES_TOL,
                max_k: int = SERIES_MAX_SHELLS) -> EvalResult:
     """Evaluate the multinomial Mittag-Leffler function by its power series.
@@ -484,13 +434,10 @@ def mml_series(params: MLParams, args: MLArgs, tol: float = SERIES_TOL,
         raise ValueError("max_k must be at least 1")
     if params.m != args.m:
         raise ValueError(f"parameter/argument length mismatch: {params.m} != {args.m}")
-    z1 = args.z[0]
-    z_rest = args.z[1:]
-    W, absW, _, tail = _series_weights(params.beta0, params.betas, z_rest,
-                                       abs(z1), tol, max_k)
-    value = complex(_polyval(W, z1))
-    est = tail + float(_rounding_floor(absW, abs(z1)))
-    return EvalResult(value, est, Method.SERIES)
+    (value, abs_sum, _, tail), = _series_batch((params.beta0,), params.betas,
+                                               args.z, tol, max_k)
+    return EvalResult(value, float(tail + 16.0 * np.finfo(float).eps * abs_sum),
+                      Method.SERIES)
 
 
 # ---------------------------------------------------------------------------
@@ -870,11 +817,9 @@ def lemma31_residual(params: MLParams, args: MLArgs,
         raise ValueError("tol must be positive")
     if params.m != args.m:
         raise ValueError(f"parameter/argument length mismatch: {params.m} != {args.m}")
-    z1 = args.z[0]
     beta0s = (params.beta0,) + tuple(params.beta0 + b for b in params.betas)
-    sums = _series_batch(beta0s, params.betas, args.z[1:], abs(z1), tol,
-                         SERIES_MAX_SHELLS)
-    rhs, *shifted = (complex(_polyval(W, z1)) for W, _, _, _ in sums)
+    sums = _series_batch(beta0s, params.betas, args.z, tol, SERIES_MAX_SHELLS)
+    rhs, *shifted = (value for value, _, _, _ in sums)
     lhs = 1.0 / gamma_real(params.beta0)
     for zj, value in zip(args.z, shifted):
         lhs += zj * value

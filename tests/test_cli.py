@@ -357,3 +357,16 @@ def test_verify_suite_passes_every_check():
     results = {name: (ok, detail) for name, ok, detail in cli._verify_suite()}
     assert {"l1-vs-amplitude", "counterexample-verdicts"} <= results.keys()
     assert {name: detail for name, (ok, detail) in results.items() if not ok} == {}
+
+
+def test_verify_kernel_positivity_evaluates_20_samples(monkeypatch):
+    # Draws whose orders lie closer than 0.05 are skipped, not counted.
+    calls = []
+    kernel = specfun.e_solver
+    monkeypatch.setattr(specfun, "e_solver", lambda *a: calls.append(a) or kernel(*a))
+    for name, ok, detail in cli._verify_suite():
+        if name == "kernel-positivity":
+            break
+        calls.clear()            # count the calls of the next check only
+    assert ok, detail
+    assert len(calls) == 20

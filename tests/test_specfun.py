@@ -109,8 +109,32 @@ def test_series_nonconvergence_carries_partial():
     params = sf.MLParams(beta0=1.0, betas=(0.5,))
     with pytest.raises(sf.SeriesConvergenceError) as exc:
         sf.mml_series(params, sf.MLArgs(z=(-40.0,)), max_k=30)
-    assert exc.value.partial is not None
     assert exc.value.shells == 30
+    # The partial sum is that of shells 0..30, to the rounding of a sum of
+    # terms up to 1e36 in size.
+    with mp.workdps(60):
+        terms = [mp.mpf(-40) ** k / mp.gamma(1 + mp.mpf(k) / 2) for k in range(31)]
+        exact, magnitude = complex(mp.fsum(terms)), float(mp.fsum(map(abs, terms)))
+    assert abs(exc.value.partial - exact) <= 1e-13 * magnitude
+
+
+def test_series_error_within_estimate():
+    # Seeded tuples, real and complex, with sum |z_j| up to the crossover:
+    # the error against the extended-precision oracle stays within the
+    # estimate.  For m = 3 the exponents stay above 0.75, where the oracle's
+    # majorant certifies its tail within about 40 shells.
+    from mtfrac.oracle import highprec_series
+    rng = np.random.default_rng(2207)
+    for m, beta_lo, n_cases in ((1, 0.3, 6), (2, 0.3, 6), (3, 0.75, 2)):
+        for i in range(n_cases):
+            params = sf.MLParams(beta0=float(rng.uniform(0.3, 1.9)),
+                                 betas=tuple(rng.uniform(beta_lo, 0.95, m)))
+            size = rng.dirichlet(np.ones(m)) * rng.uniform(0.5, 1.0) * XC
+            phase = np.exp(1j * rng.uniform(-np.pi, np.pi, m)) if i % 2 else -1.0
+            args = sf.MLArgs(z=tuple(size * phase))
+            res = sf.mml_series(params, args)
+            ref = complex(highprec_series(params, args, digits=10).value)
+            assert abs(res.value - ref) <= res.abs_error_estimate, (params, args)
 
 
 def test_series_input_validation():
@@ -143,13 +167,10 @@ def test_series_batch_matches_series_alone():
     betas = (0.7, 0.55, 0.9)
     z = (-0.9 + 0.3j, 0.5 - 0.6j, -0.4j)
     beta0s = (0.6, 1.3, 1.15, 1.5)
-    batch = sf._series_batch(beta0s, betas, z[1:], abs(z[0]), 1e-14, 600)
-    alone = [sf._series_weights(b0, betas, z[1:], abs(z[0]), 1e-14, 600)
-             for b0 in beta0s]
+    batch = sf._series_batch(beta0s, betas, z, 1e-14, 600)
+    alone = [sf._series_batch((b0,), betas, z, 1e-14, 600)[0] for b0 in beta0s]
     assert len({shells for _, _, shells, _ in alone}) > 1
-    for (W, absW, shells, tail), (W1, absW1, shells1, tail1) in zip(batch, alone):
-        assert shells == shells1 and tail == tail1
-        assert np.array_equal(W, W1) and np.array_equal(absW, absW1)
+    assert batch == alone
 
 
 # ---------------------------------------------------------------------------
