@@ -11,13 +11,18 @@ with BLAS threads pinned to 1 so two trees sum in the same order.
 ``compare`` reports, for every CSV in either directory, whether the two
 files are byte-identical and their row counts; for a file that differs, the
 largest relative difference of each numeric column (and the number of
-differing cells of each text column).  It exits with 1 unless every file is
-byte-identical.
+differing cells of each text column).  Where either side has the CSV's
+``.manifest.ini``, it also reports the keys of the manifests' ``[results]``
+sections found on one side only and those whose values differ; the other
+sections hold the run's timestamp, library versions and echoed config, and
+are not compared.  It exits with 1 unless every CSV is byte-identical and
+every ``[results]`` section matches.
 """
 
 from __future__ import annotations
 
 import argparse
+import configparser
 import csv
 import math
 import os
@@ -94,6 +99,28 @@ def compare_file(path_a: str, path_b: str) -> dict:
     return report
 
 
+def _results(csv_path: str) -> dict:
+    """The ``[results]`` section of a CSV's manifest; empty if absent."""
+    cp = configparser.ConfigParser()
+    cp.read(csv_path + ".manifest.ini")
+    return dict(cp["results"]) if cp.has_section("results") else {}
+
+
+def compare_results(path_a: str, path_b: str) -> dict:
+    """Keys of the two manifests' ``[results]`` found on one side only, and
+    the (a, b) values of the shared keys that differ."""
+    ra, rb = _results(path_a), _results(path_b)
+    return {"only_a": sorted(ra.keys() - rb.keys()),
+            "only_b": sorted(rb.keys() - ra.keys()),
+            "differ": {k: (ra[k], rb[k]) for k in sorted(ra.keys() & rb.keys())
+                       if ra[k] != rb[k]}}
+
+
+def _matches(rep: dict) -> bool:
+    res = rep.get("results", {})
+    return bool(rep.get("identical")) and not any(res.values())
+
+
 def compare_dirs(dir_a: str, dir_b: str) -> dict:
     names = sorted({f for d in (dir_a, dir_b) for f in os.listdir(d)
                     if f.endswith(".csv")})
@@ -101,7 +128,12 @@ def compare_dirs(dir_a: str, dir_b: str) -> dict:
     for name in names:
         paths = [os.path.join(d, name) for d in (dir_a, dir_b)]
         missing = [p for p in paths if not os.path.exists(p)]
-        out[name] = {"missing": missing} if missing else compare_file(*paths)
+        if missing:
+            out[name] = {"missing": missing}
+            continue
+        out[name] = compare_file(*paths)
+        if any(os.path.exists(p + ".manifest.ini") for p in paths):
+            out[name]["results"] = compare_results(*paths)
     return out
 
 
@@ -119,6 +151,12 @@ def _format(reports: dict) -> str:
         for col, (kind, v) in rep["columns"].items():
             lines.append(f"  {col}: " + (f"{v} differing cells" if kind == "text"
                                          else f"max relative difference {v:.3g}"))
+        res = rep.get("results", {})
+        for side in ("a", "b"):
+            for key in res.get("only_" + side, ()):
+                lines.append(f"  [results] {key}: only in {side.upper()}")
+        for key, (va, vb) in res.get("differ", {}).items():
+            lines.append(f"  [results] {key}: {va} vs {vb}")
     return "\n".join(lines)
 
 
@@ -137,7 +175,7 @@ def main(argv=None) -> int:
         return 0
     reports = compare_dirs(args.dir_a, args.dir_b)
     print(_format(reports))
-    return 0 if reports and all(r.get("identical") for r in reports.values()) else 1
+    return 0 if reports and all(_matches(r) for r in reports.values()) else 1
 
 
 if __name__ == "__main__":

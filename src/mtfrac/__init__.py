@@ -51,7 +51,6 @@ from .specfun import (
 from .spectral import (
     Operator1D,
     Spectrum,
-    apply_inverse,
     assemble,
     eigendecompose,
     frac_norm,
@@ -72,6 +71,6 @@ __all__ = [
     "EvalResult", "Method", "MLArgs", "MLParams",
     "e_solver", "gamma_real", "lemma31_residual", "mml_eval",
     "mml_series", "multinomial_coefficient",
-    "Operator1D", "Spectrum", "apply_inverse", "assemble", "eigendecompose",
+    "Operator1D", "Spectrum", "assemble", "eigendecompose",
     "frac_norm", "project", "synthesize",
 ]

@@ -1,9 +1,10 @@
 """Experiment drivers: decay rates, asymptotics, stability.
 
 Batch drivers that turn the regularity and asymptotics statements into
-measurable quantities: log-log decay fits, the long-time leading term and
-its scaled residual, short-time limit tables, and the Lipschitz stability
-of solutions under coefficient perturbations.
+measurable quantities: log-log decay fits, the long-time expansion (its
+leading term in modal coefficients, and the remainder scaled by the
+exponent of the next nonzero term), short-time limit tables, and the
+Lipschitz stability of solutions under coefficient perturbations.
 """
 
 from __future__ import annotations
@@ -101,43 +102,38 @@ def decay_fit(times, norms) -> DecayFit:
 # Long-time asymptotics
 
 def asymptotic_leading_term(p: Problem, t: float) -> np.ndarray:
-    """Leading long-time term  (-L)^{-1}(q_m a) / (Gamma(1-a_m) t^{a_m})."""
+    """Modal coefficients of the leading long-time term,
+    q_m a_n / (lambda_n Gamma(1-a_m) t^{a_m}), with a_n the initial value's."""
     if t <= 0:
         raise ValueError("t must be positive")
     alpha_m = p.orders.alphas[-1]
     q_m = p.orders.qs[-1]
-    inv = spectral.apply_inverse(q_m * p.initial, p.spectrum)
-    return inv / (gamma_real(1.0 - alpha_m) * t ** alpha_m)
+    return q_m * p.modal_initial / (p.spectrum.lambdas
+                                    * gamma_real(1.0 - alpha_m) * t ** alpha_m)
 
 
-def residual_exponent(orders: FracOrders):
-    """Exponent scaling the remainder past the leading term.
+def residual_exponent(orders: FracOrders) -> float:
+    """Decay exponent of the first nonzero term after the leading one.
 
-    For m >= 2 this is the second-smallest order; the single-term case has
-    no such order and the second term of the single-order expansion decays
-    with exponent 2a instead, so that substitution is returned flagged.
+    For small s the amplitude's transform is sum_{r>=1} (-1)^{r+1} W^r /
+    (s lambda^r) with W = sum_j q_j s^{a_j}, so the terms after t^{-a_m} are
+    t^{-a_{m-1}} (for m >= 2) and t^{-2a_m}; at a_m = 1/2 the latter carries
+    1/Gamma(0) = 0 and t^{-3a_m} takes its place.
     """
-    if orders.m >= 2:
-        return orders.alphas[-2], False
-    return 2.0 * orders.alphas[0], True
+    a_m = orders.alphas[-1]
+    next_power = (3.0 if a_m == 0.5 else 2.0) * a_m
+    return min((next_power, *orders.alphas[-2:-1]))
 
 
 def asymptotic_residual(p: Problem, t: float,
                         modal: ModalSolution | None = None) -> float:
-    """Scaled remainder  t^e * ||u(t) - leading(t)||_{D(-L)} / ||a||_{L2}."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    exp, _ = residual_exponent(p.orders)
+    """Scaled remainder  t^e * ||u(t) - leading(t)||_{D(-L)} / ||a||_{L2},
+    with e the :func:`residual_exponent` of the problem's orders."""
+    lead = asymptotic_leading_term(p, t)
     sol = modal if modal is not None else ModalSolution(p)
-    a_modal = p.modal_initial
-    alpha_m = p.orders.alphas[-1]
-    q_m = p.orders.qs[-1]
-    lead_modal = q_m * a_modal / (p.spectrum.lambdas
-                                  * gamma_real(1.0 - alpha_m) * t ** alpha_m)
-    diff = sol.modal_values(t) - lead_modal
-    num = modal_frac_norm(diff, 1.0, p.spectrum)
-    den = modal_frac_norm(a_modal, 0.0, p.spectrum)
-    return t ** exp * num / den
+    num = modal_frac_norm(sol.modal_values(t) - lead, 1.0, p.spectrum)
+    den = modal_frac_norm(p.modal_initial, 0.0, p.spectrum)
+    return t ** residual_exponent(p.orders) * num / den
 
 
 def homogeneous_norm(p: Problem, t: float, gamma: float,

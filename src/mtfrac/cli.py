@@ -379,18 +379,16 @@ def _cmd_asymptotics(cfg: RunConfig):
             t,
             spectral.modal_frac_norm(mv, 0.0, p.spectrum),
             spectral.modal_frac_norm(mv, 1.0, p.spectrum),
-            spectral.frac_norm(lead, 1.0, p.spectrum),
+            spectral.modal_frac_norm(lead, 1.0, p.spectrum),
             analysis.asymptotic_residual(p, t, sol),
         ))
     norms = [r[2] for r in rows]
     fit = analysis.decay_fit(grid, norms)
-    exp, flagged = analysis.residual_exponent(p.orders)
     results = {
         "fitted_decay_exponent": fit.exponent,
         "fit_r_squared": fit.r_squared,
         "expected_decay_exponent": -p.orders.alphas[-1],
-        "residual_exponent": exp,
-        "residual_exponent_single_term_substitution": flagged,
+        "residual_exponent": analysis.residual_exponent(p.orders),
     }
     return ["t", "l2_norm", "dl_norm", "leading_norm", "scaled_residual"], rows, results
 

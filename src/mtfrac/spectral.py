@@ -25,7 +25,6 @@ __all__ = [
     "synthesize",
     "frac_norm",
     "modal_frac_norm",
-    "apply_inverse",
     "check_orthonormal",
     "DIFFUSION_BUILTINS",
     "POTENTIAL_BUILTINS",
@@ -201,12 +200,6 @@ def modal_frac_norm(coeffs, gamma: float, s: Spectrum) -> float:
     """Same as :func:`frac_norm` but from modal coefficients directly."""
     coeffs = np.asarray(coeffs, dtype=float)
     return float(np.sqrt(np.sum((s.lambdas[: coeffs.size] ** gamma * coeffs) ** 2)))
-
-
-def apply_inverse(f, s: Spectrum) -> np.ndarray:
-    """Solution of the operator equation: sum (a_n / lambda_n) phi_n."""
-    a = project(f, s)
-    return synthesize(a / s.lambdas, s)
 
 
 def check_orthonormal(s: Spectrum) -> float:

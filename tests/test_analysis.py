@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import rgamma
 
+from conftest import random_orders
 from mtfrac import analysis as an, solver as sv, spectral as sp
-from mtfrac.specfun import e_solver_many, gamma_real
+from mtfrac.specfun import (_compositions, e_solver_many, gamma_real,
+                            multinomial_coefficient)
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +71,10 @@ def test_leading_term_single_mode(laplace_op, laplace_spectrum):
                    spectrum=laplace_spectrum, initial=phi1)
     t = 50.0
     lead = an.asymptotic_leading_term(p, t)
-    want = 2.0 * phi1 / (lam1 * gamma_real(0.5) * t ** 0.5)
-    np.testing.assert_allclose(lead, want, rtol=1e-10)
+    assert lead.shape == (laplace_spectrum.n_modes,)
+    want = 2.0 / (lam1 * gamma_real(0.5) * t ** 0.5)
+    assert lead[0] == pytest.approx(want, rel=1e-10)
+    assert np.max(np.abs(lead[1:])) < 1e-12 * want
     # Gamma(1 - a_m) at a_m = 1/2 is sqrt(pi)
     assert gamma_real(0.5) == math.sqrt(math.pi)
     # power scaling: leading(2t) = 2^{-a_m} leading(t)
@@ -85,12 +90,52 @@ def test_asymptotic_residual_bounded(decay_problem):
     assert all(math.isfinite(v) for v in vals)
 
 
-def test_residual_exponent_single_term_flagged():
-    exp2, flagged2 = an.residual_exponent(
-        sv.FracOrders(alphas=(0.8, 0.4), qs=(1.0, 1.0)))
-    assert exp2 == 0.8 and not flagged2
-    exp1, flagged1 = an.residual_exponent(sv.FracOrders.single(0.5))
-    assert exp1 == 1.0 and flagged1
+def _reference_residual_exponent(orders):
+    """Second-smallest exponent sum_j k_j a_j among the nonzero terms
+    (-1)^{r+1} (r; k) prod_j q_j^{k_j} t^{-e} / (lambda^r Gamma(1 - e)) of
+    the long-time expansion, enumerated over r = |k| <= 3."""
+    exponents = set()
+    for r in range(1, 4):
+        for k in _compositions(r, orders.m):
+            e = float(np.dot(k, orders.alphas))
+            coeff = (multinomial_coefficient(r, k)
+                     * np.prod(np.power(orders.qs, k)) * rgamma(1.0 - e))
+            if coeff != 0.0:
+                exponents.add(round(e, 12))
+    return sorted(exponents)[1]
+
+
+def test_residual_exponent_matches_enumerated_expansion():
+    # At (0.8, 0.4) two terms share the exponent; at a_m = 1/2 the t^{-2a_m}
+    # term carries 1/Gamma(0) = 0 and drops out.
+    for alphas, want in [((0.9, 0.3), 0.6), ((0.8, 0.4), 0.8),
+                         ((0.7, 0.5), 0.7), ((0.5,), 1.5), ((0.3,), 0.6)]:
+        orders = sv.FracOrders(alphas=alphas, qs=(1.0,) * len(alphas))
+        assert an.residual_exponent(orders) == pytest.approx(want, abs=1e-15)
+        assert _reference_residual_exponent(orders) == pytest.approx(
+            want, abs=1e-12)
+    rng = np.random.default_rng(23)
+    for m in (1, 2, 3):
+        for _ in range(10):
+            orders = random_orders(rng, m=m, alpha_lo=0.05, alpha_hi=0.95,
+                                   sep=0.02)
+            assert an.residual_exponent(orders) == pytest.approx(
+                _reference_residual_exponent(orders), abs=1e-12), orders
+
+
+@pytest.mark.parametrize("orders, ts", [
+    (sv.FracOrders(alphas=(0.9, 0.3), qs=(1.0, 1.5)), np.logspace(2, 5, 13)),
+    (sv.FracOrders.single(0.5), np.logspace(2, 4, 9))])
+def test_scaled_remainder_flat(laplace_op, laplace_spectrum, orders, ts):
+    # Scaled by the exponent of the next nonzero term, the remainder past
+    # the leading term levels off instead of growing like a power of t.
+    p = sv.Problem(orders=orders, operator=laplace_op,
+                   spectrum=laplace_spectrum,
+                   initial=laplace_spectrum.eigvecs[:, 0])
+    sol = sv.ModalSolution(p)
+    vals = [an.asymptotic_residual(p, float(t), sol) for t in ts]
+    bound = 1.5 if orders.m == 2 else 1.05
+    assert max(vals) / min(vals) < bound
 
 
 def test_per_mode_residual_scaling(laplace_op, laplace_spectrum):

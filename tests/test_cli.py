@@ -279,11 +279,17 @@ def test_preset_thm24_end_to_end(tmp_path):
     assert cli.run(cfg, out_dir=str(tmp_path)) == 0
     manifest = configparser.ConfigParser()
     manifest.read(str(tmp_path / "thm24.csv.manifest.ini"))
-    fitted = float(manifest["results"]["fitted_decay_exponent"])
-    assert abs(fitted - (-0.3)) < 0.05
-    lines = (tmp_path / "thm24.csv").read_text().splitlines()
-    assert lines[0] == "t,l2_norm,dl_norm,leading_norm,scaled_residual"
-    assert len(lines) == 16
+    results = manifest["results"]
+    assert abs(float(results["fitted_decay_exponent"]) - (-0.3)) < 0.05
+    # Orders (0.9, 0.3): the remainder decays like t^{-min(0.9, 2 * 0.3)}.
+    assert float(results["residual_exponent"]) == 0.6
+    assert "residual_exponent_single_term_substitution" not in results
+    with open(tmp_path / "thm24.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["t", "l2_norm", "dl_norm", "leading_norm", "scaled_residual"]
+    assert len(rows) == 15
+    scaled = [float(r[4]) for r in rows]
+    assert max(scaled) / min(scaled) < 1.5
 
 
 def test_preset_thm21_short_time_verdict(tmp_path, monkeypatch):

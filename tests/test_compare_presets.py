@@ -64,3 +64,38 @@ def test_compare_dirs_byte_identical_exit_code(cmp, tmp_path):
     _write(b, "thm21.csv", "t,u\n1.0e-8,0.5\n")
     assert cmp.compare_dirs(str(a), str(b))["thm21.csv"]["columns"]["t"] == ("max_rel", 0.0)
     assert cmp.main(["compare", str(a), str(b)]) == 1
+
+
+def test_compare_dirs_reports_manifest_results(cmp, tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        _write(d, "thm24.csv", "t,u\n1,0.5\n")
+    run = "[run]\ntimestamp = {}\n\n"
+    _write(a, "thm24.csv.manifest.ini", run.format("earlier")
+           + "[results]\nfit = -0.27\nexponent = 0.9\nflag = False\n")
+    _write(b, "thm24.csv.manifest.ini", run.format("later")
+           + "[results]\nfit = -0.27\nexponent = 0.6\nspread = 1.14\n")
+
+    rep = cmp.compare_dirs(str(a), str(b))["thm24.csv"]
+    assert rep["identical"]
+    assert rep["results"] == {"only_a": ["flag"], "only_b": ["spread"],
+                              "differ": {"exponent": ("0.9", "0.6")}}
+    text = cmp._format({"thm24.csv": rep})
+    assert "[results] flag: only in A" in text
+    assert "[results] spread: only in B" in text
+    assert "[results] exponent: 0.9 vs 0.6" in text
+    # Byte-identical CSVs still fail the comparison on a [results] change.
+    assert cmp.main(["compare", str(a), str(b)]) == 1
+
+    # [run] is not compared: matching results pass despite the timestamps.
+    _write(b, "thm24.csv.manifest.ini", run.format("later")
+           + "[results]\nfit = -0.27\nexponent = 0.9\nflag = False\n")
+    rep = cmp.compare_dirs(str(a), str(b))["thm24.csv"]
+    assert rep["results"] == {"only_a": [], "only_b": [], "differ": {}}
+    assert cmp.main(["compare", str(a), str(b)]) == 0
+
+    # A manifest on one side only reports every key as one-sided.
+    (b / "thm24.csv.manifest.ini").unlink()
+    rep = cmp.compare_dirs(str(a), str(b))["thm24.csv"]
+    assert rep["results"]["only_a"] == ["exponent", "fit", "flag"]
+    assert cmp.main(["compare", str(a), str(b)]) == 1
