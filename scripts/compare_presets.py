@@ -4,9 +4,11 @@
     python scripts/compare_presets.py run TREE OUT_DIR
     python scripts/compare_presets.py compare DIR_A DIR_B
 
-``run`` puts ``TREE/src`` on PYTHONPATH and writes the five presets' CSVs and
-the ``verify`` CSV (as ``verify.csv``) to OUT_DIR, one process per preset,
-with BLAS threads pinned to 1 so two trees sum in the same order.
+``run`` puts ``TREE/src`` on PYTHONPATH and writes the five presets' CSVs,
+the ``verify`` CSV (as ``verify.csv``) and the CSV of the default
+``mml-eval`` command (as ``mml-eval.csv``, the one output that prints the
+kernel's error estimates) to OUT_DIR, one process per run, with BLAS threads
+pinned to 1 so two trees sum in the same order.
 
 ``compare`` reports, for every CSV in either directory, whether the two
 files are byte-identical and their row counts; for a file that differs, the
@@ -29,13 +31,13 @@ import os
 import subprocess
 import sys
 
-PRESETS = ("thm21", "thm22", "thm23", "thm24", "rem36", "verify")
+PRESETS = ("thm21", "thm22", "thm23", "thm24", "rem36", "verify", "mml-eval")
 
 _RUN_ONE = """
 import sys
 from mtfrac import cli
 name, out_dir = sys.argv[1:]
-cfg = cli.RunConfig(command="verify") if name == "verify" else cli.preset_config(name)
+cfg = cli.preset_config(name) if name in cli.PRESETS else cli.RunConfig(command=name)
 cfg.out_path = name + ".csv"
 sys.exit(cli.run(cfg, out_dir=out_dir))
 """

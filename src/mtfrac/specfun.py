@@ -591,12 +591,12 @@ def solver_args(orders, lam: float, t: float) -> MLArgs:
 # cosh(a) - 1.  Equal errors give h = a/N and mu = 2 pi d N / (a (B + L A)),
 # at the rate exp(-(2 pi d/a) N B/(B + L A)).  At L = 10 that rate is
 # largest, e^{-0.83 N}, for alpha at pi/4 (alpha - d must stay positive,
-# hence the 1e-3) and a = 4.708.  The first node count gives the value; the
-# second, finer one checks it, and their difference is the refinement
-# estimate.  Nodes are generated for k >= 0 only, so the value is real by
-# construction.
+# hence the 1e-3) and a = 4.708.  The rule on the even nodes (step 2h,
+# weights doubled) errs like e^{-pi d/h}, so |v_h - v_2h| e^{-pi d/h}
+# estimates the value's error (Trefethen & Weideman, SIAM Rev. 2014).
+# Nodes are generated for k >= 0 only, so the value is real by construction.
 _WINDOW_RATIO = 10.0
-_HYPERBOLA_NODES = (40, 48)
+_HYPERBOLA_NODES = 40
 _HYPERBOLA_ALPHA = math.pi / 4.0 + 1e-3
 _HYPERBOLA_A = 4.708
 
@@ -616,11 +616,10 @@ def _hyperbola(n):
     return mu * (1.0 + np.sin(iu - alpha)), weights
 
 
-# The value's nodes, then the check's, of the unit window.
-_NODES, _NODE_WEIGHTS = (np.concatenate(x) for x in
-                         zip(*(_hyperbola(n) for n in _HYPERBOLA_NODES)))
+_NODES, _NODE_WEIGHTS = _hyperbola(_HYPERBOLA_NODES)
 _LOG_NODES = np.log(_NODES)
-_VALUE_NODES = _HYPERBOLA_NODES[0] + 1
+_EMBEDDED_FACTOR = math.exp(-math.pi * (math.pi / 2.0 - _HYPERBOLA_ALPHA)
+                            * _HYPERBOLA_NODES / _HYPERBOLA_A)
 _LAM_PANEL = 16
 
 # The row of the solver family, in place of a beta0, that is the mode
@@ -638,7 +637,8 @@ def _window_eval(orders, beta0s, lams, ts):
     lams.size) array; ``beta0s`` = AMPLITUDE gives the one amplitude row.
 
     ``ts`` holds distinct positive times in ascending order.  The estimate
-    is the distance from the check sum plus the rounding floor 16 eps
+    is |v_h - v_2h| e^{-pi d/h}, with v_2h the step-2h rule on the even
+    nodes over the same resolvent, plus the rounding floor 16 eps
     sum_k |t^{1-beta0} c_k R_k|.  In a window's units, with
     P_k = t0^{a_1} w(s_k) and Z = lam t0^{a_1}, the sum is
     (t/t0)^{1-beta0} Re sum_k c'_k / (P_k + Z) with c'_k free of t0, and
@@ -668,7 +668,7 @@ def _window_eval(orders, beta0s, lams, ts):
     amplitude = _is_amplitude(beta0s)
     beta0s = np.array(() if amplitude else beta0s)
     rows = 1 if amplitude else beta0s.size
-    n, v = _NODES.size, _VALUE_NODES
+    n = _NODES.size
     # The rows summed in subtracted form follow the plain rows.
     cancel = np.flatnonzero(special.rgamma(beta0s - alphas[0]) == 0.0)
     moments = special.rgamma(beta0s[cancel, None] - alphas[0] - alphas)
@@ -703,14 +703,16 @@ def _window_eval(orders, beta0s, lams, ts):
         c = c.reshape(-1, n)
         weights = np.concatenate([(c * symbol.conj()).real, c.real])
         value, est = out[:, :, lo[w]:hi[w]]
-        for sum_, part in ((value, slice(None, v)), (est, slice(v, None))):
-            terms = (weights[:, part] @ squares[part]).reshape((2,) + sum_.shape)
+        for sum_, terms in ((value, weights @ squares),
+                            (est, 2.0 * (weights[:, ::2] @ squares[::2]))):
+            terms = terms.reshape((2,) + sum_.shape)
             np.multiply(terms[1], z, out=sum_)
             sum_ += terms[0]
-        est -= value                                  # the check sum's distance
+        est -= value
         np.abs(est, out=est)
+        est *= _EMBEDDED_FACTOR
         est += (16.0 * np.finfo(float).eps
-                * np.abs(c[:, :v]) @ np.sqrt(squares[:v])).reshape(est.shape)
+                * np.abs(c) @ np.sqrt(squares)).reshape(est.shape)
         if cancel.size:   # M_1's terms by (beta0, time) row
             m1 = ((moments * scaled_qs[w])[:, None]
                   * np.power.outer(tau, -alphas[0] - alphas))
@@ -748,19 +750,26 @@ def _solver_family(lams, orders, beta0, ts):
     amplitude = _is_amplitude(beta0)
     rows = AMPLITUDE if amplitude else tuple(float(b) for b in np.ravel(beta0))
     n_rows = 1 if amplitude else len(rows)
-    # The grid of distinct times by lams, and each entry's place in it.
-    t_uniq, t_index = np.unique(ts, return_inverse=True)
-    t_index, lam_index = (np.broadcast_to(i.reshape(x.shape), shape).ravel()
-                          for x, i in ((ts, t_index), (lams, np.arange(lams.size))))
-    grid = _window_eval(orders, rows, lams.ravel(), t_uniq[t_uniq > 0.0])
-    if t_uniq.size and t_uniq[0] == 0.0:  # t = 0: the exact limit
+    # The entries are the grid of distinct times by lams when the times are
+    # one, or a strictly increasing column against a row of lams; else the
+    # grid is built over the distinct times and the entries taken from it.
+    is_grid = ts.size == 1 or (ts.shape == (ts.size, 1)
+                               and lams.shape[:-1] in ((), (1,))
+                               and (np.diff(ts, axis=0) > 0.0).all())
+    if is_grid:
+        t_grid = ts.ravel()
+    else:
+        t_grid, t_index = np.unique(ts, return_inverse=True)
+    grid = _window_eval(orders, rows, lams.ravel(), t_grid[t_grid > 0.0])
+    if t_grid.size and t_grid[0] == 0.0:  # t = 0: the exact limit
         limit = np.zeros((2, n_rows, 1, lams.size))
         limit[0] = 1.0 if amplitude else 1.0 / gamma_real(np.array(rows))[:, None, None]
         grid = np.concatenate([limit, grid], axis=2)
     grid = grid.reshape(2, n_rows, -1)
-    index = t_index * lams.size + lam_index
-    if not np.array_equal(index, np.arange(grid.shape[-1])):
-        grid = np.take(grid, index, axis=2)   # unless the entries are the grid
+    if not is_grid:
+        t_index, lam_index = (np.broadcast_to(i.reshape(x.shape), shape).ravel()
+                              for x, i in ((ts, t_index), (lams, np.arange(lams.size))))
+        grid = np.take(grid, t_index * lams.size + lam_index, axis=2)
     vals, ests = grid
     bound = np.abs(vals)
     bound *= SOLVER_FAMILY_RTOL
@@ -768,10 +777,10 @@ def _solver_family(lams, orders, beta0, ts):
         ratio = ests / np.maximum(np.abs(vals), np.finfo(float).tiny)
         i, e = np.unravel_index(np.argmax(ratio), ratio.shape)
         row = "the amplitude" if amplitude else f"beta0 = {rows[i]:.6g}"
+        lam, t = (np.broadcast_to(x, shape).flat[e] for x in (lams, ts))
         raise QuadratureError(
             f"solver family: estimate {ratio[i, e]:.3g} of the value above "
-            f"SOLVER_FAMILY_RTOL at lam = {lams.ravel()[lam_index[e]]:.6g}, "
-            f"t = {t_uniq[t_index[e]]:.6g}, {row}")
+            f"SOLVER_FAMILY_RTOL at lam = {lam:.6g}, t = {t:.6g}, {row}")
     out_shape = np.shape(beta0) + shape
     return vals.reshape(out_shape), ests.reshape(out_shape)
 

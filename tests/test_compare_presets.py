@@ -1,10 +1,14 @@
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_presets.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_SCRIPT = _ROOT / "scripts" / "compare_presets.py"
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +103,15 @@ def test_compare_dirs_reports_manifest_results(cmp, tmp_path):
     rep = cmp.compare_dirs(str(a), str(b))["thm24.csv"]
     assert rep["results"]["only_a"] == ["exponent", "fit", "flag"]
     assert cmp.main(["compare", str(a), str(b)]) == 1
+
+
+def test_run_writes_the_default_mml_eval_csv(cmp, tmp_path):
+    # The default mml-eval command is the one CLI output that prints the
+    # kernel's error estimates, so ``run`` writes it beside the presets.
+    assert "mml-eval" in cmp.PRESETS
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    subprocess.run([sys.executable, "-c", cmp._RUN_ONE, "mml-eval", str(tmp_path)],
+                   env=env, capture_output=True, check=True)
+    header, rows = cmp._read(str(tmp_path / "mml-eval.csv"))
+    assert header == ["t", "value", "method", "abs_error_estimate"]
+    assert {row[2] for row in rows} == {"series", "contour"}

@@ -351,42 +351,46 @@ def test_e_solver_many_rejects_non_finite():
             mode_amplitudes(orders, np.append(lams, bad), 0.5)
 
 
-def _window_full_sum(orders, beta0s, lams, t, n):
+def _window_full_sum(orders, beta0s, lams, t, n, stride=1):
     """The n-node trapezoid sum of t's window, built here over the full
     symmetric node set k = -n..n, with the magnitude sum of its terms: each
-    of shape (len(beta0s), lams.size)."""
+    of shape (len(beta0s), lams.size).  ``stride`` = 2 keeps every other
+    node with doubled weights, the step-2h rule on the same contour; a
+    ``beta0s`` entry AMPLITUDE gives the mode amplitude's row."""
     alpha, a = sf._HYPERBOLA_ALPHA, sf._HYPERBOLA_A
     d = math.pi / 2.0 - alpha
     A, B = 1.0 - math.sin(alpha - d), math.sin(alpha) * math.cosh(a) - 1.0
     h = a / n
     mu = 2.0 * math.pi * d * n / (a * (B + sf._WINDOW_RATIO * A))
     t0 = sf._WINDOW_RATIO ** math.floor(math.log10(t))
-    iu = 1j * h * np.arange(-n, n + 1)
+    iu = 1j * h * np.arange(-n, n + 1, stride)
     s = mu / t0 * (1.0 + np.sin(iu - alpha))
     w = sum(q * s ** al for al, q in zip(orders.alphas, orders.qs))
-    exps = orders.alphas[0] - np.array(beta0s)
-    terms = (h / (2.0 * math.pi) * mu / t0 * np.cos(iu - alpha) * np.exp(s * t)
-             * s ** exps[:, None, None] * t ** (1.0 - np.array(beta0s))[:, None, None]
-             / (w + lams[:, None]))
+    rows = np.array([w / s if sf._is_amplitude(b)
+                     else s ** (orders.alphas[0] - b) * t ** (1.0 - b) for b in beta0s])
+    terms = (stride * h / (2.0 * math.pi) * mu / t0 * np.cos(iu - alpha) * np.exp(s * t)
+             * rows[:, None, :] / (w + lams[:, None]))
     return terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
 
 
 def test_window_value_is_the_real_part_of_the_full_node_sum(laplace_spectrum):
     # The kernel sums the nodes with u >= 0 only, and in real arithmetic.
-    # The value sum and the check sum, built here over every node of the
-    # symmetric set, are real up to rounding: their terms pair up as
-    # complex conjugates.  The kernel's value must equal the real part of
-    # the full value sum, and its estimate must equal |value - check| plus
-    # 16 eps sum |terms|, each to within 8 eps times the sum of the term
-    # magnitudes.  On the propagator row beta0 = a_1 (1/Gamma(0) = 0) the
-    # kernel may return the subtracted form instead, whose estimate can lie
-    # far below the plain sum's rounding: there the value must be within
-    # that floor plus its estimate of the full value sum, and the estimate
-    # no larger than the plain one.  Times at and inside window edges,
-    # three order sets.
+    # The value sum and the step-2h sum on its every other node, built here
+    # over every node of the symmetric set, are real up to rounding: their
+    # terms pair up as complex conjugates.  The kernel's value must equal
+    # the real part of the full value sum, and its estimate must equal
+    # |value - v_2h| e^{-pi d/h} plus 16 eps sum |terms|, each to within 8
+    # eps times the sum of the term magnitudes.  On the propagator row
+    # beta0 = a_1 (1/Gamma(0) = 0) the kernel may return the subtracted form
+    # instead, whose estimate can lie far below the plain sum's rounding:
+    # there the value must be within that floor plus its estimate of the
+    # full value sum, and the estimate no larger than the plain one.  Times
+    # at and inside window edges, three order sets.
     lams = laplace_spectrum.lambdas
     ts = np.array([1e-6, 0.5, 2.0, 1e2])
     eps = np.finfo(float).eps
+    n = sf._HYPERBOLA_NODES
+    factor = math.exp(-math.pi * (math.pi / 2.0 - sf._HYPERBOLA_ALPHA) * n / sf._HYPERBOLA_A)
     for alphas, qs in [((0.8, 0.5), (1.0, 1.5)), ((0.986, 0.5, 0.2), (1.0, 0.3, 0.2)),
                        ((0.25,), (1.0,))]:
         orders = FracOrders(alphas=alphas, qs=qs)
@@ -396,19 +400,49 @@ def test_window_value_is_the_real_part_of_the_full_node_sum(laplace_spectrum):
         values, ests = sf._window_eval(orders, beta0s, lams, ts)
         for i, t in enumerate(ts):
             full = []
-            for n in sf._HYPERBOLA_NODES:
-                total, size = _window_full_sum(orders, beta0s, lams, t, n)
-                assert np.all(np.abs(total.imag) <= 8.0 * eps * size), (alphas, t, n)
+            for stride in (1, 2):
+                total, size = _window_full_sum(orders, beta0s, lams, t, n, stride)
+                assert np.all(np.abs(total.imag) <= 8.0 * eps * size), (alphas, t, stride)
                 full.append((total.real, size))
-            (value, value_size), (check, check_size) = full
-            floor = 8.0 * eps * (value_size + check_size)
-            want = np.abs(values[:, i] - check) + 16.0 * eps * value_size
+            (value, value_size), (coarse, coarse_size) = full
+            floor = 8.0 * eps * (value_size + coarse_size)
+            want = np.abs(values[:, i] - coarse) * factor + 16.0 * eps * value_size
             err = np.abs(values[:, i] - value)
             assert np.all(err[plain] <= floor[plain]), (alphas, t)
             assert np.all(np.abs(ests[plain, i] - want[plain]) <= floor[plain]), (alphas, t)
-            plain_est = np.abs(value - check) + 16.0 * eps * value_size
+            plain_est = np.abs(value - coarse) * factor + 16.0 * eps * value_size
             assert np.all(err[~plain] <= floor[~plain] + ests[~plain, i]), (alphas, t)
             assert np.all(ests[~plain, i] <= plain_est[~plain] + floor[~plain]), (alphas, t)
+
+
+def test_embedded_estimate_covers_the_truncation(laplace_spectrum):
+    # The estimate |v_h - v_2h| e^{-pi d/h} compares two rules that both
+    # stop at u = a, so it cannot see the truncation e^{-mu B}, largest at
+    # a window's first time.  Against the N = 80 sum on the same hyperbola
+    # (its own mu), built here over the full symmetric node set, every
+    # error is within its estimate: the whole 255-mode spectrum, times
+    # spread over [1e-8, 1e4] with every window start and the time just
+    # below it, the amplitude row and two beta0 rows.  The propagator row
+    # is left out: its plain N = 80 sum cancels, and Talbot judges it in
+    # test_solver_family_accuracy_map.
+    lams = laplace_spectrum.lambdas
+    edges = 10.0 ** np.arange(-8, 5)
+    ts = np.unique(np.concatenate([np.logspace(-8, 4, 61), edges,
+                                   np.nextafter(edges, 0.0)]))
+    worst = 0.0
+    for alphas, qs in [((0.8, 0.5), (1.0, 1.5)), ((0.986, 0.5, 0.2), (1.0, 0.3, 0.2)),
+                       ((0.3,), (1.0,)), ((0.75, 0.55, 0.35), (1.0, 1.2, 0.8))]:
+        orders = FracOrders(alphas=alphas, qs=qs)
+        beta0s = (alphas[0] + 0.5, 1.0 + alphas[0])
+        values, ests = (np.concatenate(x) for x in zip(
+            sf._window_eval(orders, sf.AMPLITUDE, lams, ts),
+            sf._window_eval(orders, beta0s, lams, ts)))
+        for i, t in enumerate(ts):
+            ref, _ = _window_full_sum(orders, (sf.AMPLITUDE,) + beta0s, lams, t, 80)
+            ratio = np.abs(values[:, i] - ref.real) / ests[:, i]
+            assert np.all(ratio <= 1.0), (alphas, t, ratio.max())
+            worst = max(worst, float(ratio.max()))
+    print(f"worst error / estimate {worst:.3g}")
 
 
 def test_solver_family_raises_above_its_tolerance(monkeypatch):
@@ -426,6 +460,30 @@ def test_solver_family_raises_above_its_tolerance(monkeypatch):
     message = str(info.value)
     assert f"{ests[i, j] / abs(values[i, j]):.3g} of the value" in message
     assert f"lam = {lams[j]:.6g}, t = 0.5, beta0 = {beta0s[i]:.6g}" in message
+
+
+def test_solver_family_grid_call_matches_general_path(laplace_spectrum, monkeypatch):
+    # A strictly increasing column of times against a row of lams is the
+    # kernel's grid itself; the same entries with the times shuffled and
+    # repeated go through the distinct times.  Values and estimates are
+    # identical, and with a zero tolerance both errors name the same entry.
+    orders = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
+    lams = laplace_spectrum.lambdas[::8]
+    ts = np.array([0.0, 1e-3, 0.1, np.nextafter(1.0, 0.0), 1.0, 2.0, 300.0])
+    order = np.array([3, 0, 6, 3, 1, 5, 2, 4, 6])
+    for beta0 in (sf.AMPLITUDE, (1.0, 0.8)):
+        for lam_row in (lams, lams[None, :]):
+            grid = sf._solver_family(lam_row, orders, beta0, ts[:, None])
+            shuffled = sf._solver_family(lams, orders, beta0, ts[order][:, None])
+            for g, sh in zip(grid, shuffled):
+                assert np.array_equal(g[..., order, :], sh), beta0
+    monkeypatch.setattr(sf, "SOLVER_FAMILY_RTOL", 0.0)
+    messages = []
+    for times in (ts, ts[order]):
+        with pytest.raises(sf.QuadratureError, match="SOLVER_FAMILY_RTOL") as info:
+            sf._solver_family(lams, orders, (1.0, 0.8), times[:, None])
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
 
 
 def test_fallbacks_are_logged_at_debug(caplog):
@@ -691,7 +749,7 @@ def test_solver_family_accuracy_map(laplace_spectrum):
     for t in (1e-6, 1e-2, 0.5, 2.0, 1e2):
         value, est = sf._solver_family(lams, orders, a1, t)
         (plain, size), (check_sum, _) = (
-            _window_full_sum(orders, (a1,), lams, t, n) for n in sf._HYPERBOLA_NODES)
+            _window_full_sum(orders, (a1,), lams, t, n) for n in (40, 48))
         plain_est = np.abs(plain[0] - check_sum[0]) + 16.0 * eps * size[0]
         plain = plain[0].real
         accurate = plain_est <= 1e-12 * np.abs(plain)
