@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import spectral
-from .solver import FracOrders, ModalSolution, Problem, solve_source
+from .solver import FracOrders, ModalSolution, Problem
 from .spectral import Operator1D, modal_frac_norm
 from .specfun import gamma_real
 
@@ -98,6 +97,18 @@ def decay_fit(times, norms) -> DecayFit:
                     r_squared=min(max(r2, 0.0), 1.0))
 
 
+def _solution(p: Problem, modal: ModalSolution | None, name: str = "modal",
+              homogeneous: bool = True) -> ModalSolution:
+    """``modal``, which must solve ``p``, or a fresh ModalSolution of ``p``."""
+    if homogeneous and p.source is not None:
+        raise ValueError("this analysis requires a problem without source")
+    if modal is None:
+        return ModalSolution(p)
+    if modal.problem is not p:
+        raise ValueError(f"{name} belongs to a different problem")
+    return modal
+
+
 # ---------------------------------------------------------------------------
 # Long-time asymptotics
 
@@ -129,8 +140,8 @@ def asymptotic_residual(p: Problem, t: float,
                         modal: ModalSolution | None = None) -> float:
     """Scaled remainder  t^e * ||u(t) - leading(t)||_{D(-L)} / ||a||_{L2},
     with e the :func:`residual_exponent` of the problem's orders."""
+    sol = _solution(p, modal)
     lead = asymptotic_leading_term(p, t)
-    sol = modal if modal is not None else ModalSolution(p)
     num = modal_frac_norm(sol.modal_values(t) - lead, 1.0, p.spectrum)
     den = modal_frac_norm(p.modal_initial, 0.0, p.spectrum)
     return t ** residual_exponent(p.orders) * num / den
@@ -139,8 +150,7 @@ def asymptotic_residual(p: Problem, t: float,
 def homogeneous_norm(p: Problem, t: float, gamma: float,
                      modal: ModalSolution | None = None) -> float:
     """||u(t)||_{D((-L)^gamma)} for the homogeneous solution."""
-    sol = modal if modal is not None else ModalSolution(p)
-    return modal_frac_norm(sol.modal_values(t), gamma, p.spectrum)
+    return modal_frac_norm(_solution(p, modal).modal_values(t), gamma, p.spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -163,33 +173,24 @@ class ShortTimeReport:
 
 
 def short_time_checks(p: Problem, gamma: float, t_grid, tau: float = 0.8,
-                      modal: ModalSolution | None = None,
-                      forced=None) -> ShortTimeReport:
+                      modal: ModalSolution | None = None) -> ShortTimeReport:
     """Tabulate the short-time norms and decide the vanishing verdict.
 
     Homogeneous problems track ||u(t) - a||_{D((-L)^gamma)}; forced ones
-    (zero initial value) track ||u(t)||_{D((-L)^{gamma+1-tau})}.  A
-    homogeneous problem's ModalSolution may be passed through ``modal`` to
-    reuse its cached amplitudes; a forced problem's solutions on ``t_grid``
-    (one row of grid values per time, as from :func:`solve_source`) may be
-    passed through ``forced``.
+    (zero initial value) track ||u(t)||_{D((-L)^{gamma+1-tau})}.  The
+    problem's ModalSolution may be passed through ``modal`` to reuse its
+    cached coefficients.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) >= 0):
         raise ValueError("t_grid must be strictly decreasing")
+    values = _solution(p, modal, homogeneous=False).modal_values(t_grid)
     if p.source is None:
-        kind = "homogeneous"
-        sol = modal if modal is not None else ModalSolution(p)
-        dist = sol.modal_values(t_grid) - p.modal_initial
-        norms = np.array([modal_frac_norm(d, gamma, p.spectrum) for d in dist])
+        kind, g_norm = "homogeneous", gamma
+        values = values - p.modal_initial
     else:
-        kind = "forced"
-        g_norm = gamma + 1.0 - tau
-        if forced is None:
-            forced = [solve_source(p, t) for t in t_grid]
-        elif len(forced) != t_grid.size:
-            raise ValueError("forced needs one solution per time of t_grid")
-        norms = np.array([spectral.frac_norm(u, g_norm, p.spectrum) for u in forced])
+        kind, g_norm = "forced", gamma + 1.0 - tau
+    norms = np.array([modal_frac_norm(v, g_norm, p.spectrum) for v in values])
     scale = norms[0] if norms[0] > 0 else 1.0
     monotone = bool(np.all(norms[1:] <= norms[:-1] * 1.05 + 1e-300))
     vanishing = monotone and norms[-1] <= 1e-3 * scale
@@ -270,11 +271,8 @@ def lipschitz_experiment(base: Problem, perturbed: Problem, gamma: float,
         space_gamma = 1.0
     grid = t_final * (np.arange(1, n_time + 1) / n_time) ** 2.0
 
-    if base_solution is not None and base_solution.problem is not base:
-        raise ValueError("base_solution belongs to a different problem")
-    sol_b = base_solution if base_solution is not None else ModalSolution(base)
-    modal_b = sol_b.modal_values(grid)
-    modal_p = ModalSolution(perturbed).modal_values(grid)
+    modal_b = _solution(base, base_solution, "base_solution").modal_values(grid)
+    modal_p = _solution(perturbed, None).modal_values(grid)
     s, s_p = base.spectrum, perturbed.spectrum
     if s_p is s:
         diff_modal = modal_b - modal_p

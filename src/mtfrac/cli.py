@@ -331,37 +331,21 @@ def _cmd_eigen(cfg: RunConfig):
 def _cmd_solve(cfg: RunConfig):
     p = _build_problem(cfg)
     grid = _parse_grid(cfg.t_grid)
-    rows = []
-    results = {}
+    # Each column is the norm of order g of the modal values minus a shift.
     if p.source is None:
-        a_modal = p.modal_initial
-        sol = solver.ModalSolution(p)
-        for t, mv in zip(grid, sol.modal_values(grid)):
-            rows.append((
-                float(t),
-                spectral.modal_frac_norm(mv, 0.0, p.spectrum),
-                spectral.modal_frac_norm(mv, 0.5, p.spectrum),
-                spectral.modal_frac_norm(mv, 1.0, p.spectrum),
-                spectral.modal_frac_norm(mv - a_modal, cfg.gamma, p.spectrum),
-            ))
         header = ["t", "l2_norm", "h1_norm", "dl_norm", "dist_init_norm"]
-        if grid[0] > grid[-1]:
-            rep = analysis.short_time_checks(p, cfg.gamma, grid, modal=sol)
-            results["short_time_vanishing"] = rep.vanishing
+        columns = [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (cfg.gamma, p.modal_initial)]
     else:
-        g_norm = cfg.gamma + 1.0 - cfg.tau
-        forced = [solver.solve_source(p, float(t)) for t in grid]
-        for t, u in zip(grid, forced):
-            rows.append((
-                float(t),
-                spectral.frac_norm(u, 0.0, p.spectrum),
-                spectral.frac_norm(u, g_norm, p.spectrum),
-            ))
         header = ["t", "l2_norm", "forced_norm"]
-        if grid[0] > grid[-1]:
-            rep = analysis.short_time_checks(p, cfg.gamma, grid, tau=cfg.tau,
-                                             forced=forced)
-            results["short_time_vanishing"] = rep.vanishing
+        columns = [(0.0, 0.0), (cfg.gamma + 1.0 - cfg.tau, 0.0)]
+    sol = solver.ModalSolution(p)
+    rows = [(float(t), *(spectral.modal_frac_norm(mv - shift, g, p.spectrum)
+                         for g, shift in columns))
+            for t, mv in zip(grid, sol.modal_values(grid))]
+    results = {}
+    if grid[0] > grid[-1]:
+        rep = analysis.short_time_checks(p, cfg.gamma, grid, tau=cfg.tau, modal=sol)
+        results["short_time_vanishing"] = rep.vanishing
     return header, rows, results
 
 

@@ -182,32 +182,80 @@ def mode_amplitudes(orders: FracOrders, lams, ts) -> np.ndarray:
 
 
 class ModalSolution:
-    """Per-mode amplitudes of a homogeneous problem, cached per time.
+    """Modal coefficients of a problem's solution, cached per time.
 
-    ``amplitudes`` and ``modal_values`` map a scalar time to (n_modes,) and
-    an array of T times to a (T, n_modes) block.  Times not yet cached are
-    evaluated in one :func:`mode_amplitudes` call over the (time, mode) grid.
+    ``amplitudes`` (homogeneous problems) and ``modal_values`` map a scalar
+    time to (n_modes,) and an array of T times to a (T, n_modes) block.
+    Homogeneous times not yet cached are one :func:`mode_amplitudes` call
+    over the (time, mode) grid; a forced problem (zero initial value) takes
+    one kernel call per time.
     """
 
     def __init__(self, problem: Problem):
-        if problem.source is not None:
-            raise ValueError("ModalSolution handles homogeneous problems only")
         self.problem = problem
-        self._amp_cache: dict[float, np.ndarray] = {}
+        self._cache: dict[float, np.ndarray] = {}
+        src = problem.source
+        if src is None:
+            return
+        if np.any(problem.initial != 0.0):
+            raise ValueError("a forced problem requires zero initial value")
+        hist = src.modal_history(problem.spectrum)      # (n_times, n_modes)
+        norms = np.max(np.abs(hist), axis=0)
+        # Modes whose history is projection noise contribute nothing.
+        self._active = np.nonzero(norms > 1e-14 * max(norms.max(), 1e-300))[0]
+        self._hist = hist[:, self._active]
+        self._slopes = np.diff(self._hist, axis=0) / np.diff(src.times)[:, None]
+        self._slope_changes = np.diff(self._slopes, axis=0)
 
-    def amplitudes(self, ts) -> np.ndarray:
+    def _rows(self, ts, evaluate) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         keys = [float(t) for t in ts.ravel()]
-        missing = [k for k in dict.fromkeys(keys) if k not in self._amp_cache]
+        missing = [k for k in dict.fromkeys(keys) if k not in self._cache]
         if missing:
-            self._amp_cache.update(zip(missing, mode_amplitudes(
-                self.problem.orders, self.problem.spectrum.lambdas,
-                np.array(missing)[:, None])))
-        rows = [self._amp_cache[k] for k in keys]
+            self._cache.update(zip(missing, evaluate(missing)))
+        rows = [self._cache[k] for k in keys]
         return rows[0] if ts.ndim == 0 else np.reshape(rows, ts.shape + (-1,))
 
+    def amplitudes(self, ts) -> np.ndarray:
+        p = self.problem
+        if p.source is not None:
+            raise ValueError("amplitudes are defined for homogeneous problems")
+        return self._rows(ts, lambda missing: mode_amplitudes(
+            p.orders, p.spectrum.lambdas, np.array(missing)[:, None]))
+
     def modal_values(self, ts) -> np.ndarray:
-        return self.amplitudes(ts) * self.problem.modal_initial
+        if self.problem.source is None:
+            return self.amplitudes(ts) * self.problem.modal_initial
+        return self._rows(ts, lambda missing: [self._forced(t) for t in missing])
+
+    def _forced(self, t: float) -> np.ndarray:
+        """Forced coefficients at t >= 0, exact for the linear interpolant
+        F(s) = F(0) + F'(0) s + sum_i dF'_i (s - t_i)_+ of the source samples
+        (dF'_i the slope change at the interior sample t_i); each piece's
+        response inverts its transform over w(s) + lambda_n:
+
+            T_n(t) = F(0) K1(t) + F'(0) K2(t) + sum_{0 < t_i < t} dF'_i K2(t - t_i),
+
+        K1(t) = t^{a_1} E^{(n)}_{1+a_1}(t), K2(t) = t^{1+a_1} E^{(n)}_{2+a_1}(t),
+        both for every active mode from one :func:`e_solver_many` call."""
+        p = self.problem
+        times = p.source.times
+        if t < 0:
+            raise ValueError("t must be non-negative")
+        if t > times[-1] + 1e-12:
+            raise ValueError(f"source history ends at {times[-1]}, requested t={t}")
+        coeffs = np.zeros(p.spectrum.n_modes)
+        if t == 0.0:
+            return coeffs
+        kinks = times[1:-1] < t
+        taus = np.concatenate([[t], t - times[1:-1][kinks]])
+        weights = np.vstack([self._slopes[:1], self._slope_changes[kinks]])
+        a1 = p.orders.alphas[0]
+        e = e_solver_many(p.spectrum.lambdas[self._active], p.orders,
+                          [1.0 + a1, 2.0 + a1], taus[:, None])
+        coeffs[self._active] = (t ** a1 * self._hist[0] * e[0, 0]
+                                + taus ** (1.0 + a1) @ (weights * e[1]))
+        return coeffs
 
 
 def solve_homogeneous(p: Problem, t: float) -> np.ndarray:
@@ -341,43 +389,8 @@ def mode_ode_residual(orders: FracOrders, lam: float, t: float,
 # Forced solution
 
 def solve_source(p: Problem, t: float) -> np.ndarray:
-    """Forced solution with zero initial value, exact for the linear
-    interpolant of the source samples.
-
-    Per mode the interpolant is F(s) = F(0) + F'(0) s + sum_i dF'_i
-    (s - t_i)_+, dF'_i the slope change at the interior sample t_i, and the
-    response to each piece inverts its transform over w(s) + lambda_n:
-
-        T_n(t) = F(0) K1(t) + F'(0) K2(t) + sum_{0 < t_i < t} dF'_i K2(t - t_i),
-
-    K1(t) = t^{a_1} E^{(n)}_{1+a_1}(t), K2(t) = t^{1+a_1} E^{(n)}_{2+a_1}(t).
-    Both kernels of every active mode come from one :func:`e_solver_many`
-    call.
-    """
+    """Grid values of the forced solution (zero initial value) at time t;
+    see :class:`ModalSolution` for its modal coefficients."""
     if p.source is None:
         raise ValueError("solve_source requires a problem with a source")
-    if np.any(p.initial != 0.0):
-        raise ValueError("solve_source requires zero initial value")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    src = p.source
-    if t > src.times[-1] + 1e-12:
-        raise ValueError(f"source history ends at {src.times[-1]}, requested t={t}")
-
-    hist = src.modal_history(p.spectrum)          # (n_times, n_modes)
-    norms = np.max(np.abs(hist), axis=0)
-    # Modes whose history is projection noise contribute nothing.
-    active = np.nonzero(norms > 1e-14 * max(norms.max(), 1e-300))[0]
-    hist = hist[:, active]
-
-    slopes = np.diff(hist, axis=0) / np.diff(src.times)[:, None]
-    kinks = src.times[1:-1] < t
-    taus = np.concatenate([[t], t - src.times[1:-1][kinks]])
-    weights = np.vstack([slopes[:1], np.diff(slopes, axis=0)[kinks]])
-    a1 = p.orders.alphas[0]
-    e = e_solver_many(p.spectrum.lambdas[active], p.orders,
-                      [1.0 + a1, 2.0 + a1], taus[:, None])
-    coeffs = np.zeros(p.spectrum.n_modes)
-    coeffs[active] = (t ** a1 * hist[0] * e[0, 0]
-                      + taus ** (1.0 + a1) @ (weights * e[1]))
-    return spectral.synthesize(coeffs, p.spectrum)
+    return spectral.synthesize(ModalSolution(p).modal_values(t), p.spectrum)

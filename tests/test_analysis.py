@@ -171,7 +171,10 @@ def test_short_time_zero_data(laplace_op, laplace_spectrum):
     assert np.all(rep.norms == 0.0)
 
 
-def test_short_time_forced_takes_caller_solutions(laplace_op, laplace_spectrum):
+def test_short_time_forced_takes_caller_solutions(laplace_op, laplace_spectrum,
+                                                  monkeypatch):
+    # A forced problem's ModalSolution passed through ``modal`` gives the
+    # same report as a fresh one, from its cached coefficients alone.
     times = np.linspace(0.0, 0.2, 33)
     src = sv.SampledSource(times=times,
                            values=np.tile(laplace_spectrum.eigvecs[:, 1], (33, 1)))
@@ -179,14 +182,38 @@ def test_short_time_forced_takes_caller_solutions(laplace_op, laplace_spectrum):
                    operator=laplace_op, spectrum=laplace_spectrum,
                    initial=np.zeros(laplace_op.n_interior), source=src)
     grid = np.logspace(-1, -6, 6)
-    forced = [sv.solve_source(p, float(t)) for t in grid]
     own = an.short_time_checks(p, 0.0, grid)
-    given = an.short_time_checks(p, 0.0, grid, forced=forced)
+    sol = sv.ModalSolution(p)
+    sol.modal_values(grid)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return e_solver_many(*args)
+
+    monkeypatch.setattr(sv, "e_solver_many", counting)
+    given = an.short_time_checks(p, 0.0, grid, modal=sol)
     assert own.kind == given.kind == "forced"
     np.testing.assert_array_equal(given.norms, own.norms)
     assert given.vanishing == own.vanishing
-    with pytest.raises(ValueError, match="one solution per time"):
-        an.short_time_checks(p, 0.0, grid, forced=forced[1:])
+    assert calls == []
+    with pytest.raises(ValueError, match="without source"):
+        an.homogeneous_norm(p, 0.1, 0.0, sol)
+
+
+def test_modal_solution_must_belong_to_the_problem(decay_problem, stability_base):
+    # A ModalSolution of another problem would give that problem's norms.
+    other = sv.ModalSolution(stability_base)
+    grid = np.logspace(-1, -6, 6)
+    with pytest.raises(ValueError, match="modal belongs to a different problem"):
+        an.short_time_checks(decay_problem, 0.5, grid, modal=other)
+    with pytest.raises(ValueError, match="modal belongs to a different problem"):
+        an.asymptotic_residual(decay_problem, 100.0, other)
+    with pytest.raises(ValueError, match="modal belongs to a different problem"):
+        an.homogeneous_norm(decay_problem, 1.0, 1.0, other)
+    with pytest.raises(ValueError, match="base_solution belongs to a different"):
+        an.lipschitz_experiment(decay_problem, decay_problem, gamma=0.75,
+                                tau=0.5, n_time=9, base_solution=other)
 
 
 def test_short_time_grid_validation(decay_problem):

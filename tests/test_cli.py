@@ -121,6 +121,20 @@ def test_run_solve_writes_csv_and_manifest(tmp_path):
     assert "series_contour_crossover" in manifest["constants"]
 
 
+def test_run_solve_forced_from_t_zero(tmp_path):
+    # With zero initial value the forced solution starts at exactly 0.
+    text = MINIMAL_CONFIG.replace("kind = mode:1",
+                                  "kind = zero\n\n[source]\nkind = mode-const:2:1.0")
+    text = text.replace("t_grid = 0.01:1.0:5:log", "t_grid = 0:2:9:linear")
+    cfg = cli.parse_config(_write(tmp_path, text))
+    cfg.command = "solve"
+    assert cli.run(cfg, out_dir=str(tmp_path)) == 0
+    lines = (tmp_path / "run.csv").read_text().splitlines()
+    assert lines[:2] == ["t,l2_norm,forced_norm", "0,0,0"]
+    assert len(lines) == 10
+    assert all(float(v) > 0.0 for line in lines[2:] for v in line.split(","))
+
+
 def test_run_reproducible_bytes(tmp_path):
     cfg = cli.parse_config(_write(tmp_path, MINIMAL_CONFIG))
     cfg.command = "solve"
@@ -312,7 +326,8 @@ def test_preset_thm21_short_time_verdict(tmp_path, monkeypatch):
 
 
 def test_preset_thm22_forced_verdict(tmp_path, monkeypatch):
-    # The verdict reuses the rows' forced solutions: one kernel call per time.
+    # The rows and the verdict share one block of forced modal values: one
+    # kernel call per time.
     from mtfrac import specfun
     calls = []
 

@@ -319,9 +319,8 @@ def test_solve_source_matches_talbot(laplace_op, laplace_spectrum):
     # sum_{0 < t_i < t} dF'_i K_2(t - t_i), K_k the inverse of
     # s^{-k} / (w(s) + lam).  Two modal sources: a constant, and the modal
     # history of cos(3t + x) + x sin(7t) / 2.  Each tested mode is solved
-    # alone, so the synthesis-projection round trip costs no more than
-    # rounding relative to that mode's coefficient; a final solve with all
-    # tested modes active at once must reproduce the lone solves.
+    # alone; a final solve with all tested modes active at once must
+    # reproduce the lone solves.
     orders = TALBOT_ORDERS
     a1 = orders.alphas[0]
     idx = np.array(TALBOT_MODES) - 1
@@ -348,7 +347,7 @@ def test_solve_source_matches_talbot(laplace_op, laplace_spectrum):
         p = sv.Problem(orders=orders, operator=laplace_op,
                        spectrum=laplace_spectrum,
                        initial=np.zeros(laplace_op.n_interior), source=src)
-        return sp.project(sv.solve_source(p, t), laplace_spectrum)[idx[modes]]
+        return sv.ModalSolution(p).modal_values(t)[idx[modes]]
 
     for hist in (np.ones((times.size, idx.size)),
                  field.modal_history(laplace_spectrum)[:, idx]):
@@ -393,8 +392,7 @@ def test_solve_source_single_term_closed_form(laplace_op, laplace_spectrum):
                    initial=np.zeros(laplace_op.n_interior), source=src)
     lam1 = laplace_spectrum.lambdas[0]
     for t in (0.5, 1.5):
-        u = sv.solve_source(p, t)
-        got = sp.project(u, laplace_spectrum)[0]
+        got = sv.ModalSolution(p).modal_values(t)[0]
         want = t ** 0.5 * e_solver(lam1, orders, 1.5, t)
         assert abs(got - want) < 1e-12 * abs(want)
 
@@ -408,7 +406,7 @@ def test_solve_source_steady_state_trend(laplace_op, laplace_spectrum):
     steady = 1.0 / lam1
     errs = []
     for t in (16.0, 60.0):
-        got = sp.project(sv.solve_source(p, t), laplace_spectrum)[0]
+        got = sv.ModalSolution(p).modal_values(t)[0]
         want = t ** 0.7 * e_solver(lam1, p.orders, 1.7, t)
         assert abs(got - want) < 1e-12 * abs(want)
         errs.append(abs(got - steady))
@@ -424,6 +422,24 @@ def test_solve_source_requires_zero_initial(laplace_op, laplace_spectrum):
                    initial=laplace_spectrum.eigvecs[:, 0], source=src)
     with pytest.raises(ValueError):
         sv.solve_source(p, 1.0)
+    with pytest.raises(ValueError, match="zero initial value"):
+        sv.ModalSolution(p)
+
+
+def test_solve_source_times(laplace_op, laplace_spectrum):
+    # Zero at t = 0, like the initial value; negative times and times past
+    # the source history raise.  A forced problem has no amplitudes.
+    src = _mode_source(laplace_spectrum, 0)
+    p = sv.Problem(orders=sv.FracOrders.single(0.5), operator=laplace_op,
+                   spectrum=laplace_spectrum,
+                   initial=np.zeros(laplace_op.n_interior), source=src)
+    u0 = sv.solve_source(p, 0.0)
+    assert u0.shape == (laplace_op.n_interior,) and np.all(u0 == 0.0)
+    for t in (-1e-3, 2.5):
+        with pytest.raises(ValueError):
+            sv.solve_source(p, t)
+    with pytest.raises(ValueError, match="homogeneous"):
+        sv.ModalSolution(p).amplitudes(1.0)
 
 
 def test_sampled_source_validation(laplace_spectrum):
@@ -442,9 +458,9 @@ def test_source_smoothing_bound(laplace_op, laplace_spectrum):
     p = sv.Problem(orders=orders, operator=laplace_op, spectrum=laplace_spectrum,
                    initial=np.zeros(laplace_op.n_interior), source=src)
     ts = np.linspace(0.1, 2.0, 9)
-    u_norms = np.array([
-        sp.frac_norm(sv.solve_source(p, float(t)), 1.0, laplace_spectrum)
-        for t in ts])
+    sol = sv.ModalSolution(p)
+    u_norms = np.array([sp.modal_frac_norm(mv, 1.0, laplace_spectrum)
+                        for mv in sol.modal_values(ts)])
     f_norm_sq = 2.0  # ||phi_5||_{L2}^2 integrated over [0, 2]
     u_l2t = math.sqrt(float(np.trapezoid(u_norms ** 2, ts)))
     assert u_l2t <= 10.0 * math.sqrt(f_norm_sq)
@@ -480,11 +496,42 @@ def test_solve_source_time_varying_vs_l1_oracle(laplace_spectrum, laplace_op):
                    spectrum=laplace_spectrum,
                    initial=np.zeros(laplace_op.n_interior), source=src)
     for t in (0.8, 1.7):
-        got = sp.project(sv.solve_source(p, t), laplace_spectrum)[0]
+        got = sv.ModalSolution(p).modal_values(t)[0]
         cfg = orc.L1Config(t_final=t, n_steps=6000, grading=2.0)
         _, us = orc.l1_solve_mode(lam1, orders, 0.0,
                                   lambda tt: np.sin(3.0 * tt), cfg)
         assert abs(got - us[-1]) < 1e-4 * max(abs(us[-1]), 1e-3)
+
+
+def test_modal_values_synthesize_to_solve_source(laplace_spectrum, laplace_op,
+                                                 monkeypatch):
+    # solve_source is the synthesis of the forced modal values, bit for bit;
+    # a block evaluates each new time in one kernel call and caches it.
+    orders = sv.FracOrders(alphas=(0.7, 0.3), qs=(1.0, 1.0))
+    times = np.linspace(0.0, 2.0, 513)
+    values = (np.sin(3.0 * times)[:, None] * laplace_spectrum.eigvecs[:, 0]
+              + np.cos(times)[:, None] * laplace_spectrum.eigvecs[:, 4])
+    src = sv.SampledSource(times=times, values=values)
+    p = sv.Problem(orders=orders, operator=laplace_op,
+                   spectrum=laplace_spectrum,
+                   initial=np.zeros(laplace_op.n_interior), source=src)
+    ts = np.array([0.0, 0.8, 1.7, 2.0, 0.8])
+    per_time = [sv.solve_source(p, float(t)) for t in ts]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return e_solver_many(*args)
+
+    monkeypatch.setattr(sv, "e_solver_many", counting)
+    sol = sv.ModalSolution(p)
+    block = sol.modal_values(ts)
+    assert len(calls) == 3
+    for mv, u in zip(block, per_time):
+        np.testing.assert_array_equal(sp.synthesize(mv, laplace_spectrum), u)
+    np.testing.assert_array_equal(sol.modal_values(ts[::-1]), block[::-1])
+    assert len(calls) == 3
+    assert np.all(block[0] == 0.0)
 
 
 def test_forced_norm_tau_scaling(laplace_spectrum):
