@@ -14,6 +14,10 @@ Prints one JSON object with the median CPU milliseconds over N repeats of:
   (0.8, 0.5), at each of t = 1e-3, 0.1, 2 and 300, with ``worst_rel_est``,
   the largest error estimate relative to its value over the 255 modes;
 * ``scalar_amplitude``: one scalar mode amplitude;
+* ``forced_257``: the forced modal values at all 257 sample times of the
+  source F = sin(3x)(1 + t) + x(pi - x) cos 2t on [0, 2], orders (0.8, 0.5),
+  on the same 255 modes, from a fresh ``ModalSolution`` (its set-up
+  included);
 * ``l1_criterion06``: one L1 oracle run of criterion 06's shape, orders
   (0.8, 0.4) with q = (1, 1), lambda = 2, t = 2, 3000 steps, grading 2.5;
 * ``l1_crosscheck_m3``: one L1 oracle run of the costliest shape of the
@@ -46,7 +50,8 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 from mtfrac import oracle, specfun  # noqa: E402
-from mtfrac.solver import FracOrders, mode_amplitude, mode_amplitudes  # noqa: E402
+from mtfrac.solver import (FracOrders, ModalSolution, Problem,  # noqa: E402
+                           SampledSource, mode_amplitude, mode_amplitudes)
 from mtfrac.spectral import Operator1D, eigendecompose_operator  # noqa: E402
 
 PROPAGATOR_TIMES = (1e-3, 0.1, 2.0, 300.0)
@@ -69,8 +74,9 @@ def main(argv=None) -> dict:
     parser.add_argument("--repeats", type=int, default=50)
     repeats = parser.parse_args(argv).repeats
 
-    lams = eigendecompose_operator(
-        Operator1D.from_callables((0.0, np.pi), 255)).lambdas
+    op = Operator1D.from_callables((0.0, np.pi), 255)
+    spectrum = eigendecompose_operator(op)
+    lams = spectrum.lambdas
     grid = 2.0 * (np.arange(1, 26) / 25) ** 2
     two = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
     three = FracOrders(alphas=(0.8, 0.5, 0.2), qs=(1.0, 1.5, 0.5))
@@ -99,6 +105,13 @@ def main(argv=None) -> dict:
         }
     report["scalar_amplitude"] = cpu_ms(
         lambda: mode_amplitude(two, float(lams[10]), 0.5), repeats)
+    source = SampledSource.from_callable(
+        lambda x, t: np.sin(3.0 * x) * (1.0 + t) + x * (np.pi - x) * np.cos(2.0 * t),
+        2.0, 257, op.interior_x)
+    forced = Problem(orders=two, operator=op, spectrum=spectrum,
+                     initial=np.zeros(op.n_interior), source=source)
+    report["forced_257"] = cpu_ms(
+        lambda: ModalSolution(forced).modal_values(source.times), repeats)
     l1_orders = FracOrders(alphas=(0.8, 0.4), qs=(1.0, 1.0))
     l1_cfg = oracle.L1Config(t_final=2.0, n_steps=3000, grading=2.5)
     report["l1_criterion06"] = cpu_ms(

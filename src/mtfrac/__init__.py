@@ -32,8 +32,7 @@ from .solver import (
     SampledSource,
     caputo_derivative,
     mode_amplitude,
-    solve_homogeneous,
-    solve_source,
+    solve,
     time_derivative,
 )
 from .specfun import (
@@ -66,8 +65,7 @@ __all__ = [
     "L1Config", "counterexample_run", "highprec_series", "l1_solve_mode",
     "laplace_mode_eval",
     "FracOrders", "ModalSolution", "Problem", "QuadConfig", "SampledSource",
-    "caputo_derivative", "mode_amplitude", "solve_homogeneous",
-    "solve_source", "time_derivative",
+    "caputo_derivative", "mode_amplitude", "solve", "time_derivative",
     "EvalResult", "Method", "MLArgs", "MLParams",
     "e_solver", "gamma_real", "lemma31_residual", "mml_eval",
     "mml_series", "multinomial_coefficient",

@@ -33,8 +33,7 @@ __all__ = [
     "QuadConfig",
     "mode_amplitude",
     "mode_amplitudes",
-    "solve_homogeneous",
-    "solve_source",
+    "solve",
     "time_derivative",
     "caputo_derivative",
     "caputo_quadrature",
@@ -80,13 +79,11 @@ class FracOrders:
 class SampledSource:
     """Uniformly time-sampled source, linearly interpolated between samples.
 
-    ``values`` rows are grid samples F(., t_i) (or modal coefficients when
-    ``modal`` is set).
+    ``values`` rows are grid samples F(., t_i).
     """
 
     times: np.ndarray
     values: np.ndarray
-    modal: bool = False
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -109,8 +106,6 @@ class SampledSource:
 
     def modal_history(self, s: Spectrum) -> np.ndarray:
         """(n_times, n_modes) array of modal coefficients."""
-        if self.modal:
-            return self.values
         return self.values @ (s.h * s.eigvecs)
 
     @classmethod
@@ -139,6 +134,12 @@ class Problem:
             raise ValueError("spectrum inconsistent with operator (grid spacing)")
         if self.initial.shape != (self.operator.n_interior,):
             raise ValueError("initial value must be a grid function")
+        if self.source is not None:
+            got = self.source.values.shape
+            want = (self.source.times.size, self.operator.n_interior)
+            if got != want:
+                raise ValueError(f"source values have shape {got}; one grid "
+                                 f"function per time sample is {want}")
 
     @property
     def modal_initial(self) -> np.ndarray:
@@ -184,11 +185,11 @@ def mode_amplitudes(orders: FracOrders, lams, ts) -> np.ndarray:
 class ModalSolution:
     """Modal coefficients of a problem's solution, cached per time.
 
-    ``amplitudes`` (homogeneous problems) and ``modal_values`` map a scalar
-    time to (n_modes,) and an array of T times to a (T, n_modes) block.
-    Homogeneous times not yet cached are one :func:`mode_amplitudes` call
-    over the (time, mode) grid; a forced problem (zero initial value) takes
-    one kernel call per time.
+    ``modal_values`` maps a scalar time to (n_modes,) and an array of T
+    times to a (T, n_modes) block.  The times not yet cached are one kernel
+    call, for either kind of problem: a homogeneous problem's over the
+    (time, mode) grid, a forced problem's (zero initial value) over the
+    distinct lags of all of them.
     """
 
     def __init__(self, problem: Problem):
@@ -204,70 +205,67 @@ class ModalSolution:
         # Modes whose history is projection noise contribute nothing.
         self._active = np.nonzero(norms > 1e-14 * max(norms.max(), 1e-300))[0]
         self._hist = hist[:, self._active]
-        self._slopes = np.diff(self._hist, axis=0) / np.diff(src.times)[:, None]
-        self._slope_changes = np.diff(self._slopes, axis=0)
+        slopes = np.diff(self._hist, axis=0) / np.diff(src.times)[:, None]
+        # F'(0), then the slope change at each interior sample.
+        self._weights = np.vstack([slopes[:1], np.diff(slopes, axis=0)])
 
-    def _rows(self, ts, evaluate) -> np.ndarray:
+    def modal_values(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         keys = [float(t) for t in ts.ravel()]
         missing = [k for k in dict.fromkeys(keys) if k not in self._cache]
         if missing:
-            self._cache.update(zip(missing, evaluate(missing)))
+            self._cache.update(zip(missing, self._evaluate(np.array(missing))))
         rows = [self._cache[k] for k in keys]
         return rows[0] if ts.ndim == 0 else np.reshape(rows, ts.shape + (-1,))
 
-    def amplitudes(self, ts) -> np.ndarray:
+    def _evaluate(self, ts: np.ndarray) -> np.ndarray:
         p = self.problem
-        if p.source is not None:
-            raise ValueError("amplitudes are defined for homogeneous problems")
-        return self._rows(ts, lambda missing: mode_amplitudes(
-            p.orders, p.spectrum.lambdas, np.array(missing)[:, None]))
+        if p.source is None:
+            return (mode_amplitudes(p.orders, p.spectrum.lambdas, ts[:, None])
+                    * p.modal_initial)
+        return self._forced(ts)
 
-    def modal_values(self, ts) -> np.ndarray:
-        if self.problem.source is None:
-            return self.amplitudes(ts) * self.problem.modal_initial
-        return self._rows(ts, lambda missing: [self._forced(t) for t in missing])
-
-    def _forced(self, t: float) -> np.ndarray:
-        """Forced coefficients at t >= 0, exact for the linear interpolant
-        F(s) = F(0) + F'(0) s + sum_i dF'_i (s - t_i)_+ of the source samples
-        (dF'_i the slope change at the interior sample t_i); each piece's
-        response inverts its transform over w(s) + lambda_n:
+    def _forced(self, ts: np.ndarray) -> np.ndarray:
+        """Forced coefficients at the times ts >= 0, exact for the linear
+        interpolant F(s) = F(0) + F'(0) s + sum_i dF'_i (s - t_i)_+ of the
+        source samples (dF'_i the slope change at the interior sample t_i);
+        each piece's response inverts its transform over w(s) + lambda_n:
 
             T_n(t) = F(0) K1(t) + F'(0) K2(t) + sum_{0 < t_i < t} dF'_i K2(t - t_i),
 
         K1(t) = t^{a_1} E^{(n)}_{1+a_1}(t), K2(t) = t^{1+a_1} E^{(n)}_{2+a_1}(t),
-        both for every active mode from one :func:`e_solver_many` call."""
+        for every active mode at the distinct lags t and t - t_i of all the
+        times from one :func:`e_solver_many` call.  Every time is checked
+        before the call."""
         p = self.problem
         times = p.source.times
-        if t < 0:
+        if np.any(ts < 0):
             raise ValueError("t must be non-negative")
-        if t > times[-1] + 1e-12:
-            raise ValueError(f"source history ends at {times[-1]}, requested t={t}")
-        coeffs = np.zeros(p.spectrum.n_modes)
-        if t == 0.0:
+        if np.any(ts > times[-1] + 1e-12):
+            raise ValueError(f"source history ends at {times[-1]}, "
+                             f"requested t={ts.max()}")
+        coeffs = np.zeros((ts.size, p.spectrum.n_modes))
+        rows = np.nonzero(ts > 0.0)[0]
+        if rows.size == 0:
             return coeffs
-        kinks = times[1:-1] < t
-        taus = np.concatenate([[t], t - times[1:-1][kinks]])
-        weights = np.vstack([self._slopes[:1], self._slope_changes[kinks]])
+        interior = times[1:-1]
+        taus = [np.concatenate([[t], t - interior[interior < t]]) for t in ts[rows]]
+        lags, index = np.unique(np.concatenate(taus), return_inverse=True)
         a1 = p.orders.alphas[0]
         e = e_solver_many(p.spectrum.lambdas[self._active], p.orders,
-                          [1.0 + a1, 2.0 + a1], taus[:, None])
-        coeffs[self._active] = (t ** a1 * self._hist[0] * e[0, 0]
-                                + taus ** (1.0 + a1) @ (weights * e[1]))
+                          [1.0 + a1, 2.0 + a1], lags[:, None])
+        ends = np.cumsum([tau.size for tau in taus])
+        for row, tau, i in zip(rows, taus, np.split(index, ends[:-1])):
+            coeffs[row, self._active] = (
+                tau[0] ** a1 * self._hist[0] * e[0, i[0]]
+                + tau ** (1.0 + a1) @ (self._weights[:tau.size] * e[1, i]))
         return coeffs
 
 
-def solve_homogeneous(p: Problem, t: float) -> np.ndarray:
-    """Grid values of the homogeneous solution at time t."""
-    if p.source is not None:
-        raise ValueError("solve_homogeneous requires a problem without source")
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if t == 0.0:
-        return p.initial.copy()
-    amps = mode_amplitudes(p.orders, p.spectrum.lambdas, t)
-    return spectral.synthesize(amps * p.modal_initial, p.spectrum)
+def solve(p: Problem, t: float) -> np.ndarray:
+    """Grid values of the solution at time t; see :class:`ModalSolution`
+    for its modal coefficients."""
+    return spectral.synthesize(ModalSolution(p).modal_values(t), p.spectrum)
 
 
 def time_derivative(p: Problem, t: float) -> np.ndarray:
@@ -383,14 +381,3 @@ def mode_ode_residual(orders: FracOrders, lam: float, t: float,
         frac = _product_panels(mesh, evals, t, a1 - 1.0, a_j) / gamma_real(1.0 - a_j)
         total += q_j * (-lam) * frac
     return abs(total) / (lam * max(abs(u_t), 1e-30))
-
-
-# ---------------------------------------------------------------------------
-# Forced solution
-
-def solve_source(p: Problem, t: float) -> np.ndarray:
-    """Grid values of the forced solution (zero initial value) at time t;
-    see :class:`ModalSolution` for its modal coefficients."""
-    if p.source is None:
-        raise ValueError("solve_source requires a problem with a source")
-    return spectral.synthesize(ModalSolution(p).modal_values(t), p.spectrum)

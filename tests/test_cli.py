@@ -327,7 +327,7 @@ def test_preset_thm21_short_time_verdict(tmp_path, monkeypatch):
 
 def test_preset_thm22_forced_verdict(tmp_path, monkeypatch):
     # The rows and the verdict share one block of forced modal values: one
-    # kernel call per time.
+    # kernel call for the whole grid.
     from mtfrac import specfun
     calls = []
 
@@ -339,7 +339,7 @@ def test_preset_thm22_forced_verdict(tmp_path, monkeypatch):
     monkeypatch.setattr(specfun, "_solver_family", counting)
     cfg = cli.preset_config("thm22")
     assert cli.run(cfg, out_dir=str(tmp_path)) == 0
-    assert len(calls) == 8
+    assert len(calls) == 1
     manifest = configparser.ConfigParser()
     manifest.read(str(tmp_path / "thm22.csv.manifest.ini"))
     assert manifest["results"]["short_time_vanishing"] == "True"

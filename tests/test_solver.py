@@ -91,7 +91,7 @@ def test_mode_amplitudes_own_their_memory(laplace_spectrum):
 
 
 def test_solve_homogeneous_initial_value(homog_problem):
-    u0 = sv.solve_homogeneous(homog_problem, 0.0)
+    u0 = sv.solve(homog_problem, 0.0)
     assert np.max(np.abs(u0 - homog_problem.initial)) < 1e-10
 
 
@@ -102,7 +102,7 @@ def test_solve_homogeneous_single_mode(laplace_op, laplace_spectrum):
     p = sv.Problem(orders=orders, operator=laplace_op,
                    spectrum=laplace_spectrum, initial=phi1)
     t = 0.7
-    u = sv.solve_homogeneous(p, t)
+    u = sv.solve(p, t)
     target = sv.mode_amplitude(orders, lam1, t) * phi1
     np.testing.assert_allclose(u, target, atol=1e-10)
 
@@ -153,16 +153,19 @@ def test_initial_value_attainment(homog_problem):
 
 def test_modal_solution_cache(homog_problem):
     sol = sv.ModalSolution(homog_problem)
-    a1 = sol.amplitudes(0.5)
-    a2 = sol.amplitudes(0.5)
+    a1 = sol.modal_values(0.5)
+    a2 = sol.modal_values(0.5)
     assert a1 is a2
-    assert np.all(sol.amplitudes(0.0) == 1.0)
+    np.testing.assert_array_equal(sol.modal_values(0.0), homog_problem.modal_initial)
 
 
 def test_modal_solution_block_matches_per_time(homog_problem, monkeypatch):
     ts = np.concatenate([[0.0], np.logspace(-6, 3, 30), [0.5]])  # 0.5 twice
-    per_time = np.array([sv.ModalSolution(homog_problem).amplitudes(float(t))
+    per_time = np.array([sv.ModalSolution(homog_problem).modal_values(float(t))
                          for t in ts])
+    # Each row is the amplitudes times the initial value's coefficients.
+    amps = sv.mode_amplitudes(homog_problem.orders,
+                              homog_problem.spectrum.lambdas[None, :], ts[:, None])
     calls = []
 
     def counting(*args):
@@ -171,20 +174,19 @@ def test_modal_solution_block_matches_per_time(homog_problem, monkeypatch):
 
     monkeypatch.setattr(sv, "e_solver_many", counting)
     sol = sv.ModalSolution(homog_problem)
-    block = sol.amplitudes(ts)
+    block = sol.modal_values(ts)
     assert block.shape == (ts.size, homog_problem.spectrum.n_modes)
     np.testing.assert_allclose(block, per_time, rtol=1e-14, atol=0.0)
+    np.testing.assert_array_equal(block, amps * homog_problem.modal_initial)
     assert len(calls) == 1
     # Cached rows serve both a second block and scalar times; a grid with
     # one new time evaluates that time alone.
-    np.testing.assert_array_equal(sol.amplitudes(ts[::-1]), block[::-1])
-    assert sol.amplitudes(0.5) is sol.amplitudes(np.float64(0.5))
-    np.testing.assert_array_equal(
-        sol.modal_values(ts), block * homog_problem.modal_initial)
+    np.testing.assert_array_equal(sol.modal_values(ts[::-1]), block[::-1])
+    assert sol.modal_values(0.5) is sol.modal_values(np.float64(0.5))
     assert len(calls) == 1
-    sol.amplitudes(np.append(ts, 7.0))
+    sol.modal_values(np.append(ts, 7.0))
     assert len(calls) == 2 and np.shape(calls[1][3]) == (1, 1)
-    np.testing.assert_array_equal(sol.amplitudes(ts.reshape(2, -1)),
+    np.testing.assert_array_equal(sol.modal_values(ts.reshape(2, -1)),
                                   block.reshape(2, -1, block.shape[1]))
 
 
@@ -193,8 +195,8 @@ def test_time_derivative_matches_finite_differences(homog_problem):
     du = sv.time_derivative(homog_problem, t)
     errs = []
     for h in (1e-3, 5e-4):
-        fd = (sv.solve_homogeneous(homog_problem, t + h)
-              - sv.solve_homogeneous(homog_problem, t - h)) / (2 * h)
+        fd = (sv.solve(homog_problem, t + h)
+              - sv.solve(homog_problem, t - h)) / (2 * h)
         errs.append(np.max(np.abs(fd - du)))
     assert abs(math.log2(errs[0] / errs[1]) - 2.0) < 0.2
 
@@ -318,9 +320,9 @@ def test_solve_source_matches_talbot(laplace_op, laplace_spectrum):
     # sum_i dF'_i (s - t_i)_+, with response F(0) K_1(t) + F'(0) K_2(t) +
     # sum_{0 < t_i < t} dF'_i K_2(t - t_i), K_k the inverse of
     # s^{-k} / (w(s) + lam).  Two modal sources: a constant, and the modal
-    # history of cos(3t + x) + x sin(7t) / 2.  Each tested mode is solved
-    # alone; a final solve with all tested modes active at once must
-    # reproduce the lone solves.
+    # history of cos(3t + x) + x sin(7t) / 2, each passed as grid values.
+    # Each tested mode is solved alone; a final solve with all tested modes
+    # active at once must reproduce the lone solves.
     orders = TALBOT_ORDERS
     a1 = orders.alphas[0]
     idx = np.array(TALBOT_MODES) - 1
@@ -343,7 +345,8 @@ def test_solve_source_matches_talbot(laplace_op, laplace_spectrum):
     def solve(hist, modes, t):
         values = np.zeros((times.size, laplace_spectrum.n_modes))
         values[:, idx[modes]] = hist[:, modes]
-        src = sv.SampledSource(times=times, values=values, modal=True)
+        src = sv.SampledSource(times=times,
+                               values=values @ laplace_spectrum.eigvecs.T)
         p = sv.Problem(orders=orders, operator=laplace_op,
                        spectrum=laplace_spectrum,
                        initial=np.zeros(laplace_op.n_interior), source=src)
@@ -381,7 +384,7 @@ def test_solve_source_zero_source(laplace_op, laplace_spectrum):
                            values=np.zeros((65, laplace_op.n_interior)))
     p = sv.Problem(orders=orders, operator=laplace_op, spectrum=laplace_spectrum,
                    initial=np.zeros(laplace_op.n_interior), source=src)
-    u = sv.solve_source(p, 1.0)
+    u = sv.solve(p, 1.0)
     assert np.max(np.abs(u)) == 0.0
 
 
@@ -421,25 +424,23 @@ def test_solve_source_requires_zero_initial(laplace_op, laplace_spectrum):
     p = sv.Problem(orders=orders, operator=laplace_op, spectrum=laplace_spectrum,
                    initial=laplace_spectrum.eigvecs[:, 0], source=src)
     with pytest.raises(ValueError):
-        sv.solve_source(p, 1.0)
+        sv.solve(p, 1.0)
     with pytest.raises(ValueError, match="zero initial value"):
         sv.ModalSolution(p)
 
 
 def test_solve_source_times(laplace_op, laplace_spectrum):
     # Zero at t = 0, like the initial value; negative times and times past
-    # the source history raise.  A forced problem has no amplitudes.
+    # the source history raise.
     src = _mode_source(laplace_spectrum, 0)
     p = sv.Problem(orders=sv.FracOrders.single(0.5), operator=laplace_op,
                    spectrum=laplace_spectrum,
                    initial=np.zeros(laplace_op.n_interior), source=src)
-    u0 = sv.solve_source(p, 0.0)
+    u0 = sv.solve(p, 0.0)
     assert u0.shape == (laplace_op.n_interior,) and np.all(u0 == 0.0)
     for t in (-1e-3, 2.5):
         with pytest.raises(ValueError):
-            sv.solve_source(p, t)
-    with pytest.raises(ValueError, match="homogeneous"):
-        sv.ModalSolution(p).amplitudes(1.0)
+            sv.solve(p, t)
 
 
 def test_sampled_source_validation(laplace_spectrum):
@@ -471,6 +472,19 @@ def test_problem_consistency_checks(laplace_op, small_spectrum):
     with pytest.raises(ValueError):
         sv.Problem(orders=orders, operator=laplace_op, spectrum=small_spectrum,
                    initial=np.zeros(laplace_op.n_interior))
+
+
+def test_problem_rejects_source_not_on_the_grid(laplace_op, laplace_spectrum):
+    # One grid function per time sample: a source one node short and a 1-D
+    # source are refused by Problem, with both shapes named.
+    times = np.linspace(0.0, 2.0, 5)
+    for values, shape in ((np.ones((5, 254)), r"\(5, 254\)"),
+                          (np.ones(5), r"\(5,\)")):
+        src = sv.SampledSource(times=times, values=values)
+        with pytest.raises(ValueError, match=shape + r".*\(5, 255\)"):
+            sv.Problem(orders=sv.FracOrders.single(0.5), operator=laplace_op,
+                       spectrum=laplace_spectrum,
+                       initial=np.zeros(laplace_op.n_interior), source=src)
 
 
 def test_sampled_source_from_callable(laplace_op, laplace_spectrum):
@@ -505,8 +519,8 @@ def test_solve_source_time_varying_vs_l1_oracle(laplace_spectrum, laplace_op):
 
 def test_modal_values_synthesize_to_solve_source(laplace_spectrum, laplace_op,
                                                  monkeypatch):
-    # solve_source is the synthesis of the forced modal values, bit for bit;
-    # a block evaluates each new time in one kernel call and caches it.
+    # solve is the synthesis of the forced modal values, bit for bit; a
+    # block evaluates all its new times in one kernel call and caches them.
     orders = sv.FracOrders(alphas=(0.7, 0.3), qs=(1.0, 1.0))
     times = np.linspace(0.0, 2.0, 513)
     values = (np.sin(3.0 * times)[:, None] * laplace_spectrum.eigvecs[:, 0]
@@ -516,7 +530,7 @@ def test_modal_values_synthesize_to_solve_source(laplace_spectrum, laplace_op,
                    spectrum=laplace_spectrum,
                    initial=np.zeros(laplace_op.n_interior), source=src)
     ts = np.array([0.0, 0.8, 1.7, 2.0, 0.8])
-    per_time = [sv.solve_source(p, float(t)) for t in ts]
+    per_time = [sv.solve(p, float(t)) for t in ts]
     calls = []
 
     def counting(*args):
@@ -526,12 +540,50 @@ def test_modal_values_synthesize_to_solve_source(laplace_spectrum, laplace_op,
     monkeypatch.setattr(sv, "e_solver_many", counting)
     sol = sv.ModalSolution(p)
     block = sol.modal_values(ts)
-    assert len(calls) == 3
+    assert len(calls) == 1
     for mv, u in zip(block, per_time):
         np.testing.assert_array_equal(sp.synthesize(mv, laplace_spectrum), u)
     np.testing.assert_array_equal(sol.modal_values(ts[::-1]), block[::-1])
-    assert len(calls) == 3
+    assert len(calls) == 1
     assert np.all(block[0] == 0.0)
+    # A new time is one more call, over its own lags alone.
+    sol.modal_values(np.append(ts, 1.2))
+    assert len(calls) == 2
+    assert np.shape(calls[1][3]) == (1 + np.count_nonzero(times[1:-1] < 1.2), 1)
+
+
+def test_forced_block_is_one_kernel_call(laplace_spectrum, laplace_op,
+                                        monkeypatch):
+    # A block of new times shares one kernel call over the distinct lags of
+    # all of them, and gives the per-time coefficients bit for bit: every
+    # sample time, off-grid and repeated times, and t = 0 (zero).  A block
+    # holding a bad time raises before any call and caches nothing.
+    src = sv.SampledSource.from_callable(
+        lambda x, t: np.sin(3.0 * x) * (1.0 + t) + x * (np.pi - x) * np.cos(2.0 * t),
+        2.0, 257, laplace_op.interior_x)
+    p = sv.Problem(orders=sv.FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.0)),
+                   operator=laplace_op, spectrum=laplace_spectrum,
+                   initial=np.zeros(laplace_op.n_interior), source=src)
+    ts = np.concatenate([src.times, [0.0123, 1.5 + 1e-3, 1.0, 2e-5, 0.0, 0.0123]])
+    per_time = np.array([sv.ModalSolution(p).modal_values(float(t)) for t in ts])
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return e_solver_many(*args)
+
+    monkeypatch.setattr(sv, "e_solver_many", counting)
+    sol = sv.ModalSolution(p)
+    block = sol.modal_values(ts)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(block, per_time)
+    assert np.all(block[ts == 0.0] == 0.0)
+    for bad in (-1e-3, 2.0 + 1e-6):
+        with pytest.raises(ValueError):
+            sol.modal_values(np.array([0.3, bad]))
+        assert len(calls) == 1
+    sol.modal_values(0.3)
+    assert len(calls) == 2
 
 
 def test_forced_norm_tau_scaling(laplace_spectrum):
