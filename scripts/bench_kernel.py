@@ -17,7 +17,9 @@ Prints one JSON object with the median CPU milliseconds over N repeats of:
 * ``forced_257``: the forced modal values at all 257 sample times of the
   source F = sin(3x)(1 + t) + x(pi - x) cos 2t on [0, 2], orders (0.8, 0.5),
   on the same 255 modes, from a fresh ``ModalSolution`` (its set-up
-  included);
+  included); these times share their lags t - t_i;
+* ``forced_offgrid``: the same at 100 times evenly spaced over [0.01, 2],
+  off the sample grid, which share almost none;
 * ``l1_criterion06``: one L1 oracle run of criterion 06's shape, orders
   (0.8, 0.4) with q = (1, 1), lambda = 2, t = 2, 3000 steps, grading 2.5;
 * ``l1_crosscheck_m3``: one L1 oracle run of the costliest shape of the
@@ -112,6 +114,9 @@ def main(argv=None) -> dict:
                      initial=np.zeros(op.n_interior), source=source)
     report["forced_257"] = cpu_ms(
         lambda: ModalSolution(forced).modal_values(source.times), repeats)
+    off_grid = np.linspace(0.01, 2.0, 100)
+    report["forced_offgrid"] = cpu_ms(
+        lambda: ModalSolution(forced).modal_values(off_grid), repeats)
     l1_orders = FracOrders(alphas=(0.8, 0.4), qs=(1.0, 1.0))
     l1_cfg = oracle.L1Config(t_final=2.0, n_steps=3000, grading=2.5)
     report["l1_criterion06"] = cpu_ms(

@@ -97,12 +97,6 @@ class SampledSource:
             raise ValueError("source times must be uniformly spaced")
         if self.times[0] != 0.0:
             raise ValueError("source sampling must start at t = 0")
-        if self.values.shape[0] != self.times.size:
-            raise ValueError("one value row per time sample is required")
-
-    @property
-    def spacing(self):
-        return float(self.times[1] - self.times[0])
 
     def modal_history(self, s: Spectrum) -> np.ndarray:
         """(n_times, n_modes) array of modal coefficients."""
@@ -189,7 +183,7 @@ class ModalSolution:
     times to a (T, n_modes) block.  The times not yet cached are one kernel
     call, for either kind of problem: a homogeneous problem's over the
     (time, mode) grid, a forced problem's (zero initial value) over the
-    distinct lags of all of them.
+    distinct lags of all of them, split where they pass _MAX_LAGS.
     """
 
     def __init__(self, problem: Problem):
@@ -234,32 +228,56 @@ class ModalSolution:
             T_n(t) = F(0) K1(t) + F'(0) K2(t) + sum_{0 < t_i < t} dF'_i K2(t - t_i),
 
         K1(t) = t^{a_1} E^{(n)}_{1+a_1}(t), K2(t) = t^{1+a_1} E^{(n)}_{2+a_1}(t),
-        for every active mode at the distinct lags t and t - t_i of all the
-        times from one :func:`e_solver_many` call.  Every time is checked
-        before the call."""
+        for every active mode at the distinct lags t and t - t_i of the
+        times, one :func:`e_solver_many` call per run of times from
+        :func:`_lag_runs`.  Every time is checked before the first call."""
         p = self.problem
         times = p.source.times
-        if np.any(ts < 0):
-            raise ValueError("t must be non-negative")
+        if not np.all(ts >= 0.0):
+            raise ValueError("t must be a non-negative number")
         if np.any(ts > times[-1] + 1e-12):
             raise ValueError(f"source history ends at {times[-1]}, "
                              f"requested t={ts.max()}")
         coeffs = np.zeros((ts.size, p.spectrum.n_modes))
         rows = np.nonzero(ts > 0.0)[0]
-        if rows.size == 0:
-            return coeffs
         interior = times[1:-1]
         taus = [np.concatenate([[t], t - interior[interior < t]]) for t in ts[rows]]
-        lags, index = np.unique(np.concatenate(taus), return_inverse=True)
         a1 = p.orders.alphas[0]
-        e = e_solver_many(p.spectrum.lambdas[self._active], p.orders,
-                          [1.0 + a1, 2.0 + a1], lags[:, None])
-        ends = np.cumsum([tau.size for tau in taus])
-        for row, tau, i in zip(rows, taus, np.split(index, ends[:-1])):
-            coeffs[row, self._active] = (
-                tau[0] ** a1 * self._hist[0] * e[0, i[0]]
-                + tau ** (1.0 + a1) @ (self._weights[:tau.size] * e[1, i]))
+        for run in _lag_runs(taus):
+            lags, index = np.unique(np.concatenate(taus[run]), return_inverse=True)
+            e = e_solver_many(p.spectrum.lambdas[self._active], p.orders,
+                              [1.0 + a1, 2.0 + a1], lags[:, None])
+            ends = np.cumsum([tau.size for tau in taus[run]])
+            for row, tau, i in zip(rows[run], taus[run], np.split(index, ends[:-1])):
+                coeffs[row, self._active] = (
+                    tau[0] ** a1 * self._hist[0] * e[0, i[0]]
+                    + tau ** (1.0 + a1) @ (self._weights[:tau.size] * e[1, i]))
         return coeffs
+
+
+_MAX_LAGS = 2048
+
+
+def _lag_runs(taus: list[np.ndarray]):
+    """Slices of consecutive ``taus`` over at most _MAX_LAGS distinct lags
+    each (a longer tau is a run of its own), one forced kernel call each.
+    Times at the source samples share their lags (256 for 257 samples),
+    times off them share almost none; a call's arrays take about 20 kB per
+    lag over 255 modes, so the cap bounds them at about 40 MB.  A lag
+    repeated within one tau counts twice, which only shortens a run."""
+    if not taus:
+        return
+    lags, ids = np.unique(np.concatenate(taus), return_inverse=True)
+    last = np.full(lags.size, -1)       # the start of the run that last used a lag
+    start = count = 0
+    for j, tau_ids in enumerate(np.split(ids, np.cumsum([t.size for t in taus])[:-1])):
+        fresh = np.count_nonzero(last[tau_ids] != start)
+        if j > start and count + fresh > _MAX_LAGS:
+            yield slice(start, j)
+            start, count, fresh = j, 0, tau_ids.size
+        last[tau_ids] = start
+        count += fresh
+    yield slice(start, len(taus))
 
 
 def solve(p: Problem, t: float) -> np.ndarray:

@@ -14,7 +14,8 @@ def test_bench_kernel_one_repeat_prints_every_timing():
         env=env, capture_output=True, text=True, check=True)
     report = json.loads(proc.stdout)
     assert report["repeats"] == 1
-    for key in ("scalar_amplitude", "forced_257", "l1_criterion06", "l1_crosscheck_m3",
+    for key in ("scalar_amplitude", "forced_257", "forced_offgrid",
+                "l1_criterion06", "l1_crosscheck_m3",
                 "hankel_eval", "series_m3", "lemma31_m3"):
         assert report[key] >= 0.0, key
     assert sorted(report["propagator"], key=float) == ["0.001", "0.1", "2.0", "300.0"]

@@ -475,10 +475,11 @@ def test_problem_consistency_checks(laplace_op, small_spectrum):
 
 
 def test_problem_rejects_source_not_on_the_grid(laplace_op, laplace_spectrum):
-    # One grid function per time sample: a source one node short and a 1-D
-    # source are refused by Problem, with both shapes named.
+    # One grid function per time sample: a source one node short, one row
+    # short, and a 1-D source are refused by Problem, with both shapes named.
     times = np.linspace(0.0, 2.0, 5)
     for values, shape in ((np.ones((5, 254)), r"\(5, 254\)"),
+                          (np.ones((4, 255)), r"\(4, 255\)"),
                           (np.ones(5), r"\(5,\)")):
         src = sv.SampledSource(times=times, values=values)
         with pytest.raises(ValueError, match=shape + r".*\(5, 255\)"):
@@ -578,12 +579,38 @@ def test_forced_block_is_one_kernel_call(laplace_spectrum, laplace_op,
     assert len(calls) == 1
     np.testing.assert_array_equal(block, per_time)
     assert np.all(block[ts == 0.0] == 0.0)
-    for bad in (-1e-3, 2.0 + 1e-6):
+    for bad in (-1e-3, 2.0 + 1e-6, np.nan):
         with pytest.raises(ValueError):
             sol.modal_values(np.array([0.3, bad]))
         assert len(calls) == 1
     sol.modal_values(0.3)
     assert len(calls) == 2
+
+
+def test_forced_off_grid_block_is_split_by_lags(laplace_spectrum, laplace_op,
+                                               monkeypatch):
+    # Off-grid times share almost no lags: a block of them is split into
+    # runs of at most _MAX_LAGS distinct lags, one kernel call each, and
+    # still gives the per-time coefficients bit for bit.
+    src = sv.SampledSource.from_callable(
+        lambda x, t: np.sin(3.0 * x) * (1.0 + t) + x * (np.pi - x) * np.cos(2.0 * t),
+        2.0, 257, laplace_op.interior_x)
+    p = sv.Problem(orders=sv.FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.0)),
+                   operator=laplace_op, spectrum=laplace_spectrum,
+                   initial=np.zeros(laplace_op.n_interior), source=src)
+    ts = np.linspace(1.9, 2.0, 20) - 1e-3
+    per_time = np.array([sv.ModalSolution(p).modal_values(float(t)) for t in ts])
+    lags = []
+
+    def counting(lams, orders, betas, ts):
+        lags.append(ts.size)
+        return e_solver_many(lams, orders, betas, ts)
+
+    monkeypatch.setattr(sv, "e_solver_many", counting)
+    block = sv.ModalSolution(p).modal_values(ts)
+    assert len(lags) > 1 and max(lags) <= sv._MAX_LAGS
+    assert sum(lags) > sv._MAX_LAGS
+    np.testing.assert_array_equal(block, per_time)
 
 
 def test_forced_norm_tau_scaling(laplace_spectrum):
