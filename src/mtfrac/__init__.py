@@ -9,7 +9,6 @@ long-time decay properties of the equation.
 __version__ = "0.1.0"
 
 from .analysis import (
-    AdmissibleSets,
     DecayFit,
     asymptotic_leading_term,
     asymptotic_residual,
@@ -59,7 +58,7 @@ from .spectral import (
 
 __all__ = [
     "__version__",
-    "AdmissibleSets", "DecayFit", "asymptotic_leading_term",
+    "DecayFit", "asymptotic_leading_term",
     "asymptotic_residual", "decay_fit", "lipschitz_experiment",
     "short_time_checks",
     "L1Config", "counterexample_run", "highprec_series", "l1_solve_mode",

@@ -9,7 +9,7 @@ Lipschitz stability of solutions under coefficient perturbations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,8 @@ from .spectral import Operator1D, modal_frac_norm
 from .specfun import gamma_real
 
 __all__ = [
-    "AdmissibleSets",
+    "ADMISSIBLE_ALPHAS", "ADMISSIBLE_QS", "ADMISSIBLE_DIFFUSION",
+    "LIPSCHITZ_T_FINAL", "LIPSCHITZ_N_TIME",
     "DecayFit",
     "ShortTimeReport",
     "LipschitzReport",
@@ -33,38 +34,6 @@ __all__ = [
     "c1_norm_difference",
     "perturbed_problem",
 ]
-
-
-@dataclass(frozen=True)
-class AdmissibleSets:
-    """Coefficient boxes inside which the stability constant is uniform:
-    order window, weight window, and (min value, C1 cap) for the diffusion."""
-
-    alpha_bounds: tuple = (0.05, 0.95)
-    q_bounds: tuple = (0.05, 20.0)
-    d_bounds: tuple = (1e-3, 50.0)
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha_bounds[0] < self.alpha_bounds[1] < 1.0):
-            raise ValueError("alpha bounds must be ordered inside (0, 1)")
-        if not (0.0 < self.q_bounds[0] <= self.q_bounds[1]):
-            raise ValueError("q bounds must be positive and ordered")
-        if self.d_bounds[0] <= 0:
-            raise ValueError("diffusion lower bound must be positive")
-
-    def contains_orders(self, orders: FracOrders) -> bool:
-        lo, hi = self.alpha_bounds
-        if not all(lo <= a <= hi for a in orders.alphas):
-            return False
-        qlo, qhi = self.q_bounds
-        return all(qlo <= q <= qhi for q in orders.qs[1:])
-
-    def contains_diffusion(self, op: Operator1D) -> bool:
-        delta, cap = self.d_bounds
-        if np.any(op.diffusion < delta):
-            return False
-        d1 = np.abs(np.diff(op.diffusion)) / op.h
-        return float(np.max(np.abs(op.diffusion)) + np.max(d1)) <= cap
 
 
 @dataclass(frozen=True)
@@ -190,7 +159,7 @@ def short_time_checks(p: Problem, gamma: float, t_grid, tau: float = 0.8,
         values = values - p.modal_initial
     else:
         kind, g_norm = "forced", gamma + 1.0 - tau
-    norms = np.array([modal_frac_norm(v, g_norm, p.spectrum) for v in values])
+    norms = modal_frac_norm(values, g_norm, p.spectrum)
     scale = norms[0] if norms[0] > 0 else 1.0
     monotone = bool(np.all(norms[1:] <= norms[:-1] * 1.05 + 1e-300))
     vanishing = monotone and norms[-1] <= 1e-3 * scale
@@ -202,6 +171,30 @@ def short_time_checks(p: Problem, gamma: float, t_grid, tau: float = 0.8,
 
 # ---------------------------------------------------------------------------
 # Lipschitz stability in the coefficients
+
+# Admissible sets, inside which the stability constant is uniform: orders,
+# weights q_2..q_m, and (min value, C1 cap) of the diffusion.
+ADMISSIBLE_ALPHAS = (0.05, 0.95)
+ADMISSIBLE_QS = (0.05, 20.0)
+ADMISSIBLE_DIFFUSION = (1e-3, 50.0)
+# The time integral's graded grid: LIPSCHITZ_N_TIME nodes on (0, LIPSCHITZ_T_FINAL].
+LIPSCHITZ_T_FINAL = 2.0
+LIPSCHITZ_N_TIME = 25
+
+
+def _orders_admissible(orders: FracOrders) -> bool:
+    lo, hi = ADMISSIBLE_ALPHAS
+    qlo, qhi = ADMISSIBLE_QS
+    return (all(lo <= a <= hi for a in orders.alphas)
+            and all(qlo <= q <= qhi for q in orders.qs[1:]))
+
+
+def _diffusion_admissible(op: Operator1D) -> bool:
+    delta, cap = ADMISSIBLE_DIFFUSION
+    d1 = np.abs(np.diff(op.diffusion)) / op.h
+    return (bool(np.all(op.diffusion >= delta))
+            and float(np.max(np.abs(op.diffusion)) + np.max(d1)) <= cap)
+
 
 def c1_norm_difference(op1: Operator1D, op2: Operator1D) -> float:
     """Discrete C1 norm of D - D~: sup of values plus sup of one-sided
@@ -235,16 +228,15 @@ class LipschitzReport:
 
 
 def lipschitz_experiment(base: Problem, perturbed: Problem, gamma: float,
-                         tau: float, t_final: float = 2.0, n_time: int = 25,
-                         sets: AdmissibleSets = AdmissibleSets(),
-                         threads: int = 1,
+                         tau: float, threads: int = 1,
                          base_solution: ModalSolution | None = None) -> LipschitzReport:
     """Solution-difference norm per unit coefficient perturbation.
 
     For gamma < 1/2 the difference is measured in
     L^{1/(1-gamma)}(0,T; D((-L)^{1-tau})), otherwise in L^2(0,T; D(-L)).
     Norms use the base problem's spectrum; the time integral is a composite
-    trapezoid on a graded grid, each problem's amplitudes on it one block.
+    trapezoid on t_k = LIPSCHITZ_T_FINAL (k / LIPSCHITZ_N_TIME)^2, each
+    problem's amplitudes on it one block; both lie in the ADMISSIBLE_ boxes.
     Where the perturbed problem shares the base spectrum, the difference of
     the modal values is the difference's modal expansion; otherwise both
     solutions are synthesized on the grid and their difference projected on
@@ -257,9 +249,9 @@ def lipschitz_experiment(base: Problem, perturbed: Problem, gamma: float,
     if not np.array_equal(base.initial, perturbed.initial):
         raise ValueError("both problems must share the initial value")
     for prob in (base, perturbed):
-        if not sets.contains_orders(prob.orders):
+        if not _orders_admissible(prob.orders):
             raise ValueError("orders outside the admissible set")
-        if not sets.contains_diffusion(prob.operator):
+        if not _diffusion_admissible(prob.operator):
             raise ValueError("diffusion outside the admissible set")
 
     delta = perturbation_delta(base, perturbed)
@@ -269,7 +261,8 @@ def lipschitz_experiment(base: Problem, perturbed: Problem, gamma: float,
     else:
         p_exp = 2.0
         space_gamma = 1.0
-    grid = t_final * (np.arange(1, n_time + 1) / n_time) ** 2.0
+    grid = LIPSCHITZ_T_FINAL * (np.arange(1, LIPSCHITZ_N_TIME + 1)
+                                / LIPSCHITZ_N_TIME) ** 2.0
 
     modal_b = _solution(base, base_solution, "base_solution").modal_values(grid)
     modal_p = _solution(perturbed, None).modal_values(grid)
@@ -279,7 +272,7 @@ def lipschitz_experiment(base: Problem, perturbed: Problem, gamma: float,
     else:   # rows are times: synthesize (a Phi^T), then project (h u Phi)
         diff_modal = s.h * ((modal_b @ s.eigvecs.T - modal_p @ s_p.eigvecs.T)
                             @ s.eigvecs)
-    norms = np.linalg.norm(s.lambdas ** space_gamma * diff_modal, axis=1)
+    norms = modal_frac_norm(diff_modal, space_gamma, s)
     diff = float(np.trapezoid(norms ** p_exp, grid) ** (1.0 / p_exp))
     return LipschitzReport(delta=delta, diff_norm=diff,
                            ratio=diff / delta if delta else float("nan"),

@@ -28,10 +28,6 @@ from . import __version__, analysis, constants, oracle, solver, spectral, specfu
 __all__ = ["RunConfig", "parse_config", "run", "main", "PRESETS"]
 
 
-_COMMANDS = ("mml-eval", "eigen", "solve", "asymptotics", "stability",
-             "counterexample", "verify")
-
-
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
@@ -339,9 +335,10 @@ def _cmd_solve(cfg: RunConfig):
         header = ["t", "l2_norm", "forced_norm"]
         columns = [(0.0, 0.0), (cfg.gamma + 1.0 - cfg.tau, 0.0)]
     sol = solver.ModalSolution(p)
-    rows = [(float(t), *(spectral.modal_frac_norm(mv - shift, g, p.spectrum)
-                         for g, shift in columns))
-            for t, mv in zip(grid, sol.modal_values(grid))]
+    values = sol.modal_values(grid)
+    norms = [spectral.modal_frac_norm(values - shift, g, p.spectrum).tolist()
+             for g, shift in columns]
+    rows = list(zip(grid.tolist(), *norms))
     results = {}
     if grid[0] > grid[-1]:
         rep = analysis.short_time_checks(p, cfg.gamma, grid, tau=cfg.tau, modal=sol)
@@ -355,19 +352,15 @@ def _cmd_asymptotics(cfg: RunConfig):
         raise ConfigError("asymptotics runs on homogeneous problems")
     grid = _parse_grid(cfg.t_grid)
     sol = solver.ModalSolution(p)
-    rows = []
-    for t, mv in zip(grid, sol.modal_values(grid)):
-        t = float(t)
-        lead = analysis.asymptotic_leading_term(p, t)
-        rows.append((
-            t,
-            spectral.modal_frac_norm(mv, 0.0, p.spectrum),
-            spectral.modal_frac_norm(mv, 1.0, p.spectrum),
-            spectral.modal_frac_norm(lead, 1.0, p.spectrum),
-            analysis.asymptotic_residual(p, t, sol),
-        ))
-    norms = [r[2] for r in rows]
-    fit = analysis.decay_fit(grid, norms)
+    values = sol.modal_values(grid)
+    l2_norms = spectral.modal_frac_norm(values, 0.0, p.spectrum)
+    dl_norms = spectral.modal_frac_norm(values, 1.0, p.spectrum)
+    rows = [(t, l2, dl,
+             spectral.modal_frac_norm(analysis.asymptotic_leading_term(p, t), 1.0,
+                                      p.spectrum),
+             analysis.asymptotic_residual(p, t, sol))
+            for t, l2, dl in zip(grid.tolist(), l2_norms.tolist(), dl_norms.tolist())]
+    fit = analysis.decay_fit(grid, dl_norms)
     results = {
         "fitted_decay_exponent": fit.exponent,
         "fit_r_squared": fit.r_squared,
@@ -557,6 +550,7 @@ _COMMAND_IMPL = {
     "counterexample": _cmd_counterexample,
     "verify": _cmd_verify,
 }
+_COMMANDS = tuple(_COMMAND_IMPL)
 
 
 def run(cfg: RunConfig, out_dir: str | None = None) -> int:
@@ -638,7 +632,7 @@ def main(argv=None) -> int:
                     setattr(cfg, f.name,
                             max(2, getattr(cfg, f.name) // f.metadata["fast"]))
         return run(cfg, out_dir=args.out)
-    except (ConfigError, ValueError, ArithmeticError, RuntimeError) as exc:
+    except (ConfigError, ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"mtfrac: error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,7 +26,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
@@ -106,6 +105,7 @@ def highprec_series(params: MLParams, args: MLArgs, digits: int = 30) -> HighPre
     beta_min = min(betas)
     max_shells = int(10 * digits * (1.0 + S)) + 20
 
+    import mpmath as mp   # here alone, so importing mtfrac does not load it
     with mp.workdps(digits + 10):
         zs = [mp.mpc(z) for z in args.z]
         # The Gamma argument b_0 + sum_j b_j k_j is formed at working

@@ -196,10 +196,16 @@ def frac_norm(f, gamma: float, s: Spectrum) -> float:
     return modal_frac_norm(project(f, s), gamma, s)
 
 
-def modal_frac_norm(coeffs, gamma: float, s: Spectrum) -> float:
-    """Same as :func:`frac_norm` but from modal coefficients directly."""
+def modal_frac_norm(coeffs, gamma: float, s: Spectrum):
+    """Same as :func:`frac_norm` but from modal coefficients directly.
+
+    A 1-D ``coeffs`` gives a float; a (T, n_modes) block gives the T norms
+    of its rows, each the same bits as that row's own norm.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
-    return float(np.sqrt(np.sum((s.lambdas[: coeffs.size] ** gamma * coeffs) ** 2)))
+    norms = np.sqrt(np.sum((s.lambdas[: coeffs.shape[-1]] ** gamma * coeffs) ** 2,
+                           axis=-1))
+    return float(norms) if coeffs.ndim == 1 else norms
 
 
 def check_orthonormal(s: Spectrum) -> float:

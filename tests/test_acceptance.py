@@ -277,7 +277,7 @@ def test_criterion_11_lipschitz(op255, spec255):
             eps = 0.2 * 0.5 ** level
             pert = an.perturbed_problem(base, channel, eps)
             rep = an.lipschitz_experiment(base, pert, gamma=0.75, tau=0.5,
-                                          n_time=25, base_solution=base_sol)
+                                          base_solution=base_sol)
             ratios.append(rep.ratio)
         spreads[channel] = max(ratios) / min(ratios)
         assert spreads[channel] < 5.0

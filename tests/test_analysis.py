@@ -213,7 +213,7 @@ def test_modal_solution_must_belong_to_the_problem(decay_problem, stability_base
         an.homogeneous_norm(decay_problem, 1.0, 1.0, other)
     with pytest.raises(ValueError, match="base_solution belongs to a different"):
         an.lipschitz_experiment(decay_problem, decay_problem, gamma=0.75,
-                                tau=0.5, n_time=9, base_solution=other)
+                                tau=0.5, base_solution=other)
 
 
 def test_short_time_grid_validation(decay_problem):
@@ -223,7 +223,7 @@ def test_short_time_grid_validation(decay_problem):
 
 def test_lipschitz_identical_problems(stability_base):
     rep = an.lipschitz_experiment(stability_base, stability_base,
-                                  gamma=0.75, tau=0.5, n_time=9)
+                                  gamma=0.75, tau=0.5)
     assert rep.exact_match
     assert rep.diff_norm < 1e-12
 
@@ -233,7 +233,7 @@ def test_lipschitz_ratio_stable_under_halving(stability_base):
     for eps in (0.2, 0.1, 0.05):
         pert = an.perturbed_problem(stability_base, "q", eps)
         rep = an.lipschitz_experiment(stability_base, pert,
-                                      gamma=0.75, tau=0.5, n_time=13)
+                                      gamma=0.75, tau=0.5)
         ratios.append(rep.ratio)
     assert max(ratios) / min(ratios) < 5.0
 
@@ -243,7 +243,7 @@ def test_lipschitz_diffusion_channel(stability_base):
     for eps in (0.1, 0.05):
         pert = an.perturbed_problem(stability_base, "diffusion", eps)
         rep = an.lipschitz_experiment(stability_base, pert,
-                                      gamma=0.75, tau=0.5, n_time=13)
+                                      gamma=0.75, tau=0.5)
         assert rep.space_gamma == 1.0  # gamma >= 1/2 branch
         ratios.append(rep.ratio)
     assert max(ratios) / min(ratios) < 5.0
@@ -259,8 +259,7 @@ def test_perturbed_problem_reuses_spectrum_when_operator_unchanged(stability_bas
 
 def test_lipschitz_low_gamma_branch(stability_base):
     pert = an.perturbed_problem(stability_base, "alpha", 0.05)
-    rep = an.lipschitz_experiment(stability_base, pert, gamma=0.3, tau=0.5,
-                                  n_time=9)
+    rep = an.lipschitz_experiment(stability_base, pert, gamma=0.3, tau=0.5)
     assert rep.space_gamma == 0.5
     assert abs(rep.time_exponent - 1.0 / 0.7) < 1e-12
     assert math.isfinite(rep.ratio)
@@ -269,17 +268,18 @@ def test_lipschitz_low_gamma_branch(stability_base):
 def test_lipschitz_threads_deterministic(stability_base):
     pert = an.perturbed_problem(stability_base, "q", 0.1)
     r1 = an.lipschitz_experiment(stability_base, pert, gamma=0.75, tau=0.5,
-                                 n_time=9, threads=1)
+                                 threads=1)
     r2 = an.lipschitz_experiment(stability_base, pert, gamma=0.75, tau=0.5,
-                                 n_time=9, threads=4)
+                                 threads=4)
     assert r1.diff_norm == r2.diff_norm
 
 
-def _reference_diff_norm(base, pert, gamma, tau, n_time=25, t_final=2.0):
+def _reference_diff_norm(base, pert, gamma, tau):
     """lipschitz_experiment's norm, one time at a time: synthesize both
     solutions on the grid, project their difference on the base modes."""
     p_exp, space_gamma = (1.0 / (1.0 - gamma), 1.0 - tau) if gamma < 0.5 else (2.0, 1.0)
-    grid = t_final * (np.arange(1, n_time + 1) / n_time) ** 2.0
+    n_time = an.LIPSCHITZ_N_TIME
+    grid = an.LIPSCHITZ_T_FINAL * (np.arange(1, n_time + 1) / n_time) ** 2.0
     norms = []
     for t in grid:
         u = [sp.synthesize(sv.mode_amplitudes(p.orders, p.spectrum.lambdas, t)
@@ -317,24 +317,22 @@ def test_lipschitz_one_kernel_call_with_warm_base(stability_base, monkeypatch):
 
 
 def test_admissible_sets(stability_base):
-    sets = an.AdmissibleSets(alpha_bounds=(0.1, 0.9), q_bounds=(0.1, 5.0),
-                             d_bounds=(0.01, 10.0))
-    assert sets.contains_orders(stability_base.orders)
-    assert sets.contains_diffusion(stability_base.operator)
-    bad = an.AdmissibleSets(alpha_bounds=(0.6, 0.9))
-    assert not bad.contains_orders(stability_base.orders)  # alpha_2 = 0.5
-    with pytest.raises(ValueError):
-        an.AdmissibleSets(alpha_bounds=(0.9, 0.1))
-    tight = an.AdmissibleSets(d_bounds=(2.0, 50.0))
-    assert not tight.contains_diffusion(stability_base.operator)
+    assert an._orders_admissible(stability_base.orders)
+    assert an._diffusion_admissible(stability_base.operator)
+    # alpha_1 = 0.97 lies above the order window's 0.95.
+    assert not an._orders_admissible(sv.FracOrders(alphas=(0.97, 0.5), qs=(1.0, 1.5)))
+    # sup D + sup |D'| = 60 exceeds the C1 cap of 50.
+    steep = sp.Operator1D.from_callables((0.0, np.pi), 255, diffusion=60.0)
+    assert not an._diffusion_admissible(steep)
 
 
 def test_lipschitz_rejects_inadmissible(stability_base):
-    pert = an.perturbed_problem(stability_base, "q", 0.1)
-    sets = an.AdmissibleSets(q_bounds=(0.05, 1.2))  # q_2 = 1.5 excluded
-    with pytest.raises(ValueError):
-        an.lipschitz_experiment(stability_base, pert, gamma=0.75, tau=0.5,
-                                sets=sets)
+    far = sv.Problem(orders=sv.FracOrders(alphas=(0.8, 0.5), qs=(1.0, 25.0)),
+                     operator=stability_base.operator,
+                     spectrum=stability_base.spectrum,
+                     initial=stability_base.initial)   # q_2 = 25 > 20
+    with pytest.raises(ValueError, match="orders outside the admissible set"):
+        an.lipschitz_experiment(stability_base, far, gamma=0.75, tau=0.5)
 
 
 def test_c1_norm_difference(laplace_op):

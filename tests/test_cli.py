@@ -231,6 +231,22 @@ def test_validate_accepts_last_mode():
                   source_kind="mode-const:7:2.0").validate()
 
 
+def test_main_reports_unwritable_output(tmp_path, capsys):
+    # An --out path that is a file, or sits under one, and an [output] path
+    # in a missing directory end in one error line, not a traceback.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert cli.main(["eigen", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mtfrac: error: ") and err.count("\n") == 1
+    cfg_path = _write(tmp_path, MINIMAL_CONFIG.replace("path = run.csv",
+                                                       "path = missing/run.csv"))
+    assert cli.main(["eigen", "--config", cfg_path, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mtfrac: error: ") and err.count("\n") == 1
+
+
 def test_main_preset_command_mismatch():
     assert cli.main(["solve", "--preset", "rem36"]) == 1
 

@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import mtfrac
 
@@ -18,3 +21,11 @@ def test_public_names_resolve():
         assert not missing, (module.__name__, missing)
         checked += 1
     assert checked >= 7
+
+
+def test_import_does_not_load_mpmath():
+    # mpmath serves the high-precision oracle alone and is imported there.
+    code = "import sys, mtfrac; sys.exit('mpmath' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(mtfrac.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

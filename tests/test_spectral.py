@@ -115,6 +115,19 @@ def test_frac_norm_monotone_in_gamma(small_spectrum):
     assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
 
 
+@pytest.mark.parametrize("n_modes", [7, 63])
+def test_modal_frac_norm_block_matches_rows(small_spectrum, n_modes):
+    # A (T, n) block gives each row's own norm, bit for bit.
+    rng = np.random.default_rng(11)
+    block = rng.standard_normal((25, n_modes))
+    for gamma in (0.0, 0.3, 0.5, 1.0):
+        norms = sp.modal_frac_norm(block, gamma, small_spectrum)
+        assert norms.shape == (25,)
+        rows = [sp.modal_frac_norm(row, gamma, small_spectrum) for row in block]
+        assert all(isinstance(r, float) for r in rows)
+        np.testing.assert_array_equal(norms, rows)
+
+
 def test_dirichlet_energy_identity():
     op = sp.Operator1D.from_callables(
         (0.0, math.pi), 127,
