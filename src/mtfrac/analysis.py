@@ -27,7 +27,7 @@ __all__ = [
     "asymptotic_leading_term",
     "asymptotic_residual",
     "residual_exponent",
-    "homogeneous_norm",
+    "short_time_vanishing",
     "short_time_checks",
     "lipschitz_experiment",
     "perturbation_delta",
@@ -66,18 +66,6 @@ def decay_fit(times, norms) -> DecayFit:
                     r_squared=min(max(r2, 0.0), 1.0))
 
 
-def _solution(p: Problem, modal: ModalSolution | None, name: str = "modal",
-              homogeneous: bool = True) -> ModalSolution:
-    """``modal``, which must solve ``p``, or a fresh ModalSolution of ``p``."""
-    if homogeneous and p.source is not None:
-        raise ValueError("this analysis requires a problem without source")
-    if modal is None:
-        return ModalSolution(p)
-    if modal.problem is not p:
-        raise ValueError(f"{name} belongs to a different problem")
-    return modal
-
-
 # ---------------------------------------------------------------------------
 # Long-time asymptotics
 
@@ -105,21 +93,16 @@ def residual_exponent(orders: FracOrders) -> float:
     return min((next_power, *orders.alphas[-2:-1]))
 
 
-def asymptotic_residual(p: Problem, t: float,
-                        modal: ModalSolution | None = None) -> float:
-    """Scaled remainder  t^e * ||u(t) - leading(t)||_{D(-L)} / ||a||_{L2},
-    with e the :func:`residual_exponent` of the problem's orders."""
-    sol = _solution(p, modal)
+def asymptotic_residual(sol: ModalSolution, t: float) -> float:
+    """Scaled remainder  t^e * ||u(t) - leading(t)||_{D(-L)} / ||a||_{L2}
+    of ``sol``, with e the :func:`residual_exponent` of its problem's orders."""
+    p = sol.problem
+    if p.source is not None:
+        raise ValueError("this analysis requires a problem without source")
     lead = asymptotic_leading_term(p, t)
     num = modal_frac_norm(sol.modal_values(t) - lead, 1.0, p.spectrum)
     den = modal_frac_norm(p.modal_initial, 0.0, p.spectrum)
     return t ** residual_exponent(p.orders) * num / den
-
-
-def homogeneous_norm(p: Problem, t: float, gamma: float,
-                     modal: ModalSolution | None = None) -> float:
-    """||u(t)||_{D((-L)^gamma)} for the homogeneous solution."""
-    return modal_frac_norm(_solution(p, modal).modal_values(t), gamma, p.spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -141,32 +124,36 @@ class ShortTimeReport:
     vanishing: bool
 
 
-def short_time_checks(p: Problem, gamma: float, t_grid, tau: float = 0.8,
-                      modal: ModalSolution | None = None) -> ShortTimeReport:
-    """Tabulate the short-time norms and decide the vanishing verdict.
+def short_time_vanishing(norms) -> bool:
+    """The :class:`ShortTimeReport` verdict on norms along decreasing time."""
+    norms = np.asarray(norms, dtype=float)
+    if np.all(norms == 0.0):
+        return True
+    scale = norms[0] if norms[0] > 0 else 1.0
+    monotone = bool(np.all(norms[1:] <= norms[:-1] * 1.05 + 1e-300))
+    return monotone and bool(norms[-1] <= 1e-3 * scale)
+
+
+def short_time_checks(sol: ModalSolution, gamma: float, t_grid,
+                      tau: float = 0.8) -> ShortTimeReport:
+    """Tabulate the short-time norms of ``sol`` and decide the vanishing verdict.
 
     Homogeneous problems track ||u(t) - a||_{D((-L)^gamma)}; forced ones
-    (zero initial value) track ||u(t)||_{D((-L)^{gamma+1-tau})}.  The
-    problem's ModalSolution may be passed through ``modal`` to reuse its
-    cached coefficients.
+    (zero initial value) track ||u(t)||_{D((-L)^{gamma+1-tau})}.
     """
+    p = sol.problem
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) >= 0):
         raise ValueError("t_grid must be strictly decreasing")
-    values = _solution(p, modal, homogeneous=False).modal_values(t_grid)
+    values = sol.modal_values(t_grid)
     if p.source is None:
         kind, g_norm = "homogeneous", gamma
         values = values - p.modal_initial
     else:
         kind, g_norm = "forced", gamma + 1.0 - tau
     norms = modal_frac_norm(values, g_norm, p.spectrum)
-    scale = norms[0] if norms[0] > 0 else 1.0
-    monotone = bool(np.all(norms[1:] <= norms[:-1] * 1.05 + 1e-300))
-    vanishing = monotone and norms[-1] <= 1e-3 * scale
-    if np.all(norms == 0.0):
-        vanishing = True
     return ShortTimeReport(kind=kind, gamma=gamma, tau=tau, times=t_grid,
-                           norms=norms, vanishing=vanishing)
+                           norms=norms, vanishing=short_time_vanishing(norms))
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +236,8 @@ def lipschitz_experiment(base: Problem, perturbed: Problem, gamma: float,
     if not np.array_equal(base.initial, perturbed.initial):
         raise ValueError("both problems must share the initial value")
     for prob in (base, perturbed):
+        if prob.source is not None:
+            raise ValueError("this analysis requires a problem without source")
         if not _orders_admissible(prob.orders):
             raise ValueError("orders outside the admissible set")
         if not _diffusion_admissible(prob.operator):
@@ -264,8 +253,12 @@ def lipschitz_experiment(base: Problem, perturbed: Problem, gamma: float,
     grid = LIPSCHITZ_T_FINAL * (np.arange(1, LIPSCHITZ_N_TIME + 1)
                                 / LIPSCHITZ_N_TIME) ** 2.0
 
-    modal_b = _solution(base, base_solution, "base_solution").modal_values(grid)
-    modal_p = _solution(perturbed, None).modal_values(grid)
+    if base_solution is None:
+        base_solution = ModalSolution(base)
+    elif base_solution.problem is not base:
+        raise ValueError("base_solution belongs to a different problem")
+    modal_b = base_solution.modal_values(grid)
+    modal_p = ModalSolution(perturbed).modal_values(grid)
     s, s_p = base.spectrum, perturbed.spectrum
     if s_p is s:
         diff_modal = modal_b - modal_p

@@ -205,10 +205,10 @@ def test_criterion_08_decay_rate(op255, spec255):
     p = sv.Problem(orders=orders, operator=op255, spectrum=spec255, initial=a)
     sol = sv.ModalSolution(p)
     ts = np.logspace(2, 4, 15)
-    norms = [an.homogeneous_norm(p, float(t), 1.0, sol) for t in ts]
+    norms = sp.modal_frac_norm(sol.modal_values(ts), 1.0, spec255)
     fit = an.decay_fit(ts, norms)
     assert abs(fit.exponent - (-0.3)) < 0.05
-    residuals = [an.asymptotic_residual(p, float(t), sol) for t in ts]
+    residuals = [an.asymptotic_residual(sol, float(t)) for t in ts]
     spread = max(residuals) / min(residuals)
     assert spread < 10.0
     _report("08 decay rate", time.time() - start, 120.0,
@@ -226,8 +226,7 @@ def test_criterion_09_two_sided_band(op255, spec255):
     sol = sv.ModalSolution(p)
 
     def banded(ts):
-        return np.array([an.homogeneous_norm(p, float(t), 1.0, sol) * t ** 0.3
-                         for t in ts])
+        return sp.modal_frac_norm(sol.modal_values(ts), 1.0, spec255) * ts ** 0.3
 
     coarse = banded(np.logspace(2, 4, 15))
     lo, hi = coarse.min(), coarse.max()
@@ -246,7 +245,7 @@ def test_criterion_10_short_time(op255, spec255):
     n = np.arange(1, spec255.n_modes + 1, dtype=float)
     a = sp.synthesize(n ** -4.0, spec255)
     hom = sv.Problem(orders=orders, operator=op255, spectrum=spec255, initial=a)
-    rep_h = an.short_time_checks(hom, 1.0, np.logspace(-1, -8, 8))
+    rep_h = an.short_time_checks(sv.ModalSolution(hom), 1.0, np.logspace(-1, -8, 8))
     assert rep_h.vanishing
 
     times = np.linspace(0.0, 0.2, 257)
@@ -254,7 +253,8 @@ def test_criterion_10_short_time(op255, spec255):
     src = sv.SampledSource(times=times, values=values)
     forced = sv.Problem(orders=orders, operator=op255, spectrum=spec255,
                         initial=np.zeros(op255.n_interior), source=src)
-    rep_f = an.short_time_checks(forced, 0.0, np.logspace(-1, -8, 8), tau=0.8)
+    rep_f = an.short_time_checks(sv.ModalSolution(forced), 0.0,
+                                 np.logspace(-1, -8, 8), tau=0.8)
     assert rep_f.vanishing
     _report("10 short-time limits", time.time() - start, 120.0,
             f"homogeneous drop {rep_h.norms[-1] / rep_h.norms[0]:.1e}, "

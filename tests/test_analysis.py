@@ -45,9 +45,14 @@ def test_decay_fit_validation():
 
 
 def test_multi_term_decay_exponent(decay_problem):
-    sol = sv.ModalSolution(decay_problem)
+    s = decay_problem.spectrum
     ts = np.logspace(2, 4, 9)
-    norms = [an.homogeneous_norm(decay_problem, float(t), 1.0, sol) for t in ts]
+    norms = sp.modal_frac_norm(sv.ModalSolution(decay_problem).modal_values(ts),
+                               1.0, s)
+    # One block, the same bits as one fresh solution per time.
+    per_time = [sp.modal_frac_norm(sv.ModalSolution(decay_problem)
+                                   .modal_values(float(t)), 1.0, s) for t in ts]
+    np.testing.assert_array_equal(norms, per_time)
     fit = an.decay_fit(ts, norms)
     assert abs(fit.exponent + 0.3) < 0.05
 
@@ -58,7 +63,11 @@ def test_single_term_decay_exponent(laplace_op, laplace_spectrum):
     p = sv.Problem(orders=orders, operator=laplace_op,
                    spectrum=laplace_spectrum, initial=a)
     ts = np.logspace(2, 4, 9)
-    norms = [an.homogeneous_norm(p, float(t), 1.0) for t in ts]
+    norms = sp.modal_frac_norm(sv.ModalSolution(p).modal_values(ts), 1.0,
+                               laplace_spectrum)
+    per_time = [sp.modal_frac_norm(sv.ModalSolution(p).modal_values(float(t)),
+                                   1.0, laplace_spectrum) for t in ts]
+    np.testing.assert_array_equal(norms, per_time)
     fit = an.decay_fit(ts, norms)
     assert abs(fit.exponent + 0.5) < 0.05
 
@@ -84,8 +93,7 @@ def test_leading_term_single_mode(laplace_op, laplace_spectrum):
 
 def test_asymptotic_residual_bounded(decay_problem):
     sol = sv.ModalSolution(decay_problem)
-    vals = [an.asymptotic_residual(decay_problem, float(t), sol)
-            for t in np.logspace(1, 4, 10)]
+    vals = [an.asymptotic_residual(sol, float(t)) for t in np.logspace(1, 4, 10)]
     assert max(vals) / min(vals) < 20.0
     assert all(math.isfinite(v) for v in vals)
 
@@ -133,7 +141,7 @@ def test_scaled_remainder_flat(laplace_op, laplace_spectrum, orders, ts):
                    spectrum=laplace_spectrum,
                    initial=laplace_spectrum.eigvecs[:, 0])
     sol = sv.ModalSolution(p)
-    vals = [an.asymptotic_residual(p, float(t), sol) for t in ts]
+    vals = [an.asymptotic_residual(sol, float(t)) for t in ts]
     bound = 1.5 if orders.m == 2 else 1.05
     assert max(vals) / min(vals) < bound
 
@@ -144,8 +152,9 @@ def test_per_mode_residual_scaling(laplace_op, laplace_spectrum):
     phi1 = laplace_spectrum.eigvecs[:, 0]
     p = sv.Problem(orders=orders, operator=laplace_op,
                    spectrum=laplace_spectrum, initial=phi1)
-    r1 = an.asymptotic_residual(p, 400.0)
-    r2 = an.asymptotic_residual(p, 800.0)
+    sol = sv.ModalSolution(p)
+    r1 = an.asymptotic_residual(sol, 400.0)
+    r2 = an.asymptotic_residual(sol, 800.0)
     assert 0.5 < r2 / r1 < 2.0
 
 
@@ -155,7 +164,7 @@ def test_short_time_homogeneous(laplace_op, laplace_spectrum):
     a = sp.synthesize(n ** -4.0, laplace_spectrum)
     p = sv.Problem(orders=orders, operator=laplace_op,
                    spectrum=laplace_spectrum, initial=a)
-    rep = an.short_time_checks(p, 1.0, np.logspace(-1, -8, 8))
+    rep = an.short_time_checks(sv.ModalSolution(p), 1.0, np.logspace(-1, -8, 8))
     assert rep.kind == "homogeneous"
     assert rep.vanishing
     assert rep.norms[-1] < 1e-3 * rep.norms[0]
@@ -166,14 +175,14 @@ def test_short_time_zero_data(laplace_op, laplace_spectrum):
     p = sv.Problem(orders=orders, operator=laplace_op,
                    spectrum=laplace_spectrum,
                    initial=np.zeros(laplace_op.n_interior))
-    rep = an.short_time_checks(p, 0.5, np.logspace(-1, -6, 6))
+    rep = an.short_time_checks(sv.ModalSolution(p), 0.5, np.logspace(-1, -6, 6))
     assert rep.vanishing
     assert np.all(rep.norms == 0.0)
 
 
 def test_short_time_forced_takes_caller_solutions(laplace_op, laplace_spectrum,
                                                   monkeypatch):
-    # A forced problem's ModalSolution passed through ``modal`` gives the
+    # A forced problem's ModalSolution that already holds the grid gives the
     # same report as a fresh one, from its cached coefficients alone.
     times = np.linspace(0.0, 0.2, 33)
     src = sv.SampledSource(times=times,
@@ -182,7 +191,7 @@ def test_short_time_forced_takes_caller_solutions(laplace_op, laplace_spectrum,
                    operator=laplace_op, spectrum=laplace_spectrum,
                    initial=np.zeros(laplace_op.n_interior), source=src)
     grid = np.logspace(-1, -6, 6)
-    own = an.short_time_checks(p, 0.0, grid)
+    own = an.short_time_checks(sv.ModalSolution(p), 0.0, grid)
     sol = sv.ModalSolution(p)
     sol.modal_values(grid)
     calls = []
@@ -192,25 +201,24 @@ def test_short_time_forced_takes_caller_solutions(laplace_op, laplace_spectrum,
         return e_solver_many(*args)
 
     monkeypatch.setattr(sv, "e_solver_many", counting)
-    given = an.short_time_checks(p, 0.0, grid, modal=sol)
+    given = an.short_time_checks(sol, 0.0, grid)
     assert own.kind == given.kind == "forced"
     np.testing.assert_array_equal(given.norms, own.norms)
     assert given.vanishing == own.vanishing
     assert calls == []
+    # The long-time and Lipschitz analyses refuse a forced problem.
     with pytest.raises(ValueError, match="without source"):
-        an.homogeneous_norm(p, 0.1, 0.0, sol)
+        an.asymptotic_residual(sol, 0.1)
+    hom = sv.Problem(orders=p.orders, operator=laplace_op,
+                     spectrum=laplace_spectrum, initial=p.initial)
+    for base, perturbed in ((p, hom), (hom, p)):
+        with pytest.raises(ValueError, match="without source"):
+            an.lipschitz_experiment(base, perturbed, gamma=0.75, tau=0.5)
 
 
 def test_modal_solution_must_belong_to_the_problem(decay_problem, stability_base):
-    # A ModalSolution of another problem would give that problem's norms.
+    # A base ModalSolution of another problem would give that problem's norms.
     other = sv.ModalSolution(stability_base)
-    grid = np.logspace(-1, -6, 6)
-    with pytest.raises(ValueError, match="modal belongs to a different problem"):
-        an.short_time_checks(decay_problem, 0.5, grid, modal=other)
-    with pytest.raises(ValueError, match="modal belongs to a different problem"):
-        an.asymptotic_residual(decay_problem, 100.0, other)
-    with pytest.raises(ValueError, match="modal belongs to a different problem"):
-        an.homogeneous_norm(decay_problem, 1.0, 1.0, other)
     with pytest.raises(ValueError, match="base_solution belongs to a different"):
         an.lipschitz_experiment(decay_problem, decay_problem, gamma=0.75,
                                 tau=0.5, base_solution=other)
@@ -218,7 +226,8 @@ def test_modal_solution_must_belong_to_the_problem(decay_problem, stability_base
 
 def test_short_time_grid_validation(decay_problem):
     with pytest.raises(ValueError):
-        an.short_time_checks(decay_problem, 0.5, np.array([1e-8, 1e-1]))
+        an.short_time_checks(sv.ModalSolution(decay_problem), 0.5,
+                             np.array([1e-8, 1e-1]))
 
 
 def test_lipschitz_identical_problems(stability_base):

@@ -322,8 +322,24 @@ def test_preset_thm24_end_to_end(tmp_path):
     assert max(scaled) / min(scaled) < 1.5
 
 
+def _count_norm_blocks(monkeypatch):
+    """Record each modal_frac_norm call, under both names it is called by."""
+    from mtfrac import analysis, spectral
+    calls = []
+    norm = spectral.modal_frac_norm
+
+    def counting(*args):
+        calls.append(args)
+        return norm(*args)
+
+    monkeypatch.setattr(spectral, "modal_frac_norm", counting)
+    monkeypatch.setattr(analysis, "modal_frac_norm", counting)
+    return calls
+
+
 def test_preset_thm21_short_time_verdict(tmp_path, monkeypatch):
-    # The rows and the short-time verdict share one amplitude block.
+    # The rows and the short-time verdict share one amplitude block, and the
+    # verdict reads the last column's norms: one norm block per column.
     from mtfrac import specfun
     calls = []
 
@@ -333,9 +349,11 @@ def test_preset_thm21_short_time_verdict(tmp_path, monkeypatch):
 
     solver_family = specfun._solver_family
     monkeypatch.setattr(specfun, "_solver_family", counting)
+    norm_calls = _count_norm_blocks(monkeypatch)
     cfg = cli.preset_config("thm21")
     assert cli.run(cfg, out_dir=str(tmp_path)) == 0
     assert len(calls) == 1
+    assert len(norm_calls) == 4
     manifest = configparser.ConfigParser()
     manifest.read(str(tmp_path / "thm21.csv.manifest.ini"))
     assert manifest["results"]["short_time_vanishing"] == "True"
@@ -343,7 +361,7 @@ def test_preset_thm21_short_time_verdict(tmp_path, monkeypatch):
 
 def test_preset_thm22_forced_verdict(tmp_path, monkeypatch):
     # The rows and the verdict share one block of forced modal values: one
-    # kernel call for the whole grid.
+    # kernel call for the whole grid, and one norm block per column.
     from mtfrac import specfun
     calls = []
 
@@ -353,9 +371,11 @@ def test_preset_thm22_forced_verdict(tmp_path, monkeypatch):
 
     solver_family = specfun._solver_family
     monkeypatch.setattr(specfun, "_solver_family", counting)
+    norm_calls = _count_norm_blocks(monkeypatch)
     cfg = cli.preset_config("thm22")
     assert cli.run(cfg, out_dir=str(tmp_path)) == 0
     assert len(calls) == 1
+    assert len(norm_calls) == 2
     manifest = configparser.ConfigParser()
     manifest.read(str(tmp_path / "thm22.csv.manifest.ini"))
     assert manifest["results"]["short_time_vanishing"] == "True"
