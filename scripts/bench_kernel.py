@@ -29,7 +29,15 @@ Prints one JSON object with the median CPU milliseconds over N repeats of:
   same shape, orders (0.8, 0.4) with q = (1, 1), lambda = 2, t = 2;
 * ``series_m3`` / ``lemma31_m3``: one ``mml_series`` value and one
   ``lemma31_residual`` (four series in one pass) at m = 3 near the series
-  crossover, exponents (0.8, 0.3, 0.6), b_0 = 1, z = (-1, -0.6, -0.4).
+  crossover, exponents (0.8, 0.3, 0.6), b_0 = 1, z = (-1, -0.6, -0.4);
+* ``gamma_real``: one scalar Gamma(0.7);
+* ``eigendecompose_operator``: assembling and decomposing the Laplacian on
+  (0, pi) with 255 interior nodes;
+* ``caputo_quadrature``: the Caputo derivative of order 0.4 at t = 1.5 of
+  g(s) = cos s by product quadrature on the default 256-panel mesh;
+* ``mode_ode_residual``: one per-mode equation residual of criterion 13's
+  shape, orders (0.8, 0.4) with q = (1, 1), the fifth Laplacian mode,
+  t = 1.5, 384 panels graded 3.5.
 
 Each case runs once untimed first.  The mtfrac imported is the first one on
 sys.path, so ``PYTHONPATH=TREE/src`` times another source tree.
@@ -53,7 +61,8 @@ import scipy  # noqa: E402
 
 from mtfrac import oracle, specfun  # noqa: E402
 from mtfrac.solver import (FracOrders, ModalSolution, Problem,  # noqa: E402
-                           SampledSource, mode_amplitude, mode_amplitudes)
+                           QuadConfig, SampledSource, caputo_quadrature,
+                           mode_amplitude, mode_amplitudes, mode_ode_residual)
 from mtfrac.spectral import Operator1D, eigendecompose_operator  # noqa: E402
 
 PROPAGATOR_TIMES = (1e-3, 0.1, 2.0, 300.0)
@@ -131,6 +140,14 @@ def main(argv=None) -> dict:
     args = specfun.MLArgs(z=(-1.0, -0.6, -0.4))
     report["series_m3"] = cpu_ms(lambda: specfun.mml_series(params, args), repeats)
     report["lemma31_m3"] = cpu_ms(lambda: specfun.lemma31_residual(params, args), repeats)
+    report["gamma_real"] = cpu_ms(lambda: specfun.gamma_real(0.7), repeats)
+    report["eigendecompose_operator"] = cpu_ms(
+        lambda: eigendecompose_operator(op), repeats)
+    report["caputo_quadrature"] = cpu_ms(
+        lambda: caputo_quadrature(np.cos, 1.5, 0.4, QuadConfig()), repeats)
+    quad = QuadConfig(n_panels=384, grading=3.5)
+    report["mode_ode_residual"] = cpu_ms(
+        lambda: mode_ode_residual(l1_orders, float(lams[4]), 1.5, quad), repeats)
     return report
 
 

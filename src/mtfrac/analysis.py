@@ -69,15 +69,24 @@ def decay_fit(times, norms) -> DecayFit:
 # ---------------------------------------------------------------------------
 # Long-time asymptotics
 
-def asymptotic_leading_term(p: Problem, t: float) -> np.ndarray:
+def _time_powers(ts: np.ndarray, exponent: float) -> np.ndarray:
+    """t ** exponent in Python floats, which np.power may round otherwise."""
+    return np.reshape([t ** exponent for t in ts.ravel().tolist()], ts.shape)
+
+
+def asymptotic_leading_term(p: Problem, t) -> np.ndarray:
     """Modal coefficients of the leading long-time term,
-    q_m a_n / (lambda_n Gamma(1-a_m) t^{a_m}), with a_n the initial value's."""
-    if t <= 0:
+    q_m a_n / (lambda_n Gamma(1-a_m) t^{a_m}), with a_n the initial value's.
+
+    A scalar time gives (n_modes,), an array of T times a (T, n_modes)
+    block whose rows are the scalar results."""
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts <= 0):
         raise ValueError("t must be positive")
     alpha_m = p.orders.alphas[-1]
     q_m = p.orders.qs[-1]
-    return q_m * p.modal_initial / (p.spectrum.lambdas
-                                    * gamma_real(1.0 - alpha_m) * t ** alpha_m)
+    return q_m * p.modal_initial / (p.spectrum.lambdas * gamma_real(1.0 - alpha_m)
+                                    * _time_powers(ts, alpha_m)[..., None])
 
 
 def residual_exponent(orders: FracOrders) -> float:
@@ -93,16 +102,21 @@ def residual_exponent(orders: FracOrders) -> float:
     return min((next_power, *orders.alphas[-2:-1]))
 
 
-def asymptotic_residual(sol: ModalSolution, t: float) -> float:
+def asymptotic_residual(sol: ModalSolution, t):
     """Scaled remainder  t^e * ||u(t) - leading(t)||_{D(-L)} / ||a||_{L2}
-    of ``sol``, with e the :func:`residual_exponent` of its problem's orders."""
+    of ``sol``, with e the :func:`residual_exponent` of its problem's orders.
+
+    A scalar time gives a float, an array of times one residual per time
+    from one norm block."""
     p = sol.problem
     if p.source is not None:
         raise ValueError("this analysis requires a problem without source")
-    lead = asymptotic_leading_term(p, t)
-    num = modal_frac_norm(sol.modal_values(t) - lead, 1.0, p.spectrum)
+    ts = np.asarray(t, dtype=float)
+    lead = asymptotic_leading_term(p, ts)
+    num = modal_frac_norm(sol.modal_values(ts) - lead, 1.0, p.spectrum)
     den = modal_frac_norm(p.modal_initial, 0.0, p.spectrum)
-    return t ** residual_exponent(p.orders) * num / den
+    scaled = _time_powers(ts, residual_exponent(p.orders)) * num / den
+    return float(scaled) if ts.ndim == 0 else scaled
 
 
 # ---------------------------------------------------------------------------

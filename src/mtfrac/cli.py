@@ -8,7 +8,7 @@ manifest echo and the fast profile all read that table.  Parsing is
 strict: unknown sections and keys and empty values are errors.  Every run
 writes a CSV data file plus a manifest echoing every config key, the
 package constants, and library versions, so identical configs reproduce
-byte-identical data files.
+byte-identical data files at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -301,18 +301,12 @@ def _write_manifest(path, cfg: RunConfig, results: dict):
 
 def _cmd_mml_eval(cfg: RunConfig):
     orders = cfg.orders()
-    grid = _parse_grid(cfg.t_grid)
     params = specfun.solver_params(orders, cfg.beta0)
-    results = [specfun._mml_route(params, specfun.solver_args(orders, cfg.lam, float(t)),
-                                  tol=cfg.tol)[0] for t in grid]
-    # The rows mml_eval takes to the contour are one kernel call over their times.
-    contour = [i for i, res in enumerate(results) if res is None]
-    if contour:
-        values, ests = specfun._solver_family(cfg.lam, orders, cfg.beta0, grid[contour])
-        for i, value, est in zip(contour, values, ests):
-            results[i] = specfun.EvalResult(complex(value), float(est), specfun.Method.CONTOUR)
-    rows = [(float(t), float(res.value.real), res.method.value, float(res.abs_error_estimate))
-            for t, res in zip(grid, results)]
+    rows = []
+    for t in _parse_grid(cfg.t_grid).tolist():
+        res = specfun.mml_eval(params, specfun.solver_args(orders, cfg.lam, t), tol=cfg.tol)
+        rows.append((t, float(res.value.real), res.method.value,
+                     float(res.abs_error_estimate)))
     return ["t", "value", "method", "abs_error_estimate"], rows, {}
 
 
@@ -354,11 +348,11 @@ def _cmd_asymptotics(cfg: RunConfig):
     values = sol.modal_values(grid)
     l2_norms = spectral.modal_frac_norm(values, 0.0, p.spectrum)
     dl_norms = spectral.modal_frac_norm(values, 1.0, p.spectrum)
-    rows = [(t, l2, dl,
-             spectral.modal_frac_norm(analysis.asymptotic_leading_term(p, t), 1.0,
-                                      p.spectrum),
-             analysis.asymptotic_residual(sol, t))
-            for t, l2, dl in zip(grid.tolist(), l2_norms.tolist(), dl_norms.tolist())]
+    leading_norms = spectral.modal_frac_norm(
+        analysis.asymptotic_leading_term(p, grid), 1.0, p.spectrum)
+    residuals = analysis.asymptotic_residual(sol, grid)
+    rows = list(zip(grid.tolist(), l2_norms.tolist(), dl_norms.tolist(),
+                    leading_norms.tolist(), residuals.tolist()))
     fit = analysis.decay_fit(grid, dl_norms)
     results = {
         "fitted_decay_exponent": fit.exponent,

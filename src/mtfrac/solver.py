@@ -77,9 +77,11 @@ class FracOrders:
 
 @dataclass(eq=False)
 class SampledSource:
-    """Uniformly time-sampled source, linearly interpolated between samples.
+    """Time-sampled source, linearly interpolated between samples.
 
-    ``values`` rows are grid samples F(., t_i).
+    ``values`` rows are grid samples F(., t_i), t_0 = 0, at any spacing;
+    off a uniform grid the lags t - t_i stop coinciding, and a solution
+    costs what ``forced_offgrid`` in scripts/bench_kernel.py costs.
     """
 
     times: np.ndarray
@@ -90,11 +92,8 @@ class SampledSource:
         self.values = np.asarray(self.values, dtype=float)
         if self.times.ndim != 1 or self.times.size < 2:
             raise ValueError("source needs at least two time samples")
-        dt = np.diff(self.times)
-        if np.any(dt <= 0):
+        if np.any(np.diff(self.times) <= 0):
             raise ValueError("source times must be increasing")
-        if not np.allclose(dt, dt[0], rtol=1e-9):
-            raise ValueError("source times must be uniformly spaced")
         if self.times[0] != 0.0:
             raise ValueError("source sampling must start at t = 0")
 
@@ -180,10 +179,10 @@ class ModalSolution:
     """Modal coefficients of a problem's solution, cached per time.
 
     ``modal_values`` maps a scalar time to (n_modes,) and an array of T
-    times to a (T, n_modes) block.  The times not yet cached are one kernel
-    call, for either kind of problem: a homogeneous problem's over the
-    (time, mode) grid, a forced problem's (zero initial value) over the
-    distinct lags of all of them, split where they pass _MAX_LAGS.
+    times to a (T, n_modes) block.  The times not yet cached are evaluated
+    together: a homogeneous problem's in one kernel call over the
+    (time, mode) grid, a forced problem's (zero initial value) in two per
+    run of times, split where their distinct lags pass _MAX_LAGS.
     """
 
     def __init__(self, problem: Problem):
@@ -228,9 +227,10 @@ class ModalSolution:
             T_n(t) = F(0) K1(t) + F'(0) K2(t) + sum_{0 < t_i < t} dF'_i K2(t - t_i),
 
         K1(t) = t^{a_1} E^{(n)}_{1+a_1}(t), K2(t) = t^{1+a_1} E^{(n)}_{2+a_1}(t),
-        for every active mode at the distinct lags t and t - t_i of the
-        times, one :func:`e_solver_many` call per run of times from
-        :func:`_lag_runs`.  Every time is checked before the first call."""
+        for every active mode.  Per run of times from :func:`_lag_runs`, one
+        :func:`e_solver_many` call gives K2 at the distinct lags t and
+        t - t_i of the run, and one gives K1 at its times t alone.  Every
+        time is checked before the first call."""
         p = self.problem
         times = p.source.times
         if not np.all(ts >= 0.0):
@@ -243,15 +243,16 @@ class ModalSolution:
         interior = times[1:-1]
         taus = [np.concatenate([[t], t - interior[interior < t]]) for t in ts[rows]]
         a1 = p.orders.alphas[0]
+        lams = p.spectrum.lambdas[self._active]
         for run in _lag_runs(taus):
             lags, index = np.unique(np.concatenate(taus[run]), return_inverse=True)
-            e = e_solver_many(p.spectrum.lambdas[self._active], p.orders,
-                              [1.0 + a1, 2.0 + a1], lags[:, None])
+            k1 = e_solver_many(lams, p.orders, 1.0 + a1, ts[rows[run]][:, None])
+            k2 = e_solver_many(lams, p.orders, 2.0 + a1, lags[:, None])
             ends = np.cumsum([tau.size for tau in taus[run]])
-            for row, tau, i in zip(rows[run], taus[run], np.split(index, ends[:-1])):
+            for row, tau, k, i in zip(rows[run], taus[run], k1, np.split(index, ends[:-1])):
                 coeffs[row, self._active] = (
-                    tau[0] ** a1 * self._hist[0] * e[0, i[0]]
-                    + tau ** (1.0 + a1) @ (self._weights[:tau.size] * e[1, i]))
+                    tau[0] ** a1 * self._hist[0] * k
+                    + tau ** (1.0 + a1) @ (self._weights[:tau.size] * k2[i]))
         return coeffs
 
 
@@ -260,10 +261,10 @@ _MAX_LAGS = 2048
 
 def _lag_runs(taus: list[np.ndarray]):
     """Slices of consecutive ``taus`` over at most _MAX_LAGS distinct lags
-    each (a longer tau is a run of its own), one forced kernel call each.
+    each (a longer tau is a run of its own), one K1 and one K2 call each.
     Times at the source samples share their lags (256 for 257 samples),
-    times off them share almost none; a call's arrays take about 20 kB per
-    lag over 255 modes, so the cap bounds them at about 40 MB.  A lag
+    times off them share almost none; a K2 call's arrays take about 10 kB
+    per lag over 255 modes, so the cap bounds them at about 20 MB.  A lag
     repeated within one tau counts twice, which only shortens a run."""
     if not taus:
         return

@@ -496,34 +496,6 @@ def _series_feasible(params: MLParams, args: MLArgs, tol, max_k):
     return False
 
 
-def _mml_route(params: MLParams, args: MLArgs, tol: float = SERIES_TOL,
-               max_k: int = SERIES_MAX_SHELLS):
-    """Where :func:`mml_eval` evaluates: (its series result, None), or
-    (None, the (lam, orders) of the solver family at t = 1) where it takes
-    the window contour."""
-    if params.m != args.m:
-        raise ValueError(f"parameter/argument length mismatch: {params.m} != {args.m}")
-    z_total = sum(abs(v) for v in args.z)
-    family = _family_orders(params, args)
-    if z_total <= SERIES_CONTOUR_CROSSOVER:
-        try:
-            return mml_series(params, args, tol=tol, max_k=max_k), None
-        except SeriesConvergenceError:
-            if family is None:
-                raise
-            if _log.isEnabledFor(logging.DEBUG):
-                _log.debug("mml_eval: series did not converge at "
-                           "sum |z_j| = %.6g; using the contour", z_total)
-    if family is not None:
-        return None, family
-    if _series_feasible(params, args, tol, max_k):
-        return mml_series(params, args, tol=tol, max_k=max_k), None
-    raise UncoveredRegionError(
-        f"sum |z_j| = {z_total:.3g} exceeds the series crossover but the "
-        "arguments do not satisfy the contour requirements (solver-family "
-        "parameters, real non-positive z_j)")
-
-
 def mml_eval(params: MLParams, args: MLArgs, tol: float = SERIES_TOL,
              max_k: int = SERIES_MAX_SHELLS) -> EvalResult:
     """Adaptive evaluation: series for small arguments, contour beyond.
@@ -540,11 +512,28 @@ def mml_eval(params: MLParams, args: MLArgs, tol: float = SERIES_TOL,
     series where its majorant converges within ``max_k`` shells, and
     UncoveredRegionError otherwise.
     """
-    result, family = _mml_route(params, args, tol, max_k)
-    if result is None:
+    if params.m != args.m:
+        raise ValueError(f"parameter/argument length mismatch: {params.m} != {args.m}")
+    z_total = sum(abs(v) for v in args.z)
+    family = _family_orders(params, args)
+    if z_total <= SERIES_CONTOUR_CROSSOVER:
+        try:
+            return mml_series(params, args, tol=tol, max_k=max_k)
+        except SeriesConvergenceError:
+            if family is None:
+                raise
+            if _log.isEnabledFor(logging.DEBUG):
+                _log.debug("mml_eval: series did not converge at "
+                           "sum |z_j| = %.6g; using the contour", z_total)
+    if family is not None:
         value, est = _solver_family(*family, params.beta0, 1.0)
-        result = EvalResult(complex(value), float(est), Method.CONTOUR)
-    return result
+        return EvalResult(complex(value), float(est), Method.CONTOUR)
+    if _series_feasible(params, args, tol, max_k):
+        return mml_series(params, args, tol=tol, max_k=max_k)
+    raise UncoveredRegionError(
+        f"sum |z_j| = {z_total:.3g} exceeds the series crossover but the "
+        "arguments do not satisfy the contour requirements (solver-family "
+        "parameters, real non-positive z_j)")
 
 
 # ---------------------------------------------------------------------------

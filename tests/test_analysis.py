@@ -98,6 +98,23 @@ def test_asymptotic_residual_bounded(decay_problem):
     assert all(math.isfinite(v) for v in vals)
 
 
+def test_asymptotic_blocks_match_per_time_calls(decay_problem):
+    # An array of times gives the per-time results bit for bit: a block of
+    # leading terms, and one residual per time.
+    ts = np.random.default_rng(31).uniform(10.0, 1e4, 12)
+    lead = an.asymptotic_leading_term(decay_problem, ts)
+    assert lead.shape == (ts.size, decay_problem.spectrum.n_modes)
+    np.testing.assert_array_equal(
+        lead, [an.asymptotic_leading_term(decay_problem, t) for t in ts.tolist()])
+    residuals = an.asymptotic_residual(sv.ModalSolution(decay_problem), ts)
+    sol = sv.ModalSolution(decay_problem)
+    per_time = [an.asymptotic_residual(sol, t) for t in ts.tolist()]
+    assert all(type(r) is float for r in per_time)
+    np.testing.assert_array_equal(residuals, per_time)
+    with pytest.raises(ValueError, match="positive"):
+        an.asymptotic_leading_term(decay_problem, np.array([1.0, 0.0]))
+
+
 def _reference_residual_exponent(orders):
     """Second-smallest exponent sum_j k_j a_j among the nonzero terms
     (-1)^{r+1} (r; k) prod_j q_j^{k_j} t^{-e} / (lambda^r Gamma(1 - e)) of

@@ -166,9 +166,8 @@ def test_run_mml_eval(tmp_path):
 
 
 def test_mml_eval_rows_match_per_time_mml_eval(tmp_path):
-    # The contour rows are one kernel call over their times; each row keeps
-    # the method mml_eval picks at its time and agrees with mml_eval's value
-    # to within the row's estimate.
+    # Each row is mml_eval at its time: the same value, method and
+    # estimate, bit for bit, on both sides of the crossover.
     text = MINIMAL_CONFIG.replace("alphas = 0.5\nqs = 1.0",
                                   "alphas = 0.8, 0.5, 0.2\nqs = 1.0, 1.5, 0.5")
     text = text.replace("t_grid = 0.01:1.0:5:log", "t_grid = 0.001:1000:25:log")
@@ -186,7 +185,8 @@ def test_mml_eval_rows_match_per_time_mml_eval(tmp_path):
         t = float(row["t"])
         ref = specfun.mml_eval(params, specfun.solver_args(orders, cfg.lam, t), tol=cfg.tol)
         assert row["method"] == ref.method.value, t
-        assert abs(float(row["value"]) - ref.value.real) <= float(row["abs_error_estimate"]), t
+        assert float(row["value"]) == ref.value.real, t
+        assert float(row["abs_error_estimate"]) == ref.abs_error_estimate, t
 
 
 def test_counterexample_outputs(tmp_path):
@@ -360,8 +360,9 @@ def test_preset_thm21_short_time_verdict(tmp_path, monkeypatch):
 
 
 def test_preset_thm22_forced_verdict(tmp_path, monkeypatch):
-    # The rows and the verdict share one block of forced modal values: one
-    # kernel call for the whole grid, and one norm block per column.
+    # The rows and the verdict share one block of forced modal values: two
+    # kernel calls for the whole grid (K1 at its times, K2 at their lags),
+    # and one norm block per column.
     from mtfrac import specfun
     calls = []
 
@@ -374,13 +375,40 @@ def test_preset_thm22_forced_verdict(tmp_path, monkeypatch):
     norm_calls = _count_norm_blocks(monkeypatch)
     cfg = cli.preset_config("thm22")
     assert cli.run(cfg, out_dir=str(tmp_path)) == 0
-    assert len(calls) == 1
+    assert [beta0 for _, _, beta0, _ in calls] == [1.7, 2.7]
     assert len(norm_calls) == 2
     manifest = configparser.ConfigParser()
     manifest.read(str(tmp_path / "thm22.csv.manifest.ini"))
     assert manifest["results"]["short_time_vanishing"] == "True"
     lines = (tmp_path / "thm22.csv").read_text().splitlines()
     assert lines[0] == "t,l2_norm,forced_norm"
+
+
+def test_preset_thm24_one_block_per_column(tmp_path, monkeypatch):
+    # One amplitude block, one norm block per column plus the residual's
+    # ||a||, and the leading term once for its column and once for the
+    # residual, each over the whole grid.
+    from mtfrac import analysis, specfun
+    calls, lead_calls = [], []
+
+    def counting(*args):
+        calls.append(args)
+        return solver_family(*args)
+
+    def counting_lead(*args):
+        lead_calls.append(args)
+        return leading_term(*args)
+
+    solver_family = specfun._solver_family
+    leading_term = analysis.asymptotic_leading_term
+    monkeypatch.setattr(specfun, "_solver_family", counting)
+    monkeypatch.setattr(analysis, "asymptotic_leading_term", counting_lead)
+    norm_calls = _count_norm_blocks(monkeypatch)
+    cfg = cli.preset_config("thm24")
+    assert cli.run(cfg, out_dir=str(tmp_path)) == 0
+    assert len(calls) == 1
+    assert len(norm_calls) == 5
+    assert len(lead_calls) == 2
 
 
 def test_preset_thm23_fast_profile(tmp_path):

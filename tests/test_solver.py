@@ -448,8 +448,10 @@ def test_sampled_source_validation(laplace_spectrum):
         sv.SampledSource(times=np.array([0.0]), values=np.zeros((1, 3)))
     with pytest.raises(ValueError):
         sv.SampledSource(times=np.array([0.5, 1.0]), values=np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        sv.SampledSource(times=np.array([0.0, 1.0, 1.5]), values=np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="increasing"):
+        sv.SampledSource(times=np.array([0.0, 1.0, 1.0]), values=np.zeros((3, 3)))
+    # The spacing is free.
+    sv.SampledSource(times=np.array([0.0, 1.0, 1.5]), values=np.zeros((3, 3)))
 
 
 def test_source_smoothing_bound(laplace_op, laplace_spectrum):
@@ -518,10 +520,34 @@ def test_solve_source_time_varying_vs_l1_oracle(laplace_spectrum, laplace_op):
         assert abs(got - us[-1]) < 1e-4 * max(abs(us[-1]), 1e-3)
 
 
+def test_solve_source_graded_samples_vs_l1_oracle(laplace_spectrum, laplace_op):
+    # Samples graded toward t = 0 share no lags; the forced solution of
+    # their linear interpolant must still match the L1 stepper driven by
+    # the same interpolant.
+    from mtfrac import oracle as orc
+    orders = sv.FracOrders(alphas=(0.7, 0.3), qs=(1.0, 1.0))
+    lam1 = laplace_spectrum.lambdas[0]
+    times = 2.0 * (np.arange(65) / 64) ** 2.5
+    samples = np.sin(3.0 * times)
+    src = sv.SampledSource(times=times,
+                           values=samples[:, None] * laplace_spectrum.eigvecs[:, 0])
+    p = sv.Problem(orders=orders, operator=laplace_op,
+                   spectrum=laplace_spectrum,
+                   initial=np.zeros(laplace_op.n_interior), source=src)
+    sol = sv.ModalSolution(p)
+    for t in (0.8, 1.7):
+        got = sol.modal_values(t)[0]
+        cfg = orc.L1Config(t_final=t, n_steps=6000, grading=2.0)
+        _, us = orc.l1_solve_mode(lam1, orders, 0.0,
+                                  lambda tt: np.interp(tt, times, samples), cfg)
+        assert abs(got - us[-1]) < 1e-4 * max(abs(us[-1]), 1e-3)
+
+
 def test_modal_values_synthesize_to_solve_source(laplace_spectrum, laplace_op,
                                                  monkeypatch):
     # solve is the synthesis of the forced modal values, bit for bit; a
-    # block evaluates all its new times in one kernel call and caches them.
+    # block evaluates all its new times in two kernel calls (K1 at the
+    # times, K2 at their lags) and caches them.
     orders = sv.FracOrders(alphas=(0.7, 0.3), qs=(1.0, 1.0))
     times = np.linspace(0.0, 2.0, 513)
     values = (np.sin(3.0 * times)[:, None] * laplace_spectrum.eigvecs[:, 0]
@@ -541,22 +567,24 @@ def test_modal_values_synthesize_to_solve_source(laplace_spectrum, laplace_op,
     monkeypatch.setattr(sv, "e_solver_many", counting)
     sol = sv.ModalSolution(p)
     block = sol.modal_values(ts)
-    assert len(calls) == 1
+    assert len(calls) == 2
     for mv, u in zip(block, per_time):
         np.testing.assert_array_equal(sp.synthesize(mv, laplace_spectrum), u)
     np.testing.assert_array_equal(sol.modal_values(ts[::-1]), block[::-1])
-    assert len(calls) == 1
-    assert np.all(block[0] == 0.0)
-    # A new time is one more call, over its own lags alone.
-    sol.modal_values(np.append(ts, 1.2))
     assert len(calls) == 2
-    assert np.shape(calls[1][3]) == (1 + np.count_nonzero(times[1:-1] < 1.2), 1)
+    assert np.all(block[0] == 0.0)
+    # A new time is two more calls: K1 at the time, K2 over its own lags.
+    sol.modal_values(np.append(ts, 1.2))
+    assert len(calls) == 4
+    assert np.shape(calls[2][3]) == (1, 1)
+    assert np.shape(calls[3][3]) == (1 + np.count_nonzero(times[1:-1] < 1.2), 1)
 
 
-def test_forced_block_is_one_kernel_call(laplace_spectrum, laplace_op,
-                                        monkeypatch):
-    # A block of new times shares one kernel call over the distinct lags of
-    # all of them, and gives the per-time coefficients bit for bit: every
+def test_forced_block_is_one_call_per_kernel(laplace_spectrum, laplace_op,
+                                            monkeypatch):
+    # A block of new times makes one K1 call over its times and one K2 call
+    # over the distinct lags of all of them (K1 is read at the time alone),
+    # and gives the per-time coefficients bit for bit: every
     # sample time, off-grid and repeated times, and t = 0 (zero).  A block
     # holding a bad time raises before any call and caches nothing.
     src = sv.SampledSource.from_callable(
@@ -576,22 +604,24 @@ def test_forced_block_is_one_kernel_call(laplace_spectrum, laplace_op,
     monkeypatch.setattr(sv, "e_solver_many", counting)
     sol = sv.ModalSolution(p)
     block = sol.modal_values(ts)
-    assert len(calls) == 1
+    a1 = p.orders.alphas[0]
+    assert [beta0 for _, _, beta0, _ in calls] == [1.0 + a1, 2.0 + a1]
+    assert np.shape(calls[0][3]) == (np.count_nonzero(np.unique(ts) > 0.0), 1)
     np.testing.assert_array_equal(block, per_time)
     assert np.all(block[ts == 0.0] == 0.0)
     for bad in (-1e-3, 2.0 + 1e-6, np.nan):
         with pytest.raises(ValueError):
             sol.modal_values(np.array([0.3, bad]))
-        assert len(calls) == 1
+        assert len(calls) == 2
     sol.modal_values(0.3)
-    assert len(calls) == 2
+    assert len(calls) == 4
 
 
 def test_forced_off_grid_block_is_split_by_lags(laplace_spectrum, laplace_op,
                                                monkeypatch):
     # Off-grid times share almost no lags: a block of them is split into
-    # runs of at most _MAX_LAGS distinct lags, one kernel call each, and
-    # still gives the per-time coefficients bit for bit.
+    # runs of at most _MAX_LAGS distinct lags, one K2 call each, and still
+    # gives the per-time coefficients bit for bit.
     src = sv.SampledSource.from_callable(
         lambda x, t: np.sin(3.0 * x) * (1.0 + t) + x * (np.pi - x) * np.cos(2.0 * t),
         2.0, 257, laplace_op.interior_x)
@@ -602,9 +632,10 @@ def test_forced_off_grid_block_is_split_by_lags(laplace_spectrum, laplace_op,
     per_time = np.array([sv.ModalSolution(p).modal_values(float(t)) for t in ts])
     lags = []
 
-    def counting(lams, orders, betas, ts):
-        lags.append(ts.size)
-        return e_solver_many(lams, orders, betas, ts)
+    def counting(lams, orders, beta0, ts):
+        if beta0 == 2.0 + orders.alphas[0]:
+            lags.append(ts.size)
+        return e_solver_many(lams, orders, beta0, ts)
 
     monkeypatch.setattr(sv, "e_solver_many", counting)
     block = sv.ModalSolution(p).modal_values(ts)
