@@ -37,7 +37,14 @@ Prints one JSON object with the median CPU milliseconds over N repeats of:
   g(s) = cos s by product quadrature on the default 256-panel mesh;
 * ``mode_ode_residual``: one per-mode equation residual of criterion 13's
   shape, orders (0.8, 0.4) with q = (1, 1), the fifth Laplacian mode,
-  t = 1.5, 384 panels graded 3.5.
+  t = 1.5, 384 panels graded 3.5;
+* ``synthesize_block`` / ``project_block``: ``synthesize`` and ``project``
+  of a 25 x 255 block (the thm23 grid's times by the Laplacian's modes);
+* ``lipschitz_diffusion``: one diffusion-channel ``lipschitz_experiment``
+  of thm23's shape, orders (0.8, 0.5) with q = (1, 1.5), initial
+  coefficients n^-2.5, gamma = 0.75, tau = 0.5, eps = 0.2, with the base
+  ModalSolution warm and the perturbed problem (its eigendecomposition
+  included) built once, outside the timing.
 
 Each case runs once untimed first.  The mtfrac imported is the first one on
 sys.path, so ``PYTHONPATH=TREE/src`` times another source tree.
@@ -60,10 +67,12 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 from mtfrac import oracle, specfun  # noqa: E402
+from mtfrac.analysis import lipschitz_experiment, perturbed_problem  # noqa: E402
 from mtfrac.solver import (FracOrders, ModalSolution, Problem,  # noqa: E402
                            QuadConfig, SampledSource, caputo_quadrature,
                            mode_amplitude, mode_amplitudes, mode_ode_residual)
-from mtfrac.spectral import Operator1D, eigendecompose_operator  # noqa: E402
+from mtfrac.spectral import (Operator1D, eigendecompose_operator,  # noqa: E402
+                             project, synthesize)
 
 PROPAGATOR_TIMES = (1e-3, 0.1, 2.0, 300.0)
 
@@ -148,6 +157,17 @@ def main(argv=None) -> dict:
     quad = QuadConfig(n_panels=384, grading=3.5)
     report["mode_ode_residual"] = cpu_ms(
         lambda: mode_ode_residual(l1_orders, float(lams[4]), 1.5, quad), repeats)
+    block = np.random.default_rng(0).standard_normal((grid.size, spectrum.n_modes))
+    report["synthesize_block"] = cpu_ms(lambda: synthesize(block, spectrum), repeats)
+    report["project_block"] = cpu_ms(lambda: project(block, spectrum), repeats)
+    n = np.arange(1, spectrum.n_modes + 1, dtype=float)
+    base = Problem(orders=two, operator=op, spectrum=spectrum,
+                   initial=synthesize(n ** -2.5, spectrum))
+    base_solution = ModalSolution(base)
+    perturbed = perturbed_problem(base, "diffusion", 0.2)
+    report["lipschitz_diffusion"] = cpu_ms(
+        lambda: lipschitz_experiment(base, perturbed, gamma=0.75, tau=0.5,
+                                     base_solution=base_solution), repeats)
     return report
 
 

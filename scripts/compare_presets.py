@@ -61,14 +61,17 @@ def _read(path):
     return header, rows
 
 
-def _rel_diff(a: str, b: str) -> float | None:
-    """Relative difference of two numeric cells; None if either is text."""
-    if a == b:
-        return 0.0
+def _is_number(cell: str) -> bool:
     try:
-        x, y = float(a), float(b)
+        float(cell)
     except ValueError:
-        return None
+        return False
+    return True
+
+
+def _rel_diff(a: str, b: str) -> float:
+    """Relative difference of two numeric cells."""
+    x, y = float(a), float(b)
     if x == y:
         return 0.0
     if not (math.isfinite(x) and math.isfinite(y)):
@@ -78,7 +81,8 @@ def _rel_diff(a: str, b: str) -> float | None:
 
 def compare_file(path_a: str, path_b: str) -> dict:
     """Byte identity, row counts and, per column, the largest relative
-    difference (numeric) or the count of differing cells (text)."""
+    difference (numeric) or the count of differing cells (text, a column
+    with any cell that is not a number)."""
     with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
         identical = fa.read() == fb.read()
     header_a, rows_a = _read(path_a)
@@ -90,14 +94,12 @@ def compare_file(path_a: str, path_b: str) -> dict:
     if header_a != header_b:
         report["header"] = (header_a, header_b)
     for j, name in enumerate(header_a[:len(header_b)]):
-        worst, text_diffs = 0.0, 0
-        for ra, rb in zip(rows_a, rows_b):
-            d = _rel_diff(ra[j], rb[j])
-            if d is None:
-                text_diffs += 1
-            else:
-                worst = max(worst, d)
-        report["columns"][name] = ("text", text_diffs) if text_diffs else ("max_rel", worst)
+        pairs = [(ra[j], rb[j]) for ra, rb in zip(rows_a, rows_b)]
+        if all(_is_number(a) and _is_number(b) for a, b in pairs):
+            worst = max((_rel_diff(a, b) for a, b in pairs), default=0.0)
+            report["columns"][name] = ("max_rel", worst)
+        else:
+            report["columns"][name] = ("text", sum(a != b for a, b in pairs))
     return report
 
 

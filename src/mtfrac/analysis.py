@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import FracOrders, ModalSolution, Problem
-from .spectral import Operator1D, modal_frac_norm
+from .spectral import Operator1D, modal_frac_norm, project, synthesize
 from .specfun import gamma_real
 
 __all__ = [
@@ -276,9 +276,8 @@ def lipschitz_experiment(base: Problem, perturbed: Problem, gamma: float,
     s, s_p = base.spectrum, perturbed.spectrum
     if s_p is s:
         diff_modal = modal_b - modal_p
-    else:   # rows are times: synthesize (a Phi^T), then project (h u Phi)
-        diff_modal = s.h * ((modal_b @ s.eigvecs.T - modal_p @ s_p.eigvecs.T)
-                            @ s.eigvecs)
+    else:
+        diff_modal = project(synthesize(modal_b, s) - synthesize(modal_p, s_p), s)
     norms = modal_frac_norm(diff_modal, space_gamma, s)
     diff = float(np.trapezoid(norms ** p_exp, grid) ** (1.0 / p_exp))
     return LipschitzReport(delta=delta, diff_norm=diff,

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -436,15 +437,6 @@ class CounterexampleResult:
     verdict: str
 
 
-class _RawOrders:
-    """Order/weight container without the positivity validation; only used
-    for deliberately ill-posed experiments."""
-
-    def __init__(self, alphas, qs):
-        self.alphas = tuple(alphas)
-        self.qs = tuple(qs)
-
-
 def counterexample_roots(lam: float):
     """Positive roots (3 lam +- sqrt(9 lam^2 - 4 lam)) / 2 of the symbol
     s^{1/2} - 3 lam s^{1/4} + lam viewed as a quadratic in y = s^{1/4},
@@ -466,7 +458,8 @@ def counterexample_run(lam: float, cfg: L1Config,
     """
     r_minus, r_plus = counterexample_roots(lam)
     q2 = 3.0 * lam if flip_sign else -3.0 * lam
-    orders = _RawOrders(alphas=(0.5, 0.25), qs=(1.0, q2))
+    # FracOrders would reject the negative weight.
+    orders = SimpleNamespace(alphas=(0.5, 0.25), qs=(1.0, q2))
     u0 = 1.0
     ts, us = l1_solve_mode(lam, orders, u0, None, cfg, stop_abs=1e6 * abs(u0))
     peak = np.max(np.abs(us))

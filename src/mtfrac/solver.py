@@ -97,10 +97,6 @@ class SampledSource:
         if self.times[0] != 0.0:
             raise ValueError("source sampling must start at t = 0")
 
-    def modal_history(self, s: Spectrum) -> np.ndarray:
-        """(n_times, n_modes) array of modal coefficients."""
-        return self.values @ (s.h * s.eigvecs)
-
     @classmethod
     def from_callable(cls, f, t_final, n_samples, xs):
         """Sample a callable f(x_array, t) -> grid values."""
@@ -111,7 +107,9 @@ class SampledSource:
 
 @dataclass(eq=False)
 class Problem:
-    """Full initial-boundary value description on the discrete grid."""
+    """Full initial-boundary value description on the discrete grid.
+
+    ``modal_initial`` holds the initial value's modal coefficients."""
 
     orders: FracOrders
     operator: Operator1D
@@ -133,14 +131,7 @@ class Problem:
             if got != want:
                 raise ValueError(f"source values have shape {got}; one grid "
                                  f"function per time sample is {want}")
-
-    @property
-    def modal_initial(self) -> np.ndarray:
-        a = getattr(self, "_modal_initial", None)
-        if a is None:
-            a = spectral.project(self.initial, self.spectrum)
-            self._modal_initial = a
-        return a
+        self.modal_initial = spectral.project(self.initial, self.spectrum)
 
     @classmethod
     def build(cls, orders, operator, initial=None, source=None):
@@ -193,7 +184,7 @@ class ModalSolution:
             return
         if np.any(problem.initial != 0.0):
             raise ValueError("a forced problem requires zero initial value")
-        hist = src.modal_history(problem.spectrum)      # (n_times, n_modes)
+        hist = spectral.project(src.values, problem.spectrum)  # (n_times, n_modes)
         norms = np.max(np.abs(hist), axis=0)
         # Modes whose history is projection noise contribute nothing.
         self._active = np.nonzero(norms > 1e-14 * max(norms.max(), 1e-300))[0]
@@ -281,9 +272,10 @@ def _lag_runs(taus: list[np.ndarray]):
     yield slice(start, len(taus))
 
 
-def solve(p: Problem, t: float) -> np.ndarray:
-    """Grid values of the solution at time t; see :class:`ModalSolution`
-    for its modal coefficients."""
+def solve(p: Problem, t) -> np.ndarray:
+    """Grid values of the solution at time t, or a (T, n_interior) block
+    for an array of T times; see :class:`ModalSolution` for its modal
+    coefficients."""
     return spectral.synthesize(ModalSolution(p).modal_values(t), p.spectrum)
 
 
@@ -294,9 +286,9 @@ def time_derivative(p: Problem, t: float) -> np.ndarray:
     return caputo_derivative(p, 1.0, t)
 
 
-def caputo_derivative_modal(p: Problem, beta: float, t: float) -> np.ndarray:
-    """Modal coefficients of the Caputo derivative of order beta in (0, 1]
-    of the homogeneous solution.
+def caputo_derivative(p: Problem, beta: float, t: float) -> np.ndarray:
+    """Grid values of the Caputo derivative of order beta in (0, 1] of the
+    homogeneous solution.
 
     The transform of D^beta u_n is s^beta u_n^ - s^{beta-1} a_n =
     -lambda_n s^{beta-1} a_n / (w(s) + lambda_n), so
@@ -311,12 +303,8 @@ def caputo_derivative_modal(p: Problem, beta: float, t: float) -> np.ndarray:
     a1 = p.orders.alphas[0]
     lams = p.spectrum.lambdas
     e = e_solver_many(lams, p.orders, a1 + (1.0 - beta), t)
-    return -t ** (a1 - beta) * lams * e * p.modal_initial
-
-
-def caputo_derivative(p: Problem, beta: float, t: float) -> np.ndarray:
-    """Grid values of the Caputo derivative of order beta of the solution."""
-    return spectral.synthesize(caputo_derivative_modal(p, beta, t), p.spectrum)
+    return spectral.synthesize(-t ** (a1 - beta) * lams * e * p.modal_initial,
+                               p.spectrum)
 
 
 # ---------------------------------------------------------------------------

@@ -172,26 +172,33 @@ def eigendecompose_operator(op: Operator1D) -> Spectrum:
 
 
 def project(f, s: Spectrum) -> np.ndarray:
-    """Modal coefficients a_n = (f, phi_n)_h."""
+    """Modal coefficients a_n = (f, phi_n)_h of a grid function, or of
+    each row of a (T, n_interior) block of them."""
     f = np.asarray(f, dtype=float)
-    if f.shape != (s.eigvecs.shape[0],):
-        raise ValueError(f"grid function has shape {f.shape}, expected ({s.eigvecs.shape[0]},)")
-    return s.h * (s.eigvecs.T @ f)
+    n = s.eigvecs.shape[0]
+    if f.ndim not in (1, 2) or f.shape[-1] != n:
+        raise ValueError(f"grid function has shape {f.shape}, expected ({n},) or (T, {n})")
+    return s.h * (f @ s.eigvecs)
 
 
 def synthesize(coeffs, s: Spectrum) -> np.ndarray:
-    """Grid function sum_n a_n phi_n."""
+    """Grid function sum_n a_n phi_n over the leading modes, or one per
+    row of a (T, n) block of coefficients."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.size > s.n_modes:
-        raise ValueError(f"{coeffs.size} coefficients but only {s.n_modes} modes")
-    return s.eigvecs[:, : coeffs.size] @ coeffs
+    if coeffs.ndim not in (1, 2):
+        raise ValueError(f"coefficients have shape {coeffs.shape}, expected (n,) or (T, n)")
+    n = coeffs.shape[-1]
+    if n > s.n_modes:
+        raise ValueError(f"{n} coefficients but only {s.n_modes} modes")
+    return coeffs @ s.eigvecs[:, :n].T
 
 
-def frac_norm(f, gamma: float, s: Spectrum) -> float:
+def frac_norm(f, gamma: float, s: Spectrum):
     """Fractional-power norm (sum |lambda_n^gamma (f, phi_n)_h|^2)^(1/2).
 
     gamma = 0 is the discrete L2 norm; gamma = 1 the graph norm of the
     operator (the H2-equivalent norm used by the regularity estimates).
+    A (T, n_interior) block gives the T norms of its rows.
     """
     return modal_frac_norm(project(f, s), gamma, s)
 

@@ -29,8 +29,8 @@ def test_compare_dirs_reports_identity_rows_and_column_differences(cmp, tmp_path
     same = "t,u\n0.1,1.5\n0.2,2.5\n"
     _write(a, "same.csv", same)
     _write(b, "same.csv", same)
-    _write(a, "num.csv", "t,u,tag\n0.1,1.0,x\n0.2,-4.0,y\n")
-    _write(b, "num.csv", "t,u,tag\n0.1,1.000001,x\n0.2,-4.0,z\n")
+    _write(a, "num.csv", "t,u,tag,kind\n0.1,1.0,x,all\n0.2,-4.0,y,all\n")
+    _write(b, "num.csv", "t,u,tag,kind\n0.1,1.000001,x,all\n0.2,-4.0,z,all\n")
     _write(a, "rows.csv", "t,u\n0.1,1.0\n0.2,nan\n")
     _write(b, "rows.csv", "t,u\n0.1,1.0\n0.2,2.0\n0.3,3.0\n")
     _write(a, "only_a.csv", "t\n1\n")
@@ -46,6 +46,8 @@ def test_compare_dirs_reports_identity_rows_and_column_differences(cmp, tmp_path
     kind, worst = num["columns"]["u"]
     assert kind == "max_rel" and worst == pytest.approx(1e-6 / 1.000001)
     assert num["columns"]["tag"] == ("text", 1)
+    # A text column equal on both sides is still text.
+    assert num["columns"]["kind"] == ("text", 0)
 
     rows = reports["rows.csv"]
     assert rows["rows"] == (2, 3)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -332,7 +333,7 @@ def test_exp_sum_matches_power(a):
 def test_l1_rejects_orders_outside_unit_interval():
     cfg = orc.L1Config(t_final=1.0, n_steps=64)
     for alphas in ((1.0,), (0.5, 0.0), (1.2, 0.5)):
-        orders = orc._RawOrders(alphas=alphas, qs=(1.0,) * len(alphas))
+        orders = SimpleNamespace(alphas=alphas, qs=(1.0,) * len(alphas))
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
             orc.l1_solve_mode(1.0, orders, 1.0, None, cfg)
 

@@ -95,6 +95,20 @@ def test_solve_homogeneous_initial_value(homog_problem):
     assert np.max(np.abs(u0 - homog_problem.initial)) < 1e-10
 
 
+def test_solve_block_is_synthesized_modal_block(homog_problem):
+    # An array of times gives one grid function per row: the synthesis of
+    # the modal block, bit for bit, and each row the per-time solve's up
+    # to rounding.
+    ts = np.array([0.0, 1e-3, 0.5, 2.0, 40.0])
+    u = sv.solve(homog_problem, ts)
+    assert u.shape == (ts.size, homog_problem.operator.n_interior)
+    modal = sv.ModalSolution(homog_problem).modal_values(ts)
+    np.testing.assert_array_equal(u, sp.synthesize(modal, homog_problem.spectrum))
+    per_time = np.array([sv.solve(homog_problem, float(t)) for t in ts])
+    np.testing.assert_allclose(u, per_time, rtol=0.0,
+                               atol=1e-14 * np.max(np.abs(per_time)))
+
+
 def test_solve_homogeneous_single_mode(laplace_op, laplace_spectrum):
     orders = sv.FracOrders.single(0.5)
     phi1 = laplace_spectrum.eigvecs[:, 0]
@@ -346,14 +360,14 @@ def test_solve_source_matches_talbot(laplace_op, laplace_spectrum):
         values = np.zeros((times.size, laplace_spectrum.n_modes))
         values[:, idx[modes]] = hist[:, modes]
         src = sv.SampledSource(times=times,
-                               values=values @ laplace_spectrum.eigvecs.T)
+                               values=sp.synthesize(values, laplace_spectrum))
         p = sv.Problem(orders=orders, operator=laplace_op,
                        spectrum=laplace_spectrum,
                        initial=np.zeros(laplace_op.n_interior), source=src)
         return sv.ModalSolution(p).modal_values(t)[idx[modes]]
 
     for hist in (np.ones((times.size, idx.size)),
-                 field.modal_history(laplace_spectrum)[:, idx]):
+                 sp.project(field.values, laplace_spectrum)[:, idx]):
         for t in TALBOT_TIMES:
             alone = np.array([solve(hist, [j], t)[0] for j in range(idx.size)])
             for j, mode in enumerate(TALBOT_MODES):
@@ -494,7 +508,7 @@ def test_sampled_source_from_callable(laplace_op, laplace_spectrum):
     src = sv.SampledSource.from_callable(
         lambda xs, t: np.sin(xs) * (1.0 + t), 2.0, 33, laplace_op.interior_x)
     assert src.times.size == 33
-    hist = src.modal_history(laplace_spectrum)
+    hist = sp.project(src.values, laplace_spectrum)
     assert hist.shape == (33, laplace_spectrum.n_modes)
     # mode-1 content dominates for sin(x) data
     assert abs(hist[0, 0]) > 10 * np.max(np.abs(hist[0, 1:]))

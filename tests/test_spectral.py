@@ -68,6 +68,29 @@ def test_project_zero_and_mismatch(small_spectrum):
     assert np.all(sp.project(np.zeros(63), small_spectrum) == 0)
     with pytest.raises(ValueError):
         sp.project(np.zeros(10), small_spectrum)
+    with pytest.raises(ValueError, match=r"\(63,\) or \(T, 63\)"):
+        sp.project(np.zeros((2, 3, 63)), small_spectrum)
+
+
+@pytest.mark.parametrize("n_modes", [1, 40, 63])
+def test_project_synthesize_vectors_and_blocks(small_spectrum, n_modes):
+    # A vector is the explicit matrix-vector product, bit for bit; each row
+    # of a (T, .) block is that vector's result up to rounding.
+    s = small_spectrum
+    rng = np.random.default_rng(12)
+    coeffs = rng.standard_normal((25, n_modes))
+    grid = rng.standard_normal((25, s.eigvecs.shape[0]))
+    np.testing.assert_array_equal(sp.synthesize(coeffs[0], s),
+                                  s.eigvecs[:, :n_modes] @ coeffs[0])
+    np.testing.assert_array_equal(sp.project(grid[0], s), s.h * (s.eigvecs.T @ grid[0]))
+    for block, fn in ((coeffs, sp.synthesize), (grid, sp.project)):
+        rows = np.array([fn(row, s) for row in block])
+        got = fn(block, s)
+        assert got.shape == rows.shape
+        np.testing.assert_allclose(got, rows, rtol=0.0, atol=1e-14 * np.max(np.abs(rows)))
+    norms = sp.frac_norm(grid, 0.5, s)
+    np.testing.assert_allclose(norms, [sp.frac_norm(row, 0.5, s) for row in grid],
+                               rtol=1e-14)
 
 
 def test_parseval(small_op, small_spectrum):
@@ -93,6 +116,10 @@ def test_synthesize_roundtrip_and_linearity(small_op, small_spectrum):
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
     with pytest.raises(ValueError):
         sp.synthesize(np.zeros(small_spectrum.n_modes + 1), small_spectrum)
+    with pytest.raises(ValueError, match="64 coefficients"):
+        sp.synthesize(np.zeros((2, 64)), small_spectrum)
+    with pytest.raises(ValueError, match=r"\(n,\) or \(T, n\)"):
+        sp.synthesize(np.zeros((2, 3, 63)), small_spectrum)
 
 
 def test_frac_norm_special_cases(small_op, small_spectrum):
