@@ -1,15 +1,24 @@
 #!/usr/bin/env python3
 """Time the solver-family kernel and the oracles in CPU time, one BLAS thread.
 
-    python scripts/bench_kernel.py [--repeats N]
+    python scripts/bench_kernel.py [--repeats N] [--out PATH]
 
-Prints one JSON object with the median CPU milliseconds over N repeats of:
+Prints one JSON object, and with ``--out`` also writes it to PATH.  It
+records the library versions and the machine: ``nproc`` (the CPUs this
+process may run on), ``blas`` (numpy's BLAS name and version),
+``blas_threads`` (the thread count the script pins), ``loadavg`` (the 1, 5
+and 15 minute load averages at the start) and ``git_sha`` (HEAD of the
+checkout holding the timed mtfrac, or null outside one; uncommitted changes
+are not marked), and the median CPU milliseconds over N repeats of:
 
 * ``thm23_block_m2`` / ``thm23_block_m3``: the mode amplitudes of the 255
   modes of the Laplacian on (0, pi) on the thm23 time grid
   t = 2 (k/25)^2, k = 1..25, for orders (0.8, 0.5) and (0.8, 0.5, 0.2),
   with ``worst_rel_est``, the largest error estimate relative to its value
   over the block;
+* ``thm21_block``: the same for the thm21 preset's 255-mode amplitude
+  block, orders (0.7, 0.4) with q = (1, 1.2), on its decreasing grid of 8
+  times from 0.1 down to 1e-8;
 * ``propagator``: the 255-mode propagator E^{(n)}_{a_1}(t), orders
   (0.8, 0.5), at each of t = 1e-3, 0.1, 2 and 300, with ``worst_rel_est``,
   the largest error estimate relative to its value over the 255 modes;
@@ -58,14 +67,18 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import importlib.metadata  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import time  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
+import mtfrac  # noqa: E402
 from mtfrac import oracle, specfun  # noqa: E402
 from mtfrac.analysis import lipschitz_experiment, perturbed_problem  # noqa: E402
 from mtfrac.solver import (FracOrders, ModalSolution, Problem,  # noqa: E402
@@ -89,10 +102,22 @@ def cpu_ms(fn, repeats: int) -> float:
     return 1e3 * statistics.median(samples)
 
 
+def git_sha():
+    """HEAD of the git checkout that holds the imported mtfrac, or None."""
+    try:
+        return subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=Path(mtfrac.__file__).parent,
+            capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
 def main(argv=None) -> dict:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=50)
-    repeats = parser.parse_args(argv).repeats
+    parser.add_argument("--out", help="also write the report to this file")
+    options = parser.parse_args(argv)
+    repeats = options.repeats
 
     op = Operator1D.from_callables((0.0, np.pi), 255)
     spectrum = eigendecompose_operator(op)
@@ -101,18 +126,26 @@ def main(argv=None) -> dict:
     two = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
     three = FracOrders(alphas=(0.8, 0.5, 0.2), qs=(1.0, 1.5, 0.5))
 
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     report = {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "mpmath": importlib.metadata.version("mpmath"),
+        "nproc": len(os.sched_getaffinity(0)),
+        "blas": f"{blas['name']} {blas['version']}",
+        "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
+        "loadavg": list(os.getloadavg()),
+        "git_sha": git_sha(),
         "repeats": repeats,
     }
-    for name, orders in (("thm23_block_m2", two), ("thm23_block_m3", three)):
-        values, ests = specfun._solver_family(
-            lams[None, :], orders, specfun.AMPLITUDE, grid[:, None])
+    thm21 = FracOrders(alphas=(0.7, 0.4), qs=(1.0, 1.2))
+    for name, orders, ts in (("thm23_block_m2", two, grid),
+                             ("thm23_block_m3", three, grid),
+                             ("thm21_block", thm21, np.logspace(-1.0, -8.0, 8))):
+        values, ests = specfun._solver_family(lams, orders, specfun.AMPLITUDE, ts)
         report[name] = {
-            "ms": cpu_ms(
-                lambda: mode_amplitudes(orders, lams[None, :], grid[:, None]), repeats),
+            "ms": cpu_ms(lambda: mode_amplitudes(orders, lams, ts), repeats),
             "worst_rel_est": float(np.max(ests / np.abs(values))),
         }
     a1 = two.alphas[0]
@@ -168,6 +201,8 @@ def main(argv=None) -> dict:
     report["lipschitz_diffusion"] = cpu_ms(
         lambda: lipschitz_experiment(base, perturbed, gamma=0.75, tau=0.5,
                                      base_solution=base_solution), repeats)
+    if options.out:
+        Path(options.out).write_text(json.dumps(report, indent=2) + "\n")
     return report
 
 

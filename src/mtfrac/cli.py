@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import datetime
+import importlib.metadata
 import math
 import os
 import sys
@@ -85,7 +86,10 @@ class RunConfig:
 
     def validate(self):
         """Check every key, then build the orders, time grid and operator,
-        so their invariants surface here and never mid-run."""
+        and check the grid and the kinds against each other and the
+        command, so their invariants surface here and never mid-run.  The
+        command-free checks hold for every command, since an INI config is
+        parsed before its command is known."""
         if self.command not in _COMMANDS:
             raise ConfigError(f"command must be one of {_COMMANDS}")
         for f in _CONFIG_FIELDS:
@@ -98,10 +102,24 @@ class RunConfig:
             self.orders()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        _parse_grid(self.t_grid)
+        grid = _parse_grid(self.t_grid)
         _build_operator(self)
-        _kind(self, "initial")
-        _kind(self, "source")
+        initial = _kind(self, "initial")[0]
+        forced = _kind(self, "source")[0] != "none"
+        if grid.min() < 0:
+            raise ConfigError("t_grid times must be non-negative")
+        if forced and self.command in ("asymptotics", "stability"):
+            raise ConfigError(f"{self.command} runs on homogeneous problems")
+        if forced and initial != "zero":
+            raise ConfigError("a forced problem requires [initial] kind = zero")
+        # The source history ends at t_final, within the solver's 1e-12.
+        if forced and grid.max() > self.source_t_final + 1e-12:
+            raise ConfigError(f"t_grid reaches t = {float(grid.max())}, past "
+                              f"[source] t_final = {self.source_t_final}")
+        if self.command == "asymptotics" and (
+                grid.size < 5 or grid[0] <= 0 or np.any(np.diff(grid) <= 0)):
+            raise ConfigError("asymptotics needs a t_grid of at least 5 positive, "
+                              "increasing times")
         return self
 
 
@@ -273,7 +291,6 @@ def _write_csv(path, header, rows):
 
 def _write_manifest(path, cfg: RunConfig, results: dict):
     cp = configparser.ConfigParser()
-    import mpmath
     import scipy
     cp["run"] = {
         "command": cfg.command,
@@ -281,14 +298,11 @@ def _write_manifest(path, cfg: RunConfig, results: dict):
         "mtfrac_version": __version__,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
-        "mpmath_version": mpmath.__version__,
+        # Read from the package metadata: importing mpmath costs about 20 ms.
+        "mpmath_version": importlib.metadata.version("mpmath"),
     }
-    cp["constants"] = {
-        "series_contour_crossover": _fmt(constants.SERIES_CONTOUR_CROSSOVER),
-        "series_tol": _fmt(constants.SERIES_TOL),
-        "algebraic_tol": _fmt(constants.ALGEBRAIC_TOL),
-        "specfun_cross_tol": _fmt(constants.SPECFUN_CROSS_TOL),
-    }
+    cp["constants"] = {name.lower(): _fmt(value) for name, value in vars(constants).items()
+                       if name.isupper() and not name.startswith("_")}
     cp["config"] = {f.name: _fmt(getattr(cfg, f.name)) for f in _CONFIG_FIELDS}
     if results:
         cp["results"] = {k: _fmt(v) for k, v in results.items()}
@@ -341,8 +355,6 @@ def _cmd_solve(cfg: RunConfig):
 
 def _cmd_asymptotics(cfg: RunConfig):
     p = _build_problem(cfg)
-    if p.source is not None:
-        raise ConfigError("asymptotics runs on homogeneous problems")
     grid = _parse_grid(cfg.t_grid)
     sol = solver.ModalSolution(p)
     values = sol.modal_values(grid)
@@ -365,8 +377,6 @@ def _cmd_asymptotics(cfg: RunConfig):
 
 def _cmd_stability(cfg: RunConfig):
     p = _build_problem(cfg)
-    if p.source is not None:
-        raise ConfigError("stability runs on homogeneous problems")
     rows = []
     results = {}
     base_sol = solver.ModalSolution(p)
@@ -425,7 +435,7 @@ def _verify_suite():
             r = specfun.lemma31_residual(specfun.MLParams(beta0=beta0, betas=betas),
                                          specfun.MLArgs(z=z))
             worst = max(worst, r)
-        return worst < 1e-10, f"max residual {worst:.2e}"
+        return worst < constants.IDENTITY_RESIDUAL_TOL, f"max residual {worst:.2e}"
 
     def check_cross():
         worst = 0.0
@@ -438,7 +448,7 @@ def _verify_suite():
                                     specfun.solver_args(orders, lam, 1.0))
             rc = specfun.e_solver(lam, orders, beta0, 1.0)
             worst = max(worst, abs(rs.value - rc) / abs(rc))
-        return worst < 1e-8, f"max rel diff {worst:.2e}"
+        return worst < constants.SPECFUN_CROSS_TOL, f"max rel diff {worst:.2e}"
 
     def check_derivative_identity():
         orders = solver.FracOrders(alphas=(0.8, 0.4), qs=(1.0, 1.0))
@@ -474,7 +484,8 @@ def _verify_suite():
         closed = (4.0 / op.h ** 2) * np.sin(n * op.h / 2.0) ** 2
         err = float(np.max(np.abs(s.lambdas - closed) / closed))
         ortho = spectral.check_orthonormal(s)
-        return err < 1e-10 and ortho < 1e-10, f"spectrum {err:.1e}, gram {ortho:.1e}"
+        tol = constants.ALGEBRAIC_TOL
+        return err < tol and ortho < tol, f"spectrum {err:.1e}, gram {ortho:.1e}"
 
     def check_l1():
         orders = solver.FracOrders.single(0.5)

@@ -1,8 +1,10 @@
 """Repo-wide numeric tolerances and calibrated constants.
 
-Every equality tolerance used by the library and its test suite is defined
-here so that the numerical contract is auditable in one place.  The values
-fall into three tiers:
+The library's tolerances and calibrated constants, and the tolerances its
+headline checks read (the acceptance criteria and ``mtfrac verify``), are
+defined here so that the numerical contract is auditable in one place;
+every run's manifest echoes each of them.  The tolerances fall into three
+tiers:
 
 * algebraic identities that hold to rounding (orthonormality, round trips),
 * special-function cross checks between independent evaluation methods,

@@ -155,8 +155,9 @@ def mode_amplitude(orders: FracOrders, lam: float, t: float) -> float:
 
 
 def mode_amplitudes(orders: FracOrders, lams, ts) -> np.ndarray:
-    """Per-mode amplitude u(t) = 1 - lam t^{a_1} E^{(n)}_{1+a_1}(t) for
-    ``lams`` broadcast against ``ts``; exactly 1 at t = 0.
+    """Per-mode amplitude u(t) = 1 - lam t^{a_1} E^{(n)}_{1+a_1}(t) at
+    every pair of a time in ``ts`` and a lam in ``lams``, each a scalar or
+    a 1-D array, in shape ts.shape + lams.shape; exactly 1 at t = 0.
 
     One :func:`e_solver_many` row, the AMPLITUDE row, inverts the
     amplitude's Laplace transform w(s) / (s (w(s) + lam)),
@@ -205,8 +206,7 @@ class ModalSolution:
     def _evaluate(self, ts: np.ndarray) -> np.ndarray:
         p = self.problem
         if p.source is None:
-            return (mode_amplitudes(p.orders, p.spectrum.lambdas, ts[:, None])
-                    * p.modal_initial)
+            return mode_amplitudes(p.orders, p.spectrum.lambdas, ts) * p.modal_initial
         return self._forced(ts)
 
     def _forced(self, ts: np.ndarray) -> np.ndarray:
@@ -237,8 +237,8 @@ class ModalSolution:
         lams = p.spectrum.lambdas[self._active]
         for run in _lag_runs(taus):
             lags, index = np.unique(np.concatenate(taus[run]), return_inverse=True)
-            k1 = e_solver_many(lams, p.orders, 1.0 + a1, ts[rows[run]][:, None])
-            k2 = e_solver_many(lams, p.orders, 2.0 + a1, lags[:, None])
+            k1 = e_solver_many(lams, p.orders, 1.0 + a1, ts[rows[run]])
+            k2 = e_solver_many(lams, p.orders, 2.0 + a1, lags)
             ends = np.cumsum([tau.size for tau in taus[run]])
             for row, tau, k, i in zip(rows[run], taus[run], k1, np.split(index, ends[:-1])):
                 coeffs[row, self._active] = (

@@ -13,7 +13,7 @@ of parameters b_1 = a_1, b_j = a_1 - a_j with decreasing orders a_j
 instead inverts its Laplace transform on a hyperbolic Bromwich contour,
 fixed over each time window [10^j, 10^{j+1}): the resolvent
 1 / (sum_j q_j s^{a_j} + lam) at a contour node is built once per window
-and eigenvalue, and shared by every time in the window and every b_0.  The
+and eigenvalue, and shared by every time in the window.  The
 propagator b_0 = a_1 also takes a subtracted form free of cancellation, and
 an entry left above its tolerance raises rather than being returned.  The
 mode amplitude, the inverse of w(s) / (s (w(s) + lam)), is one row of the
@@ -620,14 +620,15 @@ def _is_amplitude(beta0):
     return isinstance(beta0, str) and beta0 == AMPLITUDE
 
 
-def _window_eval(orders, beta0s, lams, ts):
-    """Values and error estimates of the hyperbola sums on the grid
-    ``beta0s`` x ``ts`` x ``lams``, as one (2, len(beta0s), ts.size,
-    lams.size) array; ``beta0s`` = AMPLITUDE gives the one amplitude row.
+def _window_eval(orders, beta0, lams, ts):
+    """Values and error estimates of the hyperbola sums on the grid ``ts``
+    x ``lams`` of one row, as one (2, ts.size, lams.size) array; ``beta0``
+    is a number, or AMPLITUDE for the amplitude row.
 
-    ``ts`` holds distinct positive times in ascending order.  The estimate
-    is |v_h - v_2h| e^{-pi d/h}, with v_2h the step-2h rule on the even
-    nodes over the same resolvent, plus the rounding floor 16 eps
+    ``ts`` holds distinct positive times in ascending order, and ``lams``
+    is 1-D (:func:`_solver_family` pads it to whole panels of _LAM_PANEL).
+    The estimate is |v_h - v_2h| e^{-pi d/h}, with v_2h the step-2h rule on
+    the even nodes over the same resolvent, plus the rounding floor 16 eps
     sum_k |t^{1-beta0} c_k R_k|.  In a window's units, with
     P_k = t0^{a_1} w(s_k) and Z = lam t0^{a_1}, the sum is
     (t/t0)^{1-beta0} Re sum_k c'_k / (P_k + Z) with c'_k free of t0, and
@@ -640,27 +641,17 @@ def _window_eval(orders, beta0s, lams, ts):
 
     Where 1/Gamma(beta0 - a_1) vanishes (the propagator), the sum is of
     size 1/Z^2 but its terms of size 1/Z.  By 1/(P + Z) = 1/Z - P/Z^2 +
-    P^2/(Z^2 (P + Z)) and Hankel's integral such rows also read
+    P^2/(Z^2 (P + Z)) and Hankel's integral the row also reads
     (sum_k c'_k P_k^2 / (P_k + Z) - M_1) / Z^2, with the closed form
     M_1 = sum_j q_j t0^{a_1-a_j} (t/t0)^{-a_1-a_j} / Gamma(beta0 - a_1 - a_j);
     the floor adds 16 eps sum |M_1 terms|.  Each entry keeps the form with
     the smaller estimate.
     """
-    if lams.size % _LAM_PANEL:
-        # Padded to whole panels of lams, with |R_k|^2 stored node by node,
-        # the products round each lam's sums alike wherever it sits in the
-        # batch (OpenBLAS): an entry's value and estimate do not depend on
-        # the other entries of its call.
-        padded = np.concatenate((lams, np.zeros(-lams.size % _LAM_PANEL)))
-        return _window_eval(orders, beta0s, padded, ts)[..., :lams.size]
     alphas, qs = np.array(orders.alphas), np.array(orders.qs)
-    amplitude = _is_amplitude(beta0s)
-    beta0s = np.array(() if amplitude else beta0s)
-    rows = 1 if amplitude else beta0s.size
+    amplitude = _is_amplitude(beta0)
     n = _NODES.size
-    # The rows summed in subtracted form follow the plain rows.
-    cancel = np.flatnonzero(special.rgamma(beta0s - alphas[0]) == 0.0)
-    moments = special.rgamma(beta0s[cancel, None] - alphas[0] - alphas)
+    # The propagator is also summed in subtracted form, as a second row.
+    cancel = not amplitude and special.rgamma(beta0 - alphas[0]) == 0.0
     # Windows t0 = 10^j; the times sit in ascending order, so each window's
     # times are one run [lo, hi).
     j = np.floor(np.log10(ts))
@@ -670,9 +661,11 @@ def _window_eval(orders, beta0s, lams, ts):
     # t0^{a_1} w(s_k / t0) at every window's nodes, and g_k s_k^{a_1-beta0}.
     scaled_qs = qs * t0[:, None] ** (alphas[0] - alphas)
     symbols = scaled_qs @ np.exp(np.multiply.outer(alphas, _LOG_NODES))
-    node_terms = _NODE_WEIGHTS * np.exp(np.multiply.outer(alphas[0] - beta0s,
-                                                          _LOG_NODES))
-    out = np.empty((2, rows + cancel.size, ts.size, lams.size))
+    if not amplitude:
+        node_terms = _NODE_WEIGHTS * np.exp((alphas[0] - beta0) * _LOG_NODES)
+    if cancel:
+        moments = special.rgamma(beta0 - alphas[0] - alphas)
+    out = np.empty((2, 1 + cancel, ts.size, lams.size))
     squares = np.empty((n, lams.size))
     for w, symbol in enumerate(symbols):
         z = lams * t0[w] ** alphas[0]
@@ -682,14 +675,12 @@ def _window_eval(orders, beta0s, lams, ts):
         np.reciprocal(squares, out=squares)           # 1 / |P_k + Z|^2 by node
         tau = ts[lo[w]:hi[w]] / t0[w]
         growth = np.exp(np.multiply.outer(tau, _NODES))
-        if amplitude:   # g_k (P_k / S_k) e^{S_k tau}, one row
-            c = (_NODE_WEIGHTS * symbol / _NODES * growth)[None]
-        else:           # (t/t0)^{1-beta0} c'_k(t) by (beta0, time) rows
-            c = (node_terms[:, None, :] * growth
-                 * (tau ** (1.0 - beta0s[:, None]))[:, :, None])
-        if cancel.size:
-            c = np.concatenate([c, c[cancel] * symbol ** 2])
-        c = c.reshape(-1, n)
+        if amplitude:   # g_k (P_k / S_k) e^{S_k tau}
+            c = _NODE_WEIGHTS * symbol / _NODES * growth
+        else:           # (t/t0)^{1-beta0} c'_k(t) by time
+            c = node_terms * growth * np.power(tau, 1.0 - beta0)[:, None]
+        if cancel:
+            c = np.concatenate([c, c * symbol ** 2])
         weights = np.concatenate([(c * symbol.conj()).real, c.real])
         value, est = out[:, :, lo[w]:hi[w]]
         for sum_, terms in ((value, weights @ squares),
@@ -702,76 +693,66 @@ def _window_eval(orders, beta0s, lams, ts):
         est *= _EMBEDDED_FACTOR
         est += (16.0 * np.finfo(float).eps
                 * np.abs(c) @ np.sqrt(squares)).reshape(est.shape)
-        if cancel.size:   # M_1's terms by (beta0, time) row
-            m1 = ((moments * scaled_qs[w])[:, None]
-                  * np.power.outer(tau, -alphas[0] - alphas))
-            value[rows:] -= m1.sum(axis=2)[..., None]
-            est[rows:] += (16.0 * np.finfo(float).eps
-                           * np.abs(m1).sum(axis=2)[..., None])
+        if cancel:   # M_1's terms by time
+            m1 = moments * scaled_qs[w] * np.power.outer(tau, -alphas[0] - alphas)
+            value[1] -= m1.sum(axis=1)[:, None]
+            est[1] += 16.0 * np.finfo(float).eps * np.abs(m1).sum(axis=1)[:, None]
             with np.errstate(divide="ignore", invalid="ignore"):  # Z = 0
-                out[:, rows:, lo[w]:hi[w]] /= z * z
-    if cancel.size:
-        plain, subtracted = out[:, cancel], out[:, rows:]
-        out[:, cancel] = np.where(subtracted[1] < plain[1], subtracted, plain)
-    return out[:, :rows]
+                out[:, 1, lo[w]:hi[w]] /= z * z
+    if cancel:
+        plain, subtracted = out[:, 0], out[:, 1]
+        return np.where(subtracted[1] < plain[1], subtracted, plain)
+    return out[:, 0]
 
 
 def _solver_family(lams, orders, beta0, ts):
-    """E^{(n)}_{beta0}(t) for ``lams`` broadcast against ``ts``; a sequence
-    ``beta0`` adds a leading axis over its entries, and ``beta0`` =
-    AMPLITUDE gives the mode amplitude instead.
+    """E^{(n)}_{beta0}(t) at every pair of a time in ``ts`` and a lam in
+    ``lams``, each a scalar or a 1-D array; ``beta0`` is a number, or
+    AMPLITUDE for the mode amplitude.
 
-    Returns (values, abs_error_estimates).  Positive times go through the
-    hyperbola of their time window, whose values are real by construction,
-    on the grid of the distinct times by the lams: its cost is that of the
-    outer product of the two.  t = 0 entries take the exact limit.  An
-    estimate above SOLVER_FAMILY_RTOL of its value raises QuadratureError,
-    which names the worst entry.
+    Returns (values, abs_error_estimates), each of shape ts.shape +
+    lams.shape.  The distinct positive times go through the hyperbola of
+    their time window, whose values are real by construction, on the grid
+    of those times by the lams: its cost is that of the outer product of
+    the two.  t = 0 takes the exact limit, and the requested times are
+    gathered from the grid.  An estimate above SOLVER_FAMILY_RTOL of its
+    value raises QuadratureError, which names the worst entry.
     """
     lams = np.asarray(lams, dtype=float)
     ts = np.asarray(ts, dtype=float)
-    shape = np.broadcast_shapes(lams.shape, ts.shape)
     for x, name in ((ts, "t"), (lams, "eigenvalues")):
+        if x.ndim > 1:
+            raise ValueError(f"{name} must be a scalar or a 1-D array")
         if not np.isfinite(x).all():
             raise ValueError(f"{name} must be finite")
         if (x < 0).any():
             raise ValueError(f"{name} must be non-negative")
     amplitude = _is_amplitude(beta0)
-    rows = AMPLITUDE if amplitude else tuple(float(b) for b in np.ravel(beta0))
-    n_rows = 1 if amplitude else len(rows)
-    # The entries are the grid of distinct times by lams when the times are
-    # one, or a strictly increasing column against a row of lams; else the
-    # grid is built over the distinct times and the entries taken from it.
-    is_grid = ts.size == 1 or (ts.shape == (ts.size, 1)
-                               and lams.shape[:-1] in ((), (1,))
-                               and (np.diff(ts, axis=0) > 0.0).all())
-    if is_grid:
-        t_grid = ts.ravel()
-    else:
-        t_grid, t_index = np.unique(ts, return_inverse=True)
-    grid = _window_eval(orders, rows, lams.ravel(), t_grid[t_grid > 0.0])
+    if not amplitude:
+        if np.ndim(beta0) != 0:
+            raise ValueError("beta0 must be a number or AMPLITUDE")
+        beta0 = float(beta0)
+    t_grid = np.unique(ts)
+    # Padded to whole panels of lams, with |R_k|^2 stored node by node, the
+    # products round each lam's sums alike wherever it sits in the batch
+    # (OpenBLAS): an entry's value and estimate do not depend on the other
+    # entries of its call.
+    padded = np.concatenate((lams.ravel(), np.zeros(-lams.size % _LAM_PANEL)))
+    grid = _window_eval(orders, beta0, padded, t_grid[t_grid > 0.0])[..., :lams.size]
     if t_grid.size and t_grid[0] == 0.0:  # t = 0: the exact limit
-        limit = np.zeros((2, n_rows, 1, lams.size))
-        limit[0] = 1.0 if amplitude else 1.0 / gamma_real(np.array(rows))[:, None, None]
-        grid = np.concatenate([limit, grid], axis=2)
-    grid = grid.reshape(2, n_rows, -1)
-    if not is_grid:
-        t_index, lam_index = (np.broadcast_to(i.reshape(x.shape), shape).ravel()
-                              for x, i in ((ts, t_index), (lams, np.arange(lams.size))))
-        grid = np.take(grid, t_index * lams.size + lam_index, axis=2)
+        limit = np.zeros((2, 1, lams.size))
+        limit[0] = 1.0 if amplitude else 1.0 / gamma_real(beta0)
+        grid = np.concatenate([limit, grid], axis=1)
     vals, ests = grid
-    bound = np.abs(vals)
-    bound *= SOLVER_FAMILY_RTOL
-    if (ests > bound).any():
+    if (ests > SOLVER_FAMILY_RTOL * np.abs(vals)).any():
         ratio = ests / np.maximum(np.abs(vals), np.finfo(float).tiny)
         i, e = np.unravel_index(np.argmax(ratio), ratio.shape)
-        row = "the amplitude" if amplitude else f"beta0 = {rows[i]:.6g}"
-        lam, t = (np.broadcast_to(x, shape).flat[e] for x in (lams, ts))
+        row = "the amplitude" if amplitude else f"beta0 = {beta0:.6g}"
         raise QuadratureError(
             f"solver family: estimate {ratio[i, e]:.3g} of the value above "
-            f"SOLVER_FAMILY_RTOL at lam = {lam:.6g}, t = {t:.6g}, {row}")
-    out_shape = np.shape(beta0) + shape
-    return vals.reshape(out_shape), ests.reshape(out_shape)
+            f"SOLVER_FAMILY_RTOL at lam = {lams.flat[e]:.6g}, t = {t_grid[i]:.6g}, {row}")
+    rows, shape = np.searchsorted(t_grid, ts.ravel()), ts.shape + lams.shape
+    return vals[rows].reshape(shape), ests[rows].reshape(shape)
 
 
 def e_solver(lam: float, orders, beta0: float, t: float) -> float:
@@ -781,10 +762,11 @@ def e_solver(lam: float, orders, beta0: float, t: float) -> float:
 
 def e_solver_many(lams, orders, beta0, ts) -> np.ndarray:
     """E^{(n)}_{beta0}(t) with z_1 = -lam t^{a_1}, z_j = -q_j t^{a_1-a_j},
-    for ``lams`` broadcast against ``ts``.  A sequence ``beta0`` adds a
-    leading axis over its entries, which share the contour work.
-    ``beta0`` = AMPLITUDE gives instead the mode amplitude, the inverse of
-    w(s) / (s (w(s) + lam)), w(s) = sum_j q_j s^{a_j}, as one row.
+    at every pair of a time in ``ts`` and a lam in ``lams``, each a scalar
+    or a 1-D array: the result has shape ts.shape + lams.shape.  ``beta0``
+    is a number, or AMPLITUDE for the mode amplitude, the inverse of
+    w(s) / (s (w(s) + lam)), w(s) = sum_j q_j s^{a_j}; a sequence of them,
+    or a 2-D lams or ts, raises ValueError.
 
     Positive times go through the hyperbolic Bromwich contour of their
     window [10^j, 10^{j+1}), whose resolvent at each node is built once per
@@ -796,7 +778,7 @@ def e_solver_many(lams, orders, beta0, ts) -> np.ndarray:
     nodes with u >= 0.  The result is a fresh array, which holds neither
     the estimates nor the kernel's padded grid.
     """
-    return _solver_family(lams, orders, beta0, ts)[0].copy()
+    return _solver_family(lams, orders, beta0, ts)[0]
 
 
 # ---------------------------------------------------------------------------

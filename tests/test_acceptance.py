@@ -16,6 +16,8 @@ from mtfrac import oracle as orc
 from mtfrac import solver as sv
 from mtfrac import spectral as sp
 from mtfrac import specfun as sf
+from mtfrac.constants import (IDENTITY_RESIDUAL_TOL, ODE_RESIDUAL_TOL_MULTI,
+                              ODE_RESIDUAL_TOL_SINGLE)
 
 
 def _report(name, elapsed, budget, detail):
@@ -52,11 +54,11 @@ def test_criterion_01_multinomial_recurrence():
             f"{checked} exact identities")
 
 
-# 2. Parameter-shift identity: residual < 1e-10 on 200 randomized tuples
-#    with |z_j| <= 2.  The exponent distribution keeps the alternating-sum
-#    conditioning within double precision (the identity holds for all
-#    parameters; tiny exponents push the arithmetic floor past the
-#    tolerance long before the identity itself is in doubt).
+# 2. Parameter-shift identity: residual < IDENTITY_RESIDUAL_TOL (1e-10) on
+#    200 randomized tuples with |z_j| <= 2.  The exponent distribution
+#    keeps the alternating-sum conditioning within double precision (the
+#    identity holds for all parameters; tiny exponents push the arithmetic
+#    floor past the tolerance long before the identity itself is in doubt).
 def test_criterion_02_shift_identity():
     start = time.time()
     rng = np.random.default_rng(42)
@@ -76,7 +78,7 @@ def test_criterion_02_shift_identity():
         res = sf.lemma31_residual(sf.MLParams(beta0=beta0, betas=betas),
                                   sf.MLArgs(z=tuple(z)), tol=1e-14)
         worst = max(worst, res)
-        assert res < 1e-10
+        assert res < IDENTITY_RESIDUAL_TOL
     _report("02 shift identity", time.time() - start, 10.0,
             f"200 tuples, max residual {worst:.2e}")
 
@@ -306,8 +308,9 @@ def test_criterion_12_counterexample():
 
 
 # 13. Equation residual: the homogeneous solution satisfies the per-mode
-#     multi-term equation under independent Caputo quadrature to < 1e-3
-#     relative at mid-range times.
+#     multi-term equation under independent Caputo quadrature to
+#     < ODE_RESIDUAL_TOL_MULTI (1e-3) relative at mid-range times, and the
+#     single-term one to < ODE_RESIDUAL_TOL_SINGLE (1e-4).
 def test_criterion_13_equation_residual(spec255):
     start = time.time()
     orders = sv.FracOrders(alphas=(0.8, 0.4), qs=(1.0, 1.0))
@@ -318,9 +321,9 @@ def test_criterion_13_equation_residual(spec255):
         for t in (0.5, 1.5):
             r = sv.mode_ode_residual(orders, lam, t, quad)
             worst = max(worst, r)
-            assert r < 1e-3
+            assert r < ODE_RESIDUAL_TOL_MULTI
     single = sv.FracOrders.single(0.5)
     r1 = sv.mode_ode_residual(single, float(spec255.lambdas[0]), 1.0, quad)
-    assert r1 < 1e-4
+    assert r1 < ODE_RESIDUAL_TOL_SINGLE
     _report("13 equation residual", time.time() - start, 120.0,
             f"worst multi-term {worst:.2e}, single-term {r1:.2e}")

@@ -2,6 +2,9 @@ import configparser
 import csv
 import dataclasses
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,8 +230,56 @@ def test_validate_checks_kind_and_mode_index(attr, spec, message):
 
 
 def test_validate_accepts_last_mode():
-    cli.RunConfig(n_interior=7, initial_kind="mode:7",
+    # A forced problem starts from zero, so each kind's last mode is
+    # checked on a config of its own.
+    cli.RunConfig(n_interior=7, initial_kind="mode:7").validate()
+    cli.RunConfig(n_interior=7, initial_kind="zero",
                   source_kind="mode-const:7:2.0").validate()
+
+
+_FORCED = dict(initial_kind="zero", source_kind="mode-const:1:1.0", source_t_final=1.0)
+
+
+@pytest.mark.parametrize("command, keys, message", [
+    ("asymptotics", dict(t_grid="10:1:8:log"), "at least 5 positive, increasing times"),
+    ("asymptotics", dict(t_grid="1:10:4:log"), "at least 5 positive, increasing times"),
+    ("asymptotics", dict(t_grid="0:10:8:linear"), "at least 5 positive, increasing times"),
+    ("solve", dict(t_grid="0.1:5:4:log", **_FORCED),
+     r"t = 5\.000000000000001, past \[source\] t_final = 1\.0"),
+    ("solve", dict(_FORCED, initial_kind="mode:1"), r"requires \[initial\] kind = zero"),
+    ("solve", dict(t_grid="-0.5:1:4:linear"), "t_grid times must be non-negative"),
+    ("mml-eval", dict(t_grid="-1:2:4:linear"), "t_grid times must be non-negative"),
+    ("asymptotics", dict(_FORCED), "asymptotics runs on homogeneous problems"),
+    ("stability", dict(_FORCED), "stability runs on homogeneous problems"),
+])
+def test_validate_rejects_configs_that_fail_mid_run(tmp_path, monkeypatch, command,
+                                                    keys, message):
+    # Past validate, each of these configs fails only after the
+    # eigendecomposition, or, for mml-eval, prints a series value of -4.3e28
+    # at t = -1: run must stop in validate, before either.
+    def no_decomposition(op):
+        raise AssertionError("reached the eigendecomposition")
+
+    monkeypatch.setattr(cli.spectral, "eigendecompose_operator", no_decomposition)
+    with pytest.raises(cli.ConfigError, match=message):
+        cli.run(cli.RunConfig(command=command, n_interior=31, **keys), out_dir=str(tmp_path))
+
+
+def test_config_file_is_checked_against_the_command_run(tmp_path, capsys):
+    # A config file carries no command: its grid suits eigen, not asymptotics.
+    cfg_path = _write(tmp_path, MINIMAL_CONFIG.replace("0.01:1.0:5:log", "1:0.1:3:log"))
+    assert cli.main(["eigen", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["asymptotics", "--config", cfg_path, "--out", str(tmp_path)]) == 1
+    assert "at least 5 positive, increasing times" in capsys.readouterr().err
+
+
+def test_validate_accepts_forced_grid_ending_at_t_final():
+    # logspace's last time rounds to 5.000000000000001 here, within the
+    # solver's own 1e-12 of the source's end.
+    cfg = cli.RunConfig(t_grid="0.01:5:9:log", **dict(_FORCED, source_t_final=5.0))
+    assert cli._parse_grid(cfg.t_grid)[-1] > 5.0
+    cfg.validate()
 
 
 def test_main_reports_unwritable_output(tmp_path, capsys):
@@ -281,6 +332,37 @@ def test_manifest_echoes_every_config_key(tmp_path):
         assert set(manifest["config"]) == table
         if name == "rem36":
             assert float(manifest["config"]["source_t_final"]) == 5.0
+
+
+def test_manifest_echoes_every_constant(tmp_path):
+    # Every public constant of mtfrac.constants, the solver-family and
+    # Hankel tolerances and the series budgets among them.
+    from mtfrac import constants
+    public = {name.lower(): value for name, value in vars(constants).items()
+              if name.isupper() and not name.startswith("_")}
+    assert {"solver_family_rtol", "hankel_refine_rtol", "hankel_eps0",
+            "series_max_shells", "series_comp_budget", "composition_budget"} <= set(public)
+    path = str(tmp_path / "run.manifest.ini")
+    cli._write_manifest(path, cli.RunConfig(), {})
+    manifest = configparser.ConfigParser()
+    manifest.read(path)
+    assert {k: float(v) for k, v in manifest["constants"].items()} == public
+
+
+def test_cli_run_leaves_mpmath_unloaded(tmp_path):
+    # The manifest reads mpmath's version from the package metadata, so a
+    # command that needs no oracle never imports mpmath.
+    import mpmath
+    code = ("import sys\n"
+            "from mtfrac import cli\n"
+            f"assert cli.main(['eigen', '--out', {str(tmp_path)!r}]) == 0\n"
+            "assert 'mpmath' not in sys.modules, 'mpmath was imported'\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   capture_output=True)
+    manifest = configparser.ConfigParser()
+    manifest.read(str(tmp_path / "out.csv.manifest.ini"))
+    assert manifest["run"]["mpmath_version"] == mpmath.__version__
 
 
 def test_tabulated_coefficients(tmp_path):

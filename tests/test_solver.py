@@ -61,11 +61,11 @@ def test_amplitude_properties_on_thm23_grid(laplace_spectrum):
     # cancel, and the directly inverted amplitude must match it.
     orders = sv.FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
     a1 = orders.alphas[0]
-    lams = laplace_spectrum.lambdas[None, :]
-    ts = (2.0 * (np.arange(1, 26) / 25) ** 2)[:, None]
+    lams = laplace_spectrum.lambdas
+    ts = 2.0 * (np.arange(1, 26) / 25) ** 2
     amps = sv.mode_amplitudes(orders, lams, ts)
     assert np.all(amps > 0.0) and np.all(amps <= 1.0)
-    x = lams * ts ** a1
+    x = lams * ts[:, None] ** a1
     diff_form = 1.0 - x * e_solver_many(lams, orders, 1.0 + a1, ts)
     small = x <= 1.0
     assert small.any()
@@ -82,7 +82,7 @@ def test_mode_amplitudes_own_their_memory(laplace_spectrum):
     for orders in (sv.FracOrders.single(0.6),
                    sv.FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5)),
                    sv.FracOrders(alphas=(0.8, 0.5, 0.2), qs=(1.0, 1.5, 0.5))):
-        for lam, ts in [(lams[None, :], g[:, None]) for g in grids] + [(7.0, 0.5)]:
+        for lam, ts in [(lams, g) for g in grids] + [(7.0, 0.5)]:
             amps = sv.mode_amplitudes(orders, lam, ts)
             owner = amps
             while owner.base is not None:
@@ -178,8 +178,7 @@ def test_modal_solution_block_matches_per_time(homog_problem, monkeypatch):
     per_time = np.array([sv.ModalSolution(homog_problem).modal_values(float(t))
                          for t in ts])
     # Each row is the amplitudes times the initial value's coefficients.
-    amps = sv.mode_amplitudes(homog_problem.orders,
-                              homog_problem.spectrum.lambdas[None, :], ts[:, None])
+    amps = sv.mode_amplitudes(homog_problem.orders, homog_problem.spectrum.lambdas, ts)
     calls = []
 
     def counting(*args):
@@ -199,7 +198,7 @@ def test_modal_solution_block_matches_per_time(homog_problem, monkeypatch):
     assert sol.modal_values(0.5) is sol.modal_values(np.float64(0.5))
     assert len(calls) == 1
     sol.modal_values(np.append(ts, 7.0))
-    assert len(calls) == 2 and np.shape(calls[1][3]) == (1, 1)
+    assert len(calls) == 2 and np.shape(calls[1][3]) == (1,)
     np.testing.assert_array_equal(sol.modal_values(ts.reshape(2, -1)),
                                   block.reshape(2, -1, block.shape[1]))
 
@@ -590,8 +589,8 @@ def test_modal_values_synthesize_to_solve_source(laplace_spectrum, laplace_op,
     # A new time is two more calls: K1 at the time, K2 over its own lags.
     sol.modal_values(np.append(ts, 1.2))
     assert len(calls) == 4
-    assert np.shape(calls[2][3]) == (1, 1)
-    assert np.shape(calls[3][3]) == (1 + np.count_nonzero(times[1:-1] < 1.2), 1)
+    assert np.shape(calls[2][3]) == (1,)
+    assert np.shape(calls[3][3]) == (1 + np.count_nonzero(times[1:-1] < 1.2),)
 
 
 def test_forced_block_is_one_call_per_kernel(laplace_spectrum, laplace_op,
@@ -620,7 +619,7 @@ def test_forced_block_is_one_call_per_kernel(laplace_spectrum, laplace_op,
     block = sol.modal_values(ts)
     a1 = p.orders.alphas[0]
     assert [beta0 for _, _, beta0, _ in calls] == [1.0 + a1, 2.0 + a1]
-    assert np.shape(calls[0][3]) == (np.count_nonzero(np.unique(ts) > 0.0), 1)
+    assert np.shape(calls[0][3]) == (np.count_nonzero(np.unique(ts) > 0.0),)
     np.testing.assert_array_equal(block, per_time)
     assert np.all(block[ts == 0.0] == 0.0)
     for bad in (-1e-3, 2.0 + 1e-6, np.nan):

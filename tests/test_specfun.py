@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 
@@ -308,23 +309,18 @@ def test_e_solver_decay_bound():
 
 
 def test_e_solver_many_broadcasts_like_scalar():
+    # 1-D times by 1-D lams give the (times, lams) grid: for each beta0,
+    # entry by entry what one scalar call gives.
     orders = FracOrders(alphas=(0.9, 0.3), qs=(1.0, 1.5))
     lams = np.array([0.0, 0.5, 1.0, 5.0, 50.0, 5000.0])
     ts = np.array([0.0, 1e-8, 0.01, 0.5, 1.3, 20.0])
-    grid = sf.e_solver_many(lams[None, :], orders, 1.9, ts[:, None])
-    assert grid.shape == (ts.size, lams.size)
-    scalar = np.array([[sf.e_solver(float(l), orders, 1.9, float(t)) for l in lams]
-                       for t in ts])
-    np.testing.assert_allclose(grid, scalar, rtol=1e-12, atol=1e-15)
-    assert np.all(grid[0] == 1.0 / sf.gamma_real(1.9))
-
-    # A sequence of beta0 adds a leading axis and matches one call per beta0.
-    beta0s = [0.9, 1.0, 1.9]
-    stacked = sf.e_solver_many(lams[None, :], orders, beta0s, ts[:, None])
-    assert stacked.shape == (len(beta0s), ts.size, lams.size)
-    for b, e in zip(beta0s, stacked):
-        single = sf.e_solver_many(lams[None, :], orders, b, ts[:, None])
-        np.testing.assert_allclose(e, single, rtol=1e-12, atol=1e-15)
+    for beta0 in (0.9, 1.0, 1.9):
+        grid = sf.e_solver_many(lams, orders, beta0, ts)
+        assert grid.shape == (ts.size, lams.size)
+        scalar = np.array([[sf.e_solver(float(l), orders, beta0, float(t)) for l in lams]
+                           for t in ts])
+        np.testing.assert_allclose(grid, scalar, rtol=1e-12, atol=1e-15)
+        assert np.all(grid[0] == 1.0 / sf.gamma_real(beta0))
 
     with pytest.raises(ValueError):
         sf.e_solver_many(lams, orders, 1.9, np.where(lams == 5.0, -1e-3, 1.0))
@@ -344,11 +340,26 @@ def test_e_solver_many_rejects_non_finite():
         with pytest.raises(ValueError, match="t must be finite"):
             sf.e_solver_many(1.0, orders, 1.0, bad)
         with pytest.raises(ValueError, match="t must be finite"):
-            mode_amplitudes(orders, lams, np.array([[0.5], [bad]]))
+            mode_amplitudes(orders, lams, np.array([0.5, bad]))
         with pytest.raises(ValueError, match="eigenvalues must be finite"):
             sf.e_solver_many(bad, orders, 1.0, 1.0)
         with pytest.raises(ValueError, match="eigenvalues must be finite"):
             mode_amplitudes(orders, np.append(lams, bad), 0.5)
+
+
+def test_e_solver_many_takes_one_row_and_1d_grids():
+    # One beta0 (or AMPLITUDE) per call, and lams and ts each a scalar or a
+    # 1-D array: a sequence of beta0, a 2-D lams and a 2-D ts each raise.
+    orders = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
+    lams, ts = np.array([1.0, 10.0, 100.0]), np.array([0.1, 0.5])
+    for beta0 in ((1.0, 1.8), [1.0], np.array([1.0, 1.8])):
+        with pytest.raises(ValueError, match="beta0 must be a number or AMPLITUDE"):
+            sf.e_solver_many(lams, orders, beta0, ts)
+    with pytest.raises(ValueError, match="eigenvalues must be a scalar or a 1-D array"):
+        sf.e_solver_many(lams[None, :], orders, 1.8, ts)
+    with pytest.raises(ValueError, match="t must be a scalar or a 1-D array"):
+        sf.e_solver_many(lams, orders, sf.AMPLITUDE, ts[:, None])
+    assert sf.e_solver_many(lams, orders, np.float64(1.8), ts).shape == (2, 3)
 
 
 def _window_full_sum(orders, beta0s, lams, t, n, stride=1):
@@ -397,7 +408,8 @@ def test_window_value_is_the_real_part_of_the_full_node_sum(laplace_spectrum):
         a1 = alphas[0]
         beta0s = (1.0,) + tuple(1.0 + a1 - a for a in alphas[1:]) + (a1, 2.0 + a1)
         plain = np.array(beta0s) != a1
-        values, ests = sf._window_eval(orders, beta0s, lams, ts)
+        values, ests = np.stack([sf._window_eval(orders, b, lams, ts) for b in beta0s],
+                                axis=1)
         for i, t in enumerate(ts):
             full = []
             for stride in (1, 2):
@@ -434,9 +446,8 @@ def test_embedded_estimate_covers_the_truncation(laplace_spectrum):
                        ((0.3,), (1.0,)), ((0.75, 0.55, 0.35), (1.0, 1.2, 0.8))]:
         orders = FracOrders(alphas=alphas, qs=qs)
         beta0s = (alphas[0] + 0.5, 1.0 + alphas[0])
-        values, ests = (np.concatenate(x) for x in zip(
-            sf._window_eval(orders, sf.AMPLITUDE, lams, ts),
-            sf._window_eval(orders, beta0s, lams, ts)))
+        values, ests = np.stack([sf._window_eval(orders, b, lams, ts)
+                                 for b in (sf.AMPLITUDE,) + beta0s], axis=1)
         for i, t in enumerate(ts):
             ref, _ = _window_full_sum(orders, (sf.AMPLITUDE,) + beta0s, lams, t, 80)
             ratio = np.abs(values[:, i] - ref.real) / ests[:, i]
@@ -450,40 +461,45 @@ def test_solver_family_raises_above_its_tolerance(monkeypatch):
     # value.  With a zero tolerance every positive-time entry fails, and
     # the error names the worst one; t = 0 entries are exact and pass.
     orders = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
-    lams, beta0s = np.array([1.0, 40.0]), (1.0, 0.8)
-    values, ests = sf._solver_family(lams, orders, beta0s, 0.5)
-    i, j = np.unravel_index(np.argmax(ests / np.abs(values)), values.shape)
+    lams = np.array([1.0, 40.0])
+    rows = {beta0: sf._solver_family(lams, orders, beta0, 0.5) for beta0 in (1.0, 0.8)}
     monkeypatch.setattr(sf, "SOLVER_FAMILY_RTOL", 0.0)
-    assert np.all(sf._solver_family(lams, orders, beta0s, 0.0)[1] == 0.0)
-    with pytest.raises(sf.QuadratureError, match="SOLVER_FAMILY_RTOL") as info:
-        sf._solver_family(lams, orders, beta0s, np.array([0.0, 0.5])[:, None])
-    message = str(info.value)
-    assert f"{ests[i, j] / abs(values[i, j]):.3g} of the value" in message
-    assert f"lam = {lams[j]:.6g}, t = 0.5, beta0 = {beta0s[i]:.6g}" in message
+    for beta0, (values, ests) in rows.items():
+        j = np.argmax(ests / np.abs(values))
+        assert np.all(sf._solver_family(lams, orders, beta0, 0.0)[1] == 0.0)
+        with pytest.raises(sf.QuadratureError, match="SOLVER_FAMILY_RTOL") as info:
+            sf._solver_family(lams, orders, beta0, np.array([0.0, 0.5]))
+        message = str(info.value)
+        assert f"{ests[j] / abs(values[j]):.3g} of the value" in message
+        assert f"lam = {lams[j]:.6g}, t = 0.5, beta0 = {beta0:.6g}" in message
 
 
 def test_solver_family_grid_call_matches_general_path(laplace_spectrum, monkeypatch):
-    # A strictly increasing column of times against a row of lams is the
-    # kernel's grid itself; the same entries with the times shuffled and
-    # repeated go through the distinct times.  Values and estimates are
-    # identical, and with a zero tolerance both errors name the same entry.
+    # Every request order takes one route: the distinct times are evaluated
+    # once, ascending, and the requested rows gathered.  Times shuffled and
+    # repeated, and the decreasing grids of thm21 and thm22, give each row's
+    # values and estimates bit-equal to the ascending call's, for 1-D and
+    # scalar lams; with a zero tolerance every order's error names the same
+    # entry.
     orders = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
     lams = laplace_spectrum.lambdas[::8]
     ts = np.array([0.0, 1e-3, 0.1, np.nextafter(1.0, 0.0), 1.0, 2.0, 300.0])
-    order = np.array([3, 0, 6, 3, 1, 5, 2, 4, 6])
-    for beta0 in (sf.AMPLITUDE, (1.0, 0.8)):
-        for lam_row in (lams, lams[None, :]):
-            grid = sf._solver_family(lam_row, orders, beta0, ts[:, None])
-            shuffled = sf._solver_family(lams, orders, beta0, ts[order][:, None])
-            for g, sh in zip(grid, shuffled):
-                assert np.array_equal(g[..., order, :], sh), beta0
+    orders_of_times = (np.array([3, 0, 6, 3, 1, 5, 2, 4, 6]), np.arange(ts.size)[::-1])
+    for beta0 in (sf.AMPLITUDE, 1.0, 0.8):
+        for lam in (lams, lams[5]):
+            ascending = sf._solver_family(lam, orders, beta0, ts)
+            for order in orders_of_times:
+                requested = sf._solver_family(lam, orders, beta0, ts[order])
+                for a, r in zip(ascending, requested):
+                    assert np.array_equal(a[order], r), beta0
     monkeypatch.setattr(sf, "SOLVER_FAMILY_RTOL", 0.0)
-    messages = []
-    for times in (ts, ts[order]):
-        with pytest.raises(sf.QuadratureError, match="SOLVER_FAMILY_RTOL") as info:
-            sf._solver_family(lams, orders, (1.0, 0.8), times[:, None])
-        messages.append(str(info.value))
-    assert messages[0] == messages[1]
+    for beta0 in (sf.AMPLITUDE, 1.0, 0.8):
+        messages = set()
+        for times in (ts,) + tuple(ts[order] for order in orders_of_times):
+            with pytest.raises(sf.QuadratureError, match="SOLVER_FAMILY_RTOL") as info:
+                sf._solver_family(lams, orders, beta0, times)
+            messages.add(str(info.value))
+        assert len(messages) == 1, messages
 
 
 def test_fallbacks_are_logged_at_debug(caplog):
@@ -507,40 +523,44 @@ def test_fallbacks_are_logged_at_debug(caplog):
 
 
 def test_solver_family_bookkeeping_matches_entrywise():
-    # Empty batches, all-zero and mixed-zero times, a scalar lam and a
-    # sequence beta0 give the shapes of the broadcast and, entry by entry,
-    # what one scalar call gives.
+    # Empty batches, all-zero and mixed-zero times, scalar lams and scalar
+    # times give the shape ts.shape + lams.shape and, entry by entry, what
+    # one scalar call gives, for each beta0.
     orders = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
-    beta0s = (1.0, 1.3, 0.8)
 
     def entrywise(lam, beta0, ts):
-        lam, ts = np.broadcast_arrays(np.asarray(lam, float), np.asarray(ts, float))
-        out = [np.empty(np.shape(beta0) + lam.shape) for _ in range(2)]
-        for idx in np.ndindex(lam.shape):
-            for o, r in zip(out, sf._solver_family(lam[idx], orders, beta0, ts[idx])):
-                o[(Ellipsis,) + idx] = r
+        lam, ts = np.asarray(lam, float), np.asarray(ts, float)
+        out = [np.empty(ts.shape + lam.shape) for _ in range(2)]
+        for i in np.ndindex(ts.shape):
+            for j in np.ndindex(lam.shape):
+                for o, r in zip(out, sf._solver_family(lam[j], orders, beta0, ts[i])):
+                    o[i + j] = r
         return out
 
     lams = np.array([0.5, 3.0, 40.0, 700.0, 2.5e4])
     cases = [
-        (np.empty(0), beta0s, np.array([0.0, 0.5, 2.0])[:, None]),
-        (np.empty(0), 1.3, 0.5),
-        (lams, beta0s, np.zeros(lams.size)),
-        (lams, beta0s, np.array([0.0, 1e-6, 0.0, 0.5, 2.0, 0.0, 1e2])[:, None]),
-        (7.0, 1.3, np.array([0.0, 1e-3, 0.5, 2.0, 300.0])),
-        (lams, beta0s, np.array([1e-3, 0.5, 2.0])[:, None]),
+        (np.empty(0), np.array([0.0, 0.5, 2.0])),
+        (np.empty(0), 0.5),
+        (lams, np.empty(0)),
+        (lams, np.zeros(lams.size)),
+        (lams, np.array([0.0, 1e-6, 0.0, 0.5, 2.0, 0.0, 1e2])),
+        (7.0, np.array([0.0, 1e-3, 0.5, 2.0, 300.0])),
+        (lams, np.array([1e-3, 0.5, 2.0])),
+        (lams, 0.5),
+        (7.0, 0.0),
     ]
-    for lam, beta0, ts in cases:
+    for (lam, ts), beta0 in itertools.product(cases, (1.0, 1.3, 0.8)):
         got = sf._solver_family(lam, orders, beta0, ts)
         want = entrywise(lam, beta0, ts)
-        shape = np.shape(beta0) + np.broadcast_shapes(np.shape(lam), np.shape(ts))
+        shape = np.shape(ts) + np.shape(lam)
         for g, w in zip(got, want):
             assert g.shape == w.shape == shape, (lam, beta0, ts)
         # One entry per call sums in another order: values agree within
         # the two estimates, and the estimates' rounding parts differ a bit.
         assert np.all(np.abs(got[0] - want[0]) <= got[1] + want[1])
         assert np.all(np.abs(got[1] - want[1]) <= 0.25 * np.maximum(got[1], want[1]))
-        zero = np.broadcast_to(np.asarray(ts) == 0.0, shape)
+        zero = np.broadcast_to((np.asarray(ts) == 0.0)[(...,) + (None,) * np.ndim(lam)],
+                               shape)
         assert np.array_equal(got[0][zero], want[0][zero])
         assert np.all(got[1][zero] == 0.0)
 
@@ -597,14 +617,14 @@ def _amplitudes(orders, lams, ts):
 def _amplitude_term_sum(orders, lams, ts):
     """The amplitude as the sum of positive terms
     E_1 + sum_{j>=2} q_j t^{a_1-a_j} E_{1+a_1-a_j}, each the kernel's own
-    row, with the estimates of its terms added up likewise."""
+    row, with the estimates of its terms added up likewise; ``ts`` is 1-D."""
     a1 = orders.alphas[0]
-    shifts = [a1 - a for a in orders.alphas[1:]]
-    values, ests = sf._solver_family(lams, orders, [1.0] + [1.0 + d for d in shifts], ts)
-    value, est = values[0], ests[0]
-    for q, d, v_j, e_j in zip(orders.qs[1:], shifts, values[1:], ests[1:]):
-        value = value + q * ts ** d * v_j
-        est = est + q * ts ** d * e_j
+    value, est = sf._solver_family(lams, orders, 1.0, ts)
+    for q, a in zip(orders.qs[1:], orders.alphas[1:]):
+        d = a1 - a
+        v_j, e_j = sf._solver_family(lams, orders, 1.0 + d, ts)
+        value = value + q * ts[:, None] ** d * v_j
+        est = est + q * ts[:, None] ** d * e_j
     return value, est
 
 
@@ -634,9 +654,9 @@ def test_amplitude_row_matches_term_sum(laplace_spectrum):
     # (every fifth log-spaced time) and just below them, the two agree
     # within the sum of their estimates, and the row's own estimate stays
     # below SOLVER_FAMILY_RTOL of its value.
-    lams = laplace_spectrum.lambdas[None, :]
+    lams = laplace_spectrum.lambdas
     below_edges = np.nextafter(10.0 ** np.arange(-7, 5), 0.0)
-    ts = np.sort(np.concatenate([np.logspace(-8, 4, 61), below_edges]))[:, None]
+    ts = np.sort(np.concatenate([np.logspace(-8, 4, 61), below_edges]))
     for alphas, qs in AMPLITUDE_ORDERS:
         orders = FracOrders(alphas=alphas, qs=qs)
         value, est = sf._solver_family(lams, orders, sf.AMPLITUDE, ts)
@@ -661,10 +681,10 @@ def test_amplitude_matches_talbot_at_window_edges():
 
 
 def test_amplitude_row_bookkeeping(monkeypatch):
-    # AMPLITUDE adds no leading axis, gives exactly 1 at t = 0, and names
-    # itself in the tolerance error.
+    # AMPLITUDE is one row: it gives the (times, lams) grid, exactly 1 at
+    # t = 0, and names itself in the tolerance error.
     orders = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
-    lams, ts = np.array([1.0, 40.0]), np.array([0.0, 0.5])[:, None]
+    lams, ts = np.array([1.0, 40.0]), np.array([0.0, 0.5])
     values, ests = sf._solver_family(lams, orders, sf.AMPLITUDE, ts)
     assert values.shape == ests.shape == (2, 2)
     assert np.all(values[0] == 1.0) and np.all(ests[0] == 0.0)
@@ -692,7 +712,7 @@ def test_solver_family_accuracy_map(laplace_spectrum):
     # the last.  Hankel inversion is the reference where it does not cancel
     # (lam t^{a_1} >= 1e-4); below that, 1 + z_1 E_{1+a_1} from the
     # extended-precision series.
-    amps, ests = _amplitudes(orders, lams[None, :], ts[:, None])
+    amps, ests = _amplitudes(orders, lams, ts)
     for i, t in enumerate(ts):
         for n in list(range(0, lams.size, 16)) + [lams.size - 1]:
             lam = float(lams[n])
@@ -736,7 +756,7 @@ def test_solver_family_accuracy_map(laplace_spectrum):
     # The thm23 time grid stays within SOLVER_FAMILY_RTOL for every mode
     # (else the call raises).
     grid = 2.0 * (np.arange(1, 26) / 25) ** 2
-    _amplitudes(orders, lams[None, :], grid[:, None])
+    _amplitudes(orders, lams, grid)
 
     # The propagator's two forms overlap: where the plain sum, built here
     # over the full symmetric node set, is accurate (its own estimate at
@@ -761,23 +781,22 @@ def test_solver_family_accuracy_map(laplace_spectrum):
 def test_window_batches_match_scalar_calls(laplace_spectrum):
     # The window is set by t alone, so an entry does not depend on the
     # other times of its batch.  Times on and next to window edges, mixed
-    # with t = 0, in one (T, 255) block and in one call per entry: values
-    # equal to rounding, and the exact t = 0 limit.
+    # with t = 0, in one (T, 255) block and in one call per entry, for each
+    # beta0: values equal to rounding, and the exact t = 0 limit.
     orders = FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
     a1, a2 = orders.alphas
-    beta0s = (1.0, 1.0 + a1 - a2, a1, 2.0 + a1)
     lams = laplace_spectrum.lambdas
     ts = np.array([1e-3, 0.0, 0.1, np.nextafter(0.1, 0.0), 1.0, 9.99])
-    values, ests = sf._solver_family(lams[None, :], orders, beta0s, ts[:, None])
-    exact = 1.0 / sf.gamma_real(np.array(beta0s))
-    assert np.all(values[:, 1] == exact[:, None]) and np.all(ests[:, 1] == 0.0)
-    single = [np.empty(values.shape), np.empty(ests.shape)]
-    for i, t in enumerate(ts):
-        for j, lam in enumerate(lams):
-            for out, got in zip(single, sf._solver_family(lam, orders, beta0s, t)):
-                out[:, i, j] = got
-    np.testing.assert_allclose(values, single[0], rtol=1e-13, atol=0.0)
-    np.testing.assert_allclose(ests, single[1], rtol=0.25, atol=0.0)
+    for beta0 in (1.0, 1.0 + a1 - a2, a1, 2.0 + a1):
+        values, ests = sf._solver_family(lams, orders, beta0, ts)
+        assert np.all(values[1] == 1.0 / sf.gamma_real(beta0)) and np.all(ests[1] == 0.0)
+        single = [np.empty(values.shape), np.empty(ests.shape)]
+        for i, t in enumerate(ts):
+            for j, lam in enumerate(lams):
+                for out, got in zip(single, sf._solver_family(lam, orders, beta0, t)):
+                    out[i, j] = got
+        np.testing.assert_allclose(values, single[0], rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(ests, single[1], rtol=0.25, atol=0.0)
 
 
 def test_window_edges_match_talbot():
@@ -788,13 +807,12 @@ def test_window_edges_match_talbot():
     a1, a2 = orders.alphas
     beta0s = (1.0, 1.0 + a1 - a2, a1, 1.0 + a1 - 0.3, 1.0 + a1, 2.0 + a1)
     lams = np.array([1.0, 4096.0, 2.66e4])
-    for t in (1e-3, 0.0999, 1.0, 9.99):
-        values, ests = sf._solver_family(lams, orders, beta0s, t)
-        for i, beta0 in enumerate(beta0s):
-            for j, lam in enumerate(lams):
-                ref = _talbot(orders, float(lam), t, beta0)
-                assert abs(values[i, j] - ref) <= max(1e-12 * abs(ref), ests[i, j]), \
-                    (t, beta0, lam, values[i, j], ref)
+    for t, beta0 in itertools.product((1e-3, 0.0999, 1.0, 9.99), beta0s):
+        values, ests = sf._solver_family(lams, orders, beta0, t)
+        for j, lam in enumerate(lams):
+            ref = _talbot(orders, float(lam), t, beta0)
+            assert abs(values[j] - ref) <= max(1e-12 * abs(ref), ests[j]), \
+                (t, beta0, lam, values[j], ref)
 
 
 # ---------------------------------------------------------------------------
