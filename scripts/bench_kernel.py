@@ -53,7 +53,10 @@ are not marked), and the median CPU milliseconds over N repeats of:
   of thm23's shape, orders (0.8, 0.5) with q = (1, 1.5), initial
   coefficients n^-2.5, gamma = 0.75, tau = 0.5, eps = 0.2, with the base
   ModalSolution warm and the perturbed problem (its eigendecomposition
-  included) built once, outside the timing.
+  included) built once, outside the timing;
+* ``verify_command``: one in-process ``mtfrac verify`` run,
+  ``cli.run(RunConfig(command="verify"), out_dir=...)`` into a temporary
+  directory, with its stdout discarded so the JSON report stays clean.
 
 Each case runs once untimed first.  The mtfrac imported is the first one on
 sys.path, so ``PYTHONPATH=TREE/src`` times another source tree.
@@ -67,11 +70,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import importlib.metadata  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -79,7 +85,7 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 import mtfrac  # noqa: E402
-from mtfrac import oracle, specfun  # noqa: E402
+from mtfrac import cli, oracle, specfun  # noqa: E402
 from mtfrac.analysis import lipschitz_experiment, perturbed_problem  # noqa: E402
 from mtfrac.solver import (FracOrders, ModalSolution, Problem,  # noqa: E402
                            QuadConfig, SampledSource, caputo_quadrature,
@@ -201,6 +207,12 @@ def main(argv=None) -> dict:
     report["lipschitz_diffusion"] = cpu_ms(
         lambda: lipschitz_experiment(base, perturbed, gamma=0.75, tau=0.5,
                                      base_solution=base_solution), repeats)
+    with tempfile.TemporaryDirectory() as out_dir:
+        def verify():
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.run(cli.RunConfig(command="verify"), out_dir=out_dir)
+
+        report["verify_command"] = cpu_ms(verify, repeats)
     if options.out:
         Path(options.out).write_text(json.dumps(report, indent=2) + "\n")
     return report

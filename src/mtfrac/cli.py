@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import datetime
 import importlib.metadata
 import math
@@ -24,7 +25,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import __version__, analysis, constants, oracle, solver, spectral, specfun
+from . import __version__, analysis, constants, criteria, oracle, solver, spectral, specfun
+from .criteria import Measure
 
 __all__ = ["RunConfig", "parse_config", "run", "main", "PRESETS"]
 
@@ -283,10 +285,10 @@ def _fmt(v):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _write_manifest(path, cfg: RunConfig, results: dict):
@@ -409,35 +411,11 @@ def _cmd_counterexample(cfg: RunConfig):
     return ["t", "abs_u"], rows, results
 
 
-def _verify_suite():
-    """Quick invariant suite; yields (name, passed, detail)."""
-    rng = np.random.default_rng(20240317)
+def _cmd_verify(cfg: RunConfig):
+    """Quick invariant suite.  Six checks run an acceptance criterion of
+    ``mtfrac.criteria`` at a small size; each prints its measures."""
 
-    def check_recurrence():
-        for k in range(1, 9):
-            for m in (2, 3):
-                for comp in specfun._compositions(k, m):
-                    total = sum(
-                        specfun.multinomial_coefficient(
-                            k - 1, tuple(comp[:j]) + (comp[j] - 1,) + tuple(comp[j + 1:]))
-                        for j in range(m))
-                    if total != specfun.multinomial_coefficient(k, tuple(comp)):
-                        return False, f"failed at k={k}, comp={tuple(comp)}"
-        return True, "k <= 8, m <= 3 exact"
-
-    def check_identity():
-        worst = 0.0
-        for _ in range(20):
-            m = int(rng.integers(1, 4))
-            betas = tuple(rng.uniform(0.4, 0.95, m))
-            beta0 = float(rng.uniform(0.3, 1.0))
-            z = tuple(complex(*rng.uniform(-1.0, 1.0, 2)) for _ in range(m))
-            r = specfun.lemma31_residual(specfun.MLParams(beta0=beta0, betas=betas),
-                                         specfun.MLArgs(z=z))
-            worst = max(worst, r)
-        return worst < constants.IDENTITY_RESIDUAL_TOL, f"max residual {worst:.2e}"
-
-    def check_cross():
+    def series_contour_agreement():
         worst = 0.0
         for alphas, qs, lam in (((0.5,), (1.0,), 2.0),
                                 ((0.9, 0.3), (1.0, 1.5), 2.0),
@@ -448,99 +426,54 @@ def _verify_suite():
                                     specfun.solver_args(orders, lam, 1.0))
             rc = specfun.e_solver(lam, orders, beta0, 1.0)
             worst = max(worst, abs(rs.value - rc) / abs(rc))
-        return worst < constants.SPECFUN_CROSS_TOL, f"max rel diff {worst:.2e}"
+        return (Measure("max rel diff", worst, "<", constants.SPECFUN_CROSS_TOL),)
 
-    def check_derivative_identity():
-        orders = solver.FracOrders(alphas=(0.8, 0.4), qs=(1.0, 1.0))
-        lam, t = 3.0, 1.1
-        f = lambda u: u ** 0.8 * specfun.e_solver(lam, orders, 1.8, u)
-        rhs = t ** -0.2 * specfun.e_solver(lam, orders, 0.8, t)
-        errs = [abs((f(t + h) - f(t - h)) / (2 * h) - rhs) for h in (1e-2, 5e-3)]
-        order = math.log2(errs[0] / errs[1])
-        return abs(order - 2.0) < 0.3, f"observed order {order:.3f}"
-
-    def check_positivity():
-        samples = 0
-        while samples < 20:
-            m = int(rng.integers(1, 4))
-            alphas = np.sort(rng.uniform(0.1, 0.95, m))[::-1]
-            if m > 1 and np.min(-np.diff(alphas)) < 0.05:
-                continue
-            samples += 1
-            orders = solver.FracOrders(
-                alphas=tuple(alphas),
-                qs=(1.0,) + tuple(rng.uniform(0.2, 3.0, m - 1)))
-            lam = float(10 ** rng.uniform(-1, 3))
-            t = float(10 ** rng.uniform(-2, 1.5))
-            v = t ** (alphas[0] - 1.0) * specfun.e_solver(lam, orders, alphas[0], t)
-            if v <= 0:
-                return False, f"non-positive at lam={lam:.3g}, t={t:.3g}"
-        return True, "20 samples positive"
-
-    def check_spectral():
+    def spectral_closed_form():
         op = spectral.Operator1D.from_callables((0.0, math.pi), 63)
         s = spectral.eigendecompose_operator(op)
         n = np.arange(1, 64)
         closed = (4.0 / op.h ** 2) * np.sin(n * op.h / 2.0) ** 2
         err = float(np.max(np.abs(s.lambdas - closed) / closed))
-        ortho = spectral.check_orthonormal(s)
         tol = constants.ALGEBRAIC_TOL
-        return err < tol and ortho < tol, f"spectrum {err:.1e}, gram {ortho:.1e}"
+        return (Measure("spectrum rel err", err, "<", tol),
+                Measure("gram residual", spectral.check_orthonormal(s), "<", tol))
 
-    def check_l1():
-        orders = solver.FracOrders.single(0.5)
-        cfg = oracle.L1Config(t_final=1.0, n_steps=2048, grading=4.0)
-        _, us = oracle.l1_solve_mode(1.0, orders, 1.0, None, cfg)
-        target = solver.mode_amplitude(orders, 1.0, 1.0)
-        return abs(us[-1] - target) < 1e-3, f"|L1 - amplitude| = {abs(us[-1]-target):.2e}"
-
-    def check_hankel():
+    def hankel_vs_amplitude():
         orders = solver.FracOrders(alphas=(0.8, 0.4), qs=(1.0, 1.0))
         h = oracle.laplace_mode_eval(5.0, orders, 1.0, 10.0)
         amp = solver.mode_amplitude(orders, 5.0, 10.0)
-        return abs(h - amp) / abs(amp) < 1e-6, f"rel diff {abs(h-amp)/abs(amp):.2e}"
+        return (Measure("rel diff", abs(h - amp) / abs(amp), "<", 1e-6),)
 
-    def check_caputo():
+    def caputo_power_selftest():
         q = solver.QuadConfig(n_panels=128, grading=2.0)
         got = solver.caputo_quadrature(lambda s: np.ones_like(s), 1.5, 0.4, q)
         want = 1.5 ** 0.6 / specfun.gamma_real(1.6)
-        return abs(got - want) / want < 1e-10, f"rel err {abs(got-want)/want:.2e}"
-
-    def check_counterexample():
-        l1 = oracle.L1Config(t_final=5.0, n_steps=2048, grading=4.0)
-        res = oracle.counterexample_run(10.0, l1)
-        ctl = oracle.counterexample_run(10.0, l1, flip_sign=True)
-        ok = res.verdict == "grows" and ctl.verdict == "decays"
-        return ok, f"verdicts {res.verdict}/{ctl.verdict}"
+        return (Measure("rel err", abs(got - want) / want, "<", 1e-10),)
 
     checks = [
-        ("multinomial-recurrence", check_recurrence),
-        ("parameter-shift-identity", check_identity),
-        ("series-contour-agreement", check_cross),
-        ("derivative-identity", check_derivative_identity),
-        ("kernel-positivity", check_positivity),
-        ("spectral-closed-form", check_spectral),
-        ("l1-vs-amplitude", check_l1),
-        ("hankel-vs-amplitude", check_hankel),
-        ("caputo-power-selftest", check_caputo),
-        ("counterexample-verdicts", check_counterexample),
+        ("multinomial-recurrence", "01", lambda: criteria.multinomial_recurrence(8, 3)),
+        ("parameter-shift-identity", "02", lambda: criteria.shift_identity(20)),
+        ("series-contour-agreement", None, series_contour_agreement),
+        ("derivative-identity", "04", lambda: criteria.derivative_identity(5)),
+        ("kernel-positivity", "05", lambda: criteria.kernel_positivity(20)),
+        ("spectral-closed-form", None, spectral_closed_form),
+        ("l1-vs-amplitude", "06", lambda: criteria.triple_agreement(2)),
+        ("hankel-vs-amplitude", None, hankel_vs_amplitude),
+        ("caputo-power-selftest", None, caputo_power_selftest),
+        ("counterexample-verdicts", "12", lambda: criteria.counterexample(2048)),
     ]
-    for name, fn in checks:
+    rows = []
+    for name, criterion, fn in checks:
         try:
-            ok, detail = fn()
+            measures = fn().measures if criterion else fn()
+            ok = all(m.passed for m in measures)
+            detail = "; ".join(map(str, measures))
         except Exception as exc:  # noqa: BLE001 - verdicts must not abort the suite
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        yield name, ok, detail
-
-
-def _cmd_verify(cfg: RunConfig):
-    rows = []
-    all_ok = True
-    for name, ok, detail in _verify_suite():
+        detail = f"criterion {criterion}: {detail}" if criterion else detail
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
         rows.append((name, "pass" if ok else "fail", detail))
-        all_ok = all_ok and ok
-    if not all_ok:
+    if any(status == "fail" for _, status, _ in rows):
         raise RuntimeError("verification suite failed")
     return ["check", "status", "detail"], rows, {"all_passed": True}
 
@@ -622,7 +555,7 @@ def main(argv=None) -> int:
             raise ConfigError("--config and --preset are mutually exclusive")
         if args.preset:
             cfg = preset_config(args.preset)
-            if cfg.command != args.command and args.command != "verify":
+            if cfg.command != args.command:
                 raise ConfigError(
                     f"preset {args.preset!r} belongs to command {cfg.command!r}")
         elif args.config:

@@ -26,6 +26,15 @@ IDENTITY_RESIDUAL_TOL = 1e-10
 ODE_RESIDUAL_TOL_SINGLE = 1e-4
 ODE_RESIDUAL_TOL_MULTI = 1e-3
 
+# Bounds of acceptance criteria that ``mtfrac verify`` also runs: 04's
+# deviation of the observed derivative order from 2; 06's pairwise relative
+# disagreement of three solution routes; 12's root error, and the growth
+# factor that is also the counterexample's ``grows`` verdict.
+DERIVATIVE_ORDER_TOL = 0.2
+TRIPLE_AGREEMENT_TOL = 1e-3
+COUNTEREXAMPLE_ROOT_TOL = 1e-12
+COUNTEREXAMPLE_GROWTH = 10.0
+
 # Default truncation tolerance and shell budget for the power series.
 SERIES_TOL = 1e-12
 SERIES_MAX_SHELLS = 600

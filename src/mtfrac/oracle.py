@@ -30,7 +30,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .constants import HANKEL_EPS0, HANKEL_REFINE_RTOL
+from .constants import COUNTEREXAMPLE_GROWTH, HANKEL_EPS0, HANKEL_REFINE_RTOL
 from .specfun import MLArgs, MLParams, gamma_real
 
 __all__ = [
@@ -454,7 +454,8 @@ def counterexample_run(lam: float, cfg: L1Config,
     With the negative middle weight the Laplace symbol has zeros with
     positive real part and the mode grows; ``flip_sign=True`` runs the
     all-positive control, which decays.  The verdict is ``grows`` once |u|
-    reaches 10x its initial value inside the window.
+    reaches ``COUNTEREXAMPLE_GROWTH`` (10) times its initial value inside the
+    window.
     """
     r_minus, r_plus = counterexample_roots(lam)
     q2 = 3.0 * lam if flip_sign else -3.0 * lam
@@ -463,7 +464,7 @@ def counterexample_run(lam: float, cfg: L1Config,
     u0 = 1.0
     ts, us = l1_solve_mode(lam, orders, u0, None, cfg, stop_abs=1e6 * abs(u0))
     peak = np.max(np.abs(us))
-    if peak >= 10.0 * abs(u0):
+    if peak >= COUNTEREXAMPLE_GROWTH * abs(u0):
         verdict = "grows"
     elif abs(us[-1]) <= abs(u0) and peak <= 1.05 * abs(u0):
         verdict = "decays"

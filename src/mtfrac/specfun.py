@@ -509,8 +509,9 @@ def mml_eval(params: MLParams, args: MLArgs, tol: float = SERIES_TOL,
     non-positive solver-family arguments go to the window contour of
     :func:`e_solver_many` at t = 1, whose QuadratureError propagates.
     Other arguments beyond the crossover, complex z_1 among them, get the
-    series where its majorant converges within ``max_k`` shells, and
-    UncoveredRegionError otherwise.
+    series where its majorant converges within ``max_k`` shells and its
+    error estimate is below |value|, and UncoveredRegionError otherwise: an
+    estimate of |value| or more vouches for no digit of the sum.
     """
     if params.m != args.m:
         raise ValueError(f"parameter/argument length mismatch: {params.m} != {args.m}")
@@ -529,11 +530,14 @@ def mml_eval(params: MLParams, args: MLArgs, tol: float = SERIES_TOL,
         value, est = _solver_family(*family, params.beta0, 1.0)
         return EvalResult(complex(value), float(est), Method.CONTOUR)
     if _series_feasible(params, args, tol, max_k):
-        return mml_series(params, args, tol=tol, max_k=max_k)
+        res = mml_series(params, args, tol=tol, max_k=max_k)
+        if res.abs_error_estimate < abs(res.value):
+            return res
     raise UncoveredRegionError(
         f"sum |z_j| = {z_total:.3g} exceeds the series crossover but the "
         "arguments do not satisfy the contour requirements (solver-family "
-        "parameters, real non-positive z_j)")
+        "parameters, real non-positive z_j), and the series gives no value "
+        "whose error estimate is below its modulus")
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,7 @@
 import numpy as np
 import pytest
 
-from mtfrac.solver import FracOrders
 from mtfrac.spectral import Operator1D, eigendecompose_operator
-
-
-def random_orders(rng, m=None, alpha_lo=0.15, alpha_hi=0.92, sep=0.12,
-                  q_lo=0.3, q_hi=2.5):
-    """Well-separated random order/weight tuples for randomized checks."""
-    m = m if m is not None else int(rng.integers(1, 4))
-    while True:
-        alphas = np.sort(rng.uniform(alpha_lo, alpha_hi, m))[::-1]
-        if m == 1 or float(np.min(-np.diff(alphas))) >= sep:
-            break
-    qs = (1.0,) + tuple(float(q) for q in rng.uniform(q_lo, q_hi, m - 1))
-    return FracOrders(alphas=tuple(float(a) for a in alphas), qs=qs)
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import rgamma
 
-from conftest import random_orders
 from mtfrac import analysis as an, solver as sv, spectral as sp
+from mtfrac.criteria import random_orders
 from mtfrac.specfun import (_compositions, e_solver_many, gamma_real,
                             multinomial_coefficient)
 

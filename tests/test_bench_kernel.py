@@ -21,7 +21,8 @@ def test_bench_kernel_one_repeat_prints_every_timing(tmp_path):
                 "l1_criterion06", "l1_crosscheck_m3",
                 "hankel_eval", "series_m3", "lemma31_m3", "gamma_real",
                 "eigendecompose_operator", "caputo_quadrature", "mode_ode_residual",
-                "synthesize_block", "project_block", "lipschitz_diffusion"):
+                "synthesize_block", "project_block", "lipschitz_diffusion",
+                "verify_command"):
         assert report[key] >= 0.0, key
     assert sorted(report["propagator"], key=float) == ["0.001", "0.1", "2.0", "300.0"]
     blocks = [report["thm23_block_m2"], report["thm23_block_m3"], report["thm21_block"]]

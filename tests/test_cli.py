@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mtfrac import cli, specfun
+from mtfrac import cli, criteria, specfun
 
 
 MINIMAL_CONFIG = """\
@@ -298,8 +298,11 @@ def test_main_reports_unwritable_output(tmp_path, capsys):
     assert err.startswith("mtfrac: error: ") and err.count("\n") == 1
 
 
-def test_main_preset_command_mismatch():
+def test_main_preset_command_mismatch(tmp_path):
     assert cli.main(["solve", "--preset", "rem36"]) == 1
+    # No preset belongs to verify: thm23's table is not written for it.
+    assert cli.main(["verify", "--preset", "thm23", "--out", str(tmp_path)]) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_main_env_output_dir(tmp_path, monkeypatch):
@@ -521,19 +524,32 @@ def test_coefficient_invariants_rejected_at_parse(tmp_path):
 
 
 def test_verify_suite_passes_every_check():
-    results = {name: (ok, detail) for name, ok, detail in cli._verify_suite()}
-    assert {"l1-vs-amplitude", "counterexample-verdicts"} <= results.keys()
-    assert {name: detail for name, (ok, detail) in results.items() if not ok} == {}
+    header, rows, results = cli._cmd_verify(cli.RunConfig(command="verify"))
+    assert [status for _, status, _ in rows] == ["pass"] * 10
+    # Six checks run an acceptance criterion and name it; each check gives
+    # every measured value against its bound.
+    assert sorted(detail.split(":")[0] for _, _, detail in rows
+                  if detail.startswith("criterion ")) == [
+        f"criterion {n}" for n in ("01", "02", "04", "05", "06", "12")]
+    assert all(" measured " in detail and ", bound " in detail for _, _, detail in rows)
 
 
 def test_verify_kernel_positivity_evaluates_20_samples(monkeypatch):
-    # Draws whose orders lie closer than 0.05 are skipped, not counted.
-    calls = []
-    kernel = specfun.e_solver
-    monkeypatch.setattr(specfun, "e_solver", lambda *a: calls.append(a) or kernel(*a))
-    for name, ok, detail in cli._verify_suite():
-        if name == "kernel-positivity":
-            break
-        calls.clear()            # count the calls of the next check only
-    assert ok, detail
-    assert len(calls) == 20
+    sizes = []
+    positivity = criteria.kernel_positivity
+    monkeypatch.setattr(criteria, "kernel_positivity",
+                        lambda n: sizes.append(n) or positivity(n))
+    _, rows, _ = cli._cmd_verify(cli.RunConfig(command="verify"))
+    assert sizes == [20]
+    assert ("kernel-positivity", "pass") in [row[:2] for row in rows]
+
+
+def test_verify_fails_on_a_missed_bound(monkeypatch, tmp_path, capsys):
+    miss = criteria.Outcome((criteria.Measure("max residual", 3e-9, "<", 1e-10),), "")
+    monkeypatch.setattr(criteria, "shift_identity", lambda n: miss)
+    assert cli.main(["verify", "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert ("FAIL  parameter-shift-identity: criterion 02: max residual measured 3e-09, "
+            "bound < 1e-10\n") in out
+    assert "PASS  kernel-positivity: criterion 05: " in out
+    assert list(tmp_path.iterdir()) == []

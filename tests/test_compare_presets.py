@@ -108,12 +108,14 @@ def test_compare_dirs_reports_manifest_results(cmp, tmp_path):
 
 
 def test_run_writes_the_default_mml_eval_csv(cmp, tmp_path):
-    # The default mml-eval command is the one CLI output that prints the
-    # kernel's error estimates, so ``run`` writes it beside the presets.
+    # ``run`` writes the default mml-eval CSV, the one that prints the kernel's
+    # estimates; verify's text cells hold commas, so they must read back quoted.
     assert "mml-eval" in cmp.PRESETS
     env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
-    subprocess.run([sys.executable, "-c", cmp._RUN_ONE, "mml-eval", str(tmp_path)],
-                   env=env, capture_output=True, check=True)
-    header, rows = cmp._read(str(tmp_path / "mml-eval.csv"))
+    for name in ("verify", "mml-eval"):
+        subprocess.run([sys.executable, "-c", cmp._RUN_ONE, name, str(tmp_path)],
+                       env=env, capture_output=True, check=True)
+        header, rows = cmp._read(str(tmp_path / f"{name}.csv"))
+        assert rows and {len(row) for row in rows} == {len(header)}, name
     assert header == ["t", "value", "method", "abs_error_estimate"]
     assert {row[2] for row in rows} == {"series", "contour"}

@@ -5,10 +5,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import random_orders
 from mtfrac import oracle as orc
 from mtfrac import specfun as sf
 from mtfrac.constants import HANKEL_EPS0
+from mtfrac.criteria import random_orders
 from mtfrac.solver import FracOrders, mode_amplitude
 
 
@@ -483,16 +483,6 @@ def test_counterexample_quartic_root_of_symbol():
     s = r_plus ** 4
     w = s ** 0.5 - 3.0 * lam * s ** 0.25 + lam
     assert abs(w) < 1e-9 * lam
-
-
-def test_counterexample_growth_and_control():
-    cfg = orc.L1Config(t_final=5.0, n_steps=4096, grading=4.0)
-    res = orc.counterexample_run(10.0, cfg)
-    assert res.verdict == "grows"
-    assert np.max(np.abs(res.values)) >= 10.0
-    control = orc.counterexample_run(10.0, cfg, flip_sign=True)
-    assert control.verdict == "decays"
-    assert abs(control.values[-1]) < 1.0
 
 
 def test_l1_error_within_own_estimate():

@@ -5,7 +5,6 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from mtfrac import specfun as sf
 from mtfrac.constants import SERIES_CONTOUR_CROSSOVER as XC, SOLVER_FAMILY_RTOL
@@ -61,22 +60,6 @@ def test_multinomial_degenerate_and_errors():
         sf.multinomial_coefficient(3, [-2, 5])
     with pytest.raises(OverflowError):
         sf.multinomial_coefficient(200_000, [100_000, 100_000])
-
-
-@given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=4),
-       st.data())
-@settings(max_examples=60, deadline=None)
-def test_multinomial_recurrence_property(k, m, data):
-    parts = []
-    remaining = k
-    for j in range(m - 1):
-        parts.append(data.draw(st.integers(min_value=0, max_value=remaining)))
-        remaining -= parts[-1]
-    parts.append(remaining)
-    total = sum(
-        sf.multinomial_coefficient(k - 1, parts[:j] + [parts[j] - 1] + parts[j + 1:])
-        for j in range(m))
-    assert total == sf.multinomial_coefficient(k, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +257,13 @@ def test_dispatch_crossover_agreement():
 
 
 def test_dispatch_uncovered_region():
-    # Large argument away from the cut: no contour, and the series cannot
-    # converge.
+    # Large arguments away from the cut: no contour, and at 1e8 the series
+    # cannot converge; at -10i it converges, but to a value its own estimate
+    # exceeds (1.9e29 against 1.4e29), which vouches for no digit.
     params = sf.MLParams(beta0=1.0, betas=(0.5,))
-    with pytest.raises(sf.UncoveredRegionError):
-        sf.mml_eval(params, sf.MLArgs(z=(1e8,)))
+    for z1 in (1e8, -10j):
+        with pytest.raises(sf.UncoveredRegionError):
+            sf.mml_eval(params, sf.MLArgs(z=(z1,)))
 
 
 # ---------------------------------------------------------------------------
@@ -839,28 +824,3 @@ def test_lemma31_classical_reduction():
     # m = 1, beta0 = 1: 1 + z E_{a,1+a}(z) = E_{a,1}(z).
     params = sf.MLParams(beta0=1.0, betas=(0.5,))
     assert sf.lemma31_residual(params, sf.MLArgs(z=(-1.0,))) < 1e-10
-
-
-def test_derivative_identity_second_order():
-    orders = FracOrders(alphas=(0.8, 0.4), qs=(1.0, 1.0))
-    lam, t = 3.0, 1.1
-    a1 = orders.alphas[0]
-
-    def f(u):
-        return u ** a1 * sf.e_solver(lam, orders, 1.0 + a1, u)
-
-    rhs = t ** (a1 - 1.0) * sf.e_solver(lam, orders, a1, t)
-    errs = [abs((f(t + h) - f(t - h)) / (2 * h) - rhs) for h in (1e-2, 5e-3)]
-    order = math.log2(errs[0] / errs[1])
-    assert abs(order - 2.0) < 0.2
-
-
-def test_kernel_positivity_samples():
-    from conftest import random_orders
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        orders = random_orders(rng)
-        lam = float(10 ** rng.uniform(-1, 3))
-        t = float(10 ** rng.uniform(-2, 1.5))
-        a1 = orders.alphas[0]
-        assert t ** (a1 - 1.0) * sf.e_solver(lam, orders, a1, t) > 0.0
