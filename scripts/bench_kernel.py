@@ -54,6 +54,8 @@ are not marked), and the median CPU milliseconds over N repeats of:
   coefficients n^-2.5, gamma = 0.75, tau = 0.5, eps = 0.2, with the base
   ModalSolution warm and the perturbed problem (its eigendecomposition
   included) built once, outside the timing;
+* ``verify_checks``: each check of ``mtfrac verify``'s table
+  (``criteria.verify_checks()``) at its verify size, keyed by check name;
 * ``verify_command``: one in-process ``mtfrac verify`` run,
   ``cli.run(RunConfig(command="verify"), out_dir=...)`` into a temporary
   directory, with its stdout discarded so the JSON report stays clean.
@@ -85,7 +87,7 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 import mtfrac  # noqa: E402
-from mtfrac import cli, oracle, specfun  # noqa: E402
+from mtfrac import cli, criteria, oracle, specfun  # noqa: E402
 from mtfrac.analysis import lipschitz_experiment, perturbed_problem  # noqa: E402
 from mtfrac.solver import (FracOrders, ModalSolution, Problem,  # noqa: E402
                            QuadConfig, SampledSource, caputo_quadrature,
@@ -207,6 +209,9 @@ def main(argv=None) -> dict:
     report["lipschitz_diffusion"] = cpu_ms(
         lambda: lipschitz_experiment(base, perturbed, gamma=0.75, tau=0.5,
                                      base_solution=base_solution), repeats)
+    report["verify_checks"] = {
+        name: cpu_ms(lambda: fn(*args), repeats)
+        for name, _, fn, args in criteria.verify_checks()}
     with tempfile.TemporaryDirectory() as out_dir:
         def verify():
             with contextlib.redirect_stdout(io.StringIO()):

@@ -19,7 +19,7 @@ from .specfun import gamma_real
 
 __all__ = [
     "ADMISSIBLE_ALPHAS", "ADMISSIBLE_QS", "ADMISSIBLE_DIFFUSION",
-    "LIPSCHITZ_T_FINAL", "LIPSCHITZ_N_TIME",
+    "LIPSCHITZ_T_FINAL", "LIPSCHITZ_N_TIME", "CHANNELS",
     "DecayFit",
     "ShortTimeReport",
     "LipschitzReport",
@@ -29,9 +29,11 @@ __all__ = [
     "residual_exponent",
     "short_time_vanishing",
     "short_time_checks",
+    "check_lipschitz_inputs",
     "lipschitz_experiment",
     "perturbation_delta",
     "c1_norm_difference",
+    "perturbed_coefficients",
     "perturbed_problem",
 ]
 
@@ -181,6 +183,8 @@ ADMISSIBLE_DIFFUSION = (1e-3, 50.0)
 # The time integral's graded grid: LIPSCHITZ_N_TIME nodes on (0, LIPSCHITZ_T_FINAL].
 LIPSCHITZ_T_FINAL = 2.0
 LIPSCHITZ_N_TIME = 25
+# The coefficient channels of perturbed_problem.
+CHANNELS = ("alpha", "q", "diffusion", "all")
 
 
 def _orders_admissible(orders: FracOrders) -> bool:
@@ -195,6 +199,17 @@ def _diffusion_admissible(op: Operator1D) -> bool:
     d1 = np.abs(np.diff(op.diffusion)) / op.h
     return (bool(np.all(op.diffusion >= delta))
             and float(np.max(np.abs(op.diffusion)) + np.max(d1)) <= cap)
+
+
+def check_lipschitz_inputs(orders: FracOrders, op: Operator1D, gamma: float, tau: float):
+    """Raise ValueError unless gamma, tau and a problem's coefficients meet
+    :func:`lipschitz_experiment`'s conditions (the ADMISSIBLE_ boxes)."""
+    if not 0.0 < gamma <= 1.0 or not 0.0 < tau <= 1.0:
+        raise ValueError("gamma and tau must lie in (0, 1]")
+    if not _orders_admissible(orders):
+        raise ValueError("orders outside the admissible set")
+    if not _diffusion_admissible(op):
+        raise ValueError("diffusion outside the admissible set")
 
 
 def c1_norm_difference(op1: Operator1D, op2: Operator1D) -> float:
@@ -245,17 +260,12 @@ def lipschitz_experiment(base: Problem, perturbed: Problem, gamma: float,
     pass its ModalSolution through ``base_solution`` to reuse the cached
     amplitudes.  ``threads`` is accepted and ignored.
     """
-    if not 0.0 < gamma <= 1.0 or not 0.0 < tau <= 1.0:
-        raise ValueError("gamma and tau must lie in (0, 1]")
-    if not np.array_equal(base.initial, perturbed.initial):
-        raise ValueError("both problems must share the initial value")
     for prob in (base, perturbed):
         if prob.source is not None:
             raise ValueError("this analysis requires a problem without source")
-        if not _orders_admissible(prob.orders):
-            raise ValueError("orders outside the admissible set")
-        if not _diffusion_admissible(prob.operator):
-            raise ValueError("diffusion outside the admissible set")
+        check_lipschitz_inputs(prob.orders, prob.operator, gamma, tau)
+    if not np.array_equal(base.initial, perturbed.initial):
+        raise ValueError("both problems must share the initial value")
 
     delta = perturbation_delta(base, perturbed)
     if gamma < 0.5:
@@ -286,16 +296,16 @@ def lipschitz_experiment(base: Problem, perturbed: Problem, gamma: float,
                            space_gamma=space_gamma, exact_match=delta == 0.0)
 
 
-def perturbed_problem(base: Problem, channel: str, eps: float) -> Problem:
-    """Perturbed copy of a homogeneous problem along one coefficient channel.
+def perturbed_coefficients(orders: FracOrders, op: Operator1D, channel: str,
+                           eps: float) -> tuple[FracOrders, Operator1D]:
+    """Orders and operator perturbed along one coefficient channel.
 
     ``channel`` is one of ``alpha`` (orders nudged down by staggered
     amounts), ``q`` (secondary weights shifted), ``diffusion`` (sinusoidal
-    bump added to D), or ``all`` (one third of each).
+    bump added to D), or ``all`` (one third of each).  A channel that leaves
+    D alone returns ``op`` itself.
     """
-    orders = base.orders
-    op = base.operator
-    if channel not in ("alpha", "q", "diffusion", "all"):
+    if channel not in CHANNELS:
         raise ValueError(f"unknown perturbation channel: {channel}")
 
     e_a = eps if channel in ("alpha", "all") else 0.0
@@ -309,9 +319,7 @@ def perturbed_problem(base: Problem, channel: str, eps: float) -> Problem:
     qs = (1.0,) + tuple(q + e_q / max(m - 1, 1) for q in orders.qs[1:])
     new_orders = FracOrders(alphas=alphas, qs=qs)
     if e_d == 0.0:
-        # Same operator, so the base spectrum serves: no second decomposition.
-        return Problem(orders=new_orders, operator=op, spectrum=base.spectrum,
-                       initial=base.initial)
+        return new_orders, op
 
     xs = op.full_x
     length = op.x_right - op.x_left
@@ -320,4 +328,14 @@ def perturbed_problem(base: Problem, channel: str, eps: float) -> Problem:
                         n_interior=op.n_interior,
                         diffusion=op.diffusion + e_d * bump,
                         potential=op.potential.copy())
-    return Problem.build(new_orders, new_op, initial=base.initial)
+    return new_orders, new_op
+
+
+def perturbed_problem(base: Problem, channel: str, eps: float) -> Problem:
+    """A homogeneous problem with :func:`perturbed_coefficients`."""
+    orders, op = perturbed_coefficients(base.orders, base.operator, channel, eps)
+    if op is base.operator:
+        # Same operator, so the base spectrum serves: no second decomposition.
+        return Problem(orders=orders, operator=op, spectrum=base.spectrum,
+                       initial=base.initial)
+    return Problem.build(orders, op, initial=base.initial)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import __version__, analysis, constants, criteria, oracle, solver, spectral, specfun
-from .criteria import Measure
 
 __all__ = ["RunConfig", "parse_config", "run", "main", "PRESETS"]
 
@@ -87,9 +86,10 @@ class RunConfig:
         return solver.FracOrders(alphas=self.alphas, qs=self.qs)
 
     def validate(self):
-        """Check every key, then build the orders, time grid and operator,
-        and check the grid and the kinds against each other and the
-        command, so their invariants surface here and never mid-run.  The
+        """Check every key, then build the time grid, operator and orders,
+        check the grid and the kinds against each other and the command,
+        and run the library's checks of the command's inputs (no
+        eigendecomposition), so invariants surface here, never mid-run.  The
         command-free checks hold for every command, since an INI config is
         parsed before its command is known."""
         if self.command not in _COMMANDS:
@@ -100,12 +100,8 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be {check[0]}")
         if len(self.interval) != 2:
             raise ConfigError("interval must have two endpoints")
-        try:
-            self.orders()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         grid = _parse_grid(self.t_grid)
-        _build_operator(self)
+        op = _build_operator(self)
         initial = _kind(self, "initial")[0]
         forced = _kind(self, "source")[0] != "none"
         if grid.min() < 0:
@@ -122,6 +118,21 @@ class RunConfig:
                 grid.size < 5 or grid[0] <= 0 or np.any(np.diff(grid) <= 0)):
             raise ConfigError("asymptotics needs a t_grid of at least 5 positive, "
                               "increasing times")
+        try:
+            orders = self.orders()
+            if self.command == "mml-eval":
+                specfun.solver_params(orders, self.beta0)
+            elif self.command == "counterexample":
+                oracle.counterexample_roots(self.lam)
+            elif self.command == "stability":
+                # Each channel moves the coefficients linearly in eps and the
+                # admissible sets are convex: the base and level 0 cover all.
+                for o, o_op in [(orders, op)] + [
+                        analysis.perturbed_coefficients(orders, op, channel, self.perturb_eps)
+                        for channel in analysis.CHANNELS]:
+                    analysis.check_lipschitz_inputs(o, o_op, self.gamma, self.tau)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         return self
 
 
@@ -382,7 +393,7 @@ def _cmd_stability(cfg: RunConfig):
     rows = []
     results = {}
     base_sol = solver.ModalSolution(p)
-    for channel in ("alpha", "q", "diffusion", "all"):
+    for channel in analysis.CHANNELS:
         ratios = []
         for level in range(cfg.levels):
             eps = cfg.perturb_eps * 0.5 ** level
@@ -412,60 +423,12 @@ def _cmd_counterexample(cfg: RunConfig):
 
 
 def _cmd_verify(cfg: RunConfig):
-    """Quick invariant suite.  Six checks run an acceptance criterion of
-    ``mtfrac.criteria`` at a small size; each prints its measures."""
-
-    def series_contour_agreement():
-        worst = 0.0
-        for alphas, qs, lam in (((0.5,), (1.0,), 2.0),
-                                ((0.9, 0.3), (1.0, 1.5), 2.0),
-                                ((0.8, 0.5, 0.2), (1.0, 1.0, 1.0), 1.5)):
-            orders = solver.FracOrders(alphas=alphas, qs=qs)
-            beta0 = 1.0 + alphas[0]
-            rs = specfun.mml_series(specfun.solver_params(orders, beta0),
-                                    specfun.solver_args(orders, lam, 1.0))
-            rc = specfun.e_solver(lam, orders, beta0, 1.0)
-            worst = max(worst, abs(rs.value - rc) / abs(rc))
-        return (Measure("max rel diff", worst, "<", constants.SPECFUN_CROSS_TOL),)
-
-    def spectral_closed_form():
-        op = spectral.Operator1D.from_callables((0.0, math.pi), 63)
-        s = spectral.eigendecompose_operator(op)
-        n = np.arange(1, 64)
-        closed = (4.0 / op.h ** 2) * np.sin(n * op.h / 2.0) ** 2
-        err = float(np.max(np.abs(s.lambdas - closed) / closed))
-        tol = constants.ALGEBRAIC_TOL
-        return (Measure("spectrum rel err", err, "<", tol),
-                Measure("gram residual", spectral.check_orthonormal(s), "<", tol))
-
-    def hankel_vs_amplitude():
-        orders = solver.FracOrders(alphas=(0.8, 0.4), qs=(1.0, 1.0))
-        h = oracle.laplace_mode_eval(5.0, orders, 1.0, 10.0)
-        amp = solver.mode_amplitude(orders, 5.0, 10.0)
-        return (Measure("rel diff", abs(h - amp) / abs(amp), "<", 1e-6),)
-
-    def caputo_power_selftest():
-        q = solver.QuadConfig(n_panels=128, grading=2.0)
-        got = solver.caputo_quadrature(lambda s: np.ones_like(s), 1.5, 0.4, q)
-        want = 1.5 ** 0.6 / specfun.gamma_real(1.6)
-        return (Measure("rel err", abs(got - want) / want, "<", 1e-10),)
-
-    checks = [
-        ("multinomial-recurrence", "01", lambda: criteria.multinomial_recurrence(8, 3)),
-        ("parameter-shift-identity", "02", lambda: criteria.shift_identity(20)),
-        ("series-contour-agreement", None, series_contour_agreement),
-        ("derivative-identity", "04", lambda: criteria.derivative_identity(5)),
-        ("kernel-positivity", "05", lambda: criteria.kernel_positivity(20)),
-        ("spectral-closed-form", None, spectral_closed_form),
-        ("l1-vs-amplitude", "06", lambda: criteria.triple_agreement(2)),
-        ("hankel-vs-amplitude", None, hankel_vs_amplitude),
-        ("caputo-power-selftest", None, caputo_power_selftest),
-        ("counterexample-verdicts", "12", lambda: criteria.counterexample(2048)),
-    ]
+    """Quick invariant suite: each check of ``criteria.verify_checks()`` at
+    its verify size, printing every measured value against its bound."""
     rows = []
-    for name, criterion, fn in checks:
+    for name, criterion, fn, args in criteria.verify_checks():
         try:
-            measures = fn().measures if criterion else fn()
+            measures = fn(*args).measures
             ok = all(m.passed for m in measures)
             detail = "; ".join(map(str, measures))
         except Exception as exc:  # noqa: BLE001 - verdicts must not abort the suite

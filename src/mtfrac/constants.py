@@ -28,10 +28,12 @@ ODE_RESIDUAL_TOL_MULTI = 1e-3
 
 # Bounds of acceptance criteria that ``mtfrac verify`` also runs: 04's
 # deviation of the observed derivative order from 2; 06's pairwise relative
-# disagreement of three solution routes; 12's root error, and the growth
-# factor that is also the counterexample's ``grows`` verdict.
+# disagreement of three solution routes; 07's deviation of the observed L1
+# order from 2 - a; 12's root error, and the growth factor that is also the
+# counterexample's ``grows`` verdict.
 DERIVATIVE_ORDER_TOL = 0.2
 TRIPLE_AGREEMENT_TOL = 1e-3
+L1_ORDER_TOL = 0.2
 COUNTEREXAMPLE_ROOT_TOL = 1e-12
 COUNTEREXAMPLE_GROWTH = 10.0
 

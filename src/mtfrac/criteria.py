@@ -1,6 +1,7 @@
-"""The acceptance criteria that ``mtfrac verify`` also runs, one function each:
-the gate (``tests/test_acceptance.py``) calls them at full size, ``verify`` at
-small sizes, each from its own fixed seed, against the same bounds.
+"""The checks that ``mtfrac verify`` runs (:func:`verify_checks`), one function
+each.  The gate (``tests/test_acceptance.py``) calls the acceptance criteria
+at full size, ``verify`` at small sizes, each from its fixed seed, against
+the same bounds; four more check one ingredient at fixed cases.
 """
 
 from __future__ import annotations
@@ -11,10 +12,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import oracle, solver, specfun
-from .constants import (COUNTEREXAMPLE_GROWTH, COUNTEREXAMPLE_ROOT_TOL,
-                        DERIVATIVE_ORDER_TOL, IDENTITY_RESIDUAL_TOL,
-                        TRIPLE_AGREEMENT_TOL)
+from . import oracle, solver, spectral, specfun
+from .constants import (ALGEBRAIC_TOL, COUNTEREXAMPLE_GROWTH,
+                        COUNTEREXAMPLE_ROOT_TOL, DERIVATIVE_ORDER_TOL,
+                        IDENTITY_RESIDUAL_TOL, L1_ORDER_TOL,
+                        ODE_RESIDUAL_TOL_MULTI, ODE_RESIDUAL_TOL_SINGLE,
+                        SPECFUN_CROSS_TOL, TRIPLE_AGREEMENT_TOL)
 
 _RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
               ">=": operator.ge, "==": operator.eq}
@@ -43,10 +46,10 @@ class Measure(NamedTuple):
 
 
 class Outcome(NamedTuple):
-    """A criterion's measures and the gate's summary of the run."""
+    """A check's measures and, for a criterion, the gate's summary of the run."""
 
     measures: tuple[Measure, ...]
-    summary: str
+    summary: str = ""
 
 
 def random_orders(rng, m=None, alpha_lo=0.15, alpha_hi=0.92, sep=0.12,
@@ -185,3 +188,104 @@ def counterexample(n_steps: int) -> Outcome:
                  COUNTEREXAMPLE_GROWTH),
          Measure("verdicts", verdicts, "==", "grows/decays")),
         f"r+ = {r_plus:.6f}, verdicts {verdicts}")
+
+
+def l1_order(base_steps: int) -> Outcome:
+    """Criterion 07: L1 order 2 - a, within ``L1_ORDER_TOL``, over 1, 2 and 4
+    times ``base_steps`` steps, for a in {0.3, 0.5, 0.8}."""
+    observed, deviations = [], []
+    for alpha in (0.3, 0.5, 0.8):
+        orders = solver.FracOrders.single(alpha)
+        # Singularity-resolving grading, capped at 3: steeper meshes keep the
+        # order but raise the error constant.
+        grading = min(3.0, max(1.5, (2.0 - alpha) / alpha))
+        ends = [oracle.l1_solve_mode(1.0, orders, 1.0, None, oracle.L1Config(
+            t_final=1.0, n_steps=n, grading=grading))[1][-1]
+            for n in (base_steps, 2 * base_steps, 4 * base_steps)]
+        order = math.log2(abs(ends[0] - ends[1]) / abs(ends[1] - ends[2]))
+        observed.append(order)
+        deviations.append(abs(order - (2.0 - alpha)))
+    worst = float(np.max(deviations))
+    return Outcome((Measure("worst |order-(2-a)|", worst, "<", L1_ORDER_TOL),),
+                   "orders " + ", ".join(f"{o:.3f}" for o in observed))
+
+
+def equation_residual(n_panels: int) -> Outcome:
+    """Criterion 13: per-mode equation residuals, by Caputo quadrature on
+    ``n_panels`` panels graded 3.5, of low modes of the 255-node Laplacian."""
+    lambdas = spectral.eigendecompose_operator(
+        spectral.Operator1D.from_callables((0.0, math.pi), 255)).lambdas
+    orders = solver.FracOrders(alphas=(0.8, 0.4), qs=(1.0, 1.0))
+    quad = solver.QuadConfig(n_panels=n_panels, grading=3.5)
+    worst = float(np.max([solver.mode_ode_residual(orders, float(lambdas[mode]), t, quad)
+                          for mode in (0, 4, 14) for t in (0.5, 1.5)]))
+    single = solver.mode_ode_residual(solver.FracOrders.single(0.5),
+                                      float(lambdas[0]), 1.0, quad)
+    return Outcome(
+        (Measure("worst multi-term residual", worst, "<", ODE_RESIDUAL_TOL_MULTI),
+         Measure("single-term residual", single, "<", ODE_RESIDUAL_TOL_SINGLE)),
+        f"worst multi-term {worst:.2e}, single-term {single:.2e}")
+
+
+def series_contour_agreement() -> Outcome:
+    """Series and window contour agree on E^{(n)}_{1+a_1}(1) below the crossover."""
+    rels = []
+    for alphas, qs, lam in (((0.5,), (1.0,), 2.0),
+                            ((0.9, 0.3), (1.0, 1.5), 2.0),
+                            ((0.8, 0.5, 0.2), (1.0, 1.0, 1.0), 1.5)):
+        orders = solver.FracOrders(alphas=alphas, qs=qs)
+        beta0 = 1.0 + alphas[0]
+        rs = specfun.mml_series(specfun.solver_params(orders, beta0),
+                                specfun.solver_args(orders, lam, 1.0))
+        rc = specfun.e_solver(lam, orders, beta0, 1.0)
+        rels.append(abs(rs.value - rc) / abs(rc))
+    return Outcome((Measure("max rel diff", float(np.max(rels)), "<", SPECFUN_CROSS_TOL),))
+
+
+def spectral_closed_form() -> Outcome:
+    """The 63-node Laplacian's eigenvalues (4/h^2) sin^2(n h/2), orthonormal modes."""
+    op = spectral.Operator1D.from_callables((0.0, math.pi), 63)
+    s = spectral.eigendecompose_operator(op)
+    closed = (4.0 / op.h ** 2) * np.sin(np.arange(1, 64) * op.h / 2.0) ** 2
+    err = float(np.max(np.abs(s.lambdas - closed) / closed))
+    return Outcome((Measure("spectrum rel err", err, "<", ALGEBRAIC_TOL),
+                    Measure("gram residual", spectral.check_orthonormal(s), "<",
+                            ALGEBRAIC_TOL)))
+
+
+def hankel_agreement() -> Outcome:
+    """Hankel oracle against the closed mode amplitude at one multi-term case."""
+    orders = solver.FracOrders(alphas=(0.8, 0.4), qs=(1.0, 1.0))
+    h = oracle.laplace_mode_eval(5.0, orders, 1.0, 10.0)
+    amp = solver.mode_amplitude(orders, 5.0, 10.0)
+    return Outcome((Measure("rel diff", abs(h - amp) / abs(amp), "<", 1e-6),))
+
+
+def caputo_power() -> Outcome:
+    """Caputo quadrature of f(t) = t against t^{1-b}/Gamma(2-b) at t = 2."""
+    quad = solver.QuadConfig(n_panels=128, grading=2.0)
+    rels = []
+    for beta in (0.25, 0.5, 0.75):
+        got = solver.caputo_quadrature(lambda s: np.ones_like(s), 2.0, beta, quad)
+        want = 2.0 ** (1.0 - beta) / specfun.gamma_real(2.0 - beta)
+        rels.append(abs(got - want) / want)
+    return Outcome((Measure("worst rel err", float(np.max(rels)), "<", 1e-12),))
+
+
+def verify_checks():
+    """``mtfrac verify``'s table: (name, criterion or None, function, verify
+    size) per check, built at each call from the module's current functions."""
+    return (
+        ("multinomial-recurrence", "01", multinomial_recurrence, (8, 3)),
+        ("parameter-shift-identity", "02", shift_identity, (20,)),
+        ("series-contour-agreement", None, series_contour_agreement, ()),
+        ("derivative-identity", "04", derivative_identity, (5,)),
+        ("kernel-positivity", "05", kernel_positivity, (20,)),
+        ("spectral-closed-form", None, spectral_closed_form, ()),
+        ("l1-vs-amplitude", "06", triple_agreement, (2,)),
+        ("hankel-vs-amplitude", None, hankel_agreement, ()),
+        ("caputo-power-selftest", None, caputo_power, ()),
+        ("counterexample-verdicts", "12", counterexample, (2048,)),
+        ("l1-convergence-order", "07", l1_order, (256,)),
+        ("equation-residual", "13", equation_residual, (384,)),
+    )

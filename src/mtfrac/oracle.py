@@ -407,10 +407,13 @@ def laplace_mode_eval(lam: float, orders, a_n: float, t: float) -> float:
 
     The integral is evaluated by panel quadrature on [0, 40/t], split at
     HANKEL_EPS0*lam; a doubled-panel refinement must agree within
-    HANKEL_REFINE_RTOL or an error is raised.
+    HANKEL_REFINE_RTOL (a non-finite disagreement never does) or an error
+    is raised.
     """
     if t <= 0:
         raise ValueError("t must be positive")
+    if lam <= 0:
+        raise ValueError("lam must be positive: the leading term is q_m / lam")
     alpha_m = orders.alphas[-1]
     q_m = orders.qs[-1]
     leading = q_m / (lam * gamma_real(1.0 - alpha_m) * t ** alpha_m)
@@ -419,7 +422,7 @@ def laplace_mode_eval(lam: float, orders, a_n: float, t: float) -> float:
     fine, below_f, _ = _hankel_quad(orders, lam, t, 2 * _HANKEL_PANELS)
     err = abs(fine - coarse) + below_f
     scale = max(abs(leading + fine), abs(leading), 1e-300)
-    if err > HANKEL_REFINE_RTOL * scale:
+    if not err <= HANKEL_REFINE_RTOL * scale:
         raise ArithmeticError(
             f"Hankel quadrature refinement disagreement {err:.3g} at t={t}")
     return a_n * (leading + fine)

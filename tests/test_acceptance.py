@@ -2,24 +2,19 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.  Tolerances are fixed, not configurable.  Criteria 01, 02,
-04, 05, 06 and 12 run the ``mtfrac.criteria`` that ``mtfrac verify`` runs.
+04, 05, 06, 07, 12 and 13 run the ``mtfrac.criteria`` that ``mtfrac verify``
+runs.
 """
 
-import math
 import time
 
 import numpy as np
 
 from mtfrac import analysis as an
 from mtfrac import criteria
-from mtfrac import oracle as orc
 from mtfrac import solver as sv
 from mtfrac import spectral as sp
 from mtfrac import specfun as sf
-from mtfrac.constants import (COUNTEREXAMPLE_GROWTH, COUNTEREXAMPLE_ROOT_TOL,
-                              DERIVATIVE_ORDER_TOL, IDENTITY_RESIDUAL_TOL,
-                              ODE_RESIDUAL_TOL_MULTI, ODE_RESIDUAL_TOL_SINGLE,
-                              TRIPLE_AGREEMENT_TOL)
 
 
 def _report(name, elapsed, budget, detail):
@@ -28,20 +23,22 @@ def _report(name, elapsed, budget, detail):
     assert elapsed < budget, f"{name} exceeded its runtime budget"
 
 
+def _gate(name, budget, criterion, *size):
+    """Run a criterion at the gate's size: each measure meets its bound."""
+    start = time.time()
+    measures, summary = criterion(*size)
+    assert all(m.passed for m in measures), "; ".join(map(str, measures))
+    _report(name, time.time() - start, budget, summary)
+
+
 # 1. Multinomial-coefficient recurrence: exact for all k <= 12, m <= 4.
 def test_criterion_01_multinomial_recurrence():
-    start = time.time()
-    (failed,), summary = criteria.multinomial_recurrence(12, 4)
-    assert failed.value == 0
-    _report("01 multinomial recurrence", time.time() - start, 1.0, summary)
+    _gate("01 multinomial recurrence", 1.0, criteria.multinomial_recurrence, 12, 4)
 
 
 # 2. Parameter-shift identity: residual < 1e-10 on 200 tuples, |z_j| <= 2.
 def test_criterion_02_shift_identity():
-    start = time.time()
-    (residual,), summary = criteria.shift_identity(200)
-    assert residual.value < IDENTITY_RESIDUAL_TOL
-    _report("02 shift identity", time.time() - start, 10.0, summary)
+    _gate("02 shift identity", 10.0, criteria.shift_identity, 200)
 
 
 # 3. Decay bound: (1 + |z_1|) |E| bounded over z_1 in -[1, 1e8] for five
@@ -75,56 +72,29 @@ def test_criterion_03_decay_bound():
 
 # 4. Derivative identity: central differences show order 2 +- 0.2 at 20 samples.
 def test_criterion_04_derivative_identity():
-    start = time.time()
-    (deviation,), summary = criteria.derivative_identity(20)
-    assert deviation.value < DERIVATIVE_ORDER_TOL
-    _report("04 derivative identity", time.time() - start, 30.0, summary)
+    _gate("04 derivative identity", 30.0, criteria.derivative_identity, 20)
 
 
 # 5. Kernel positivity: t^{a_1 - 1} E^{(n)}_{a_1}(t) > 0 at 100 tuples.
 def test_criterion_05_positivity():
-    start = time.time()
-    (smallest,), summary = criteria.kernel_positivity(100)
-    assert smallest.value > 0.0
-    _report("05 positivity", time.time() - start, 10.0, summary)
+    _gate("05 positivity", 10.0, criteria.kernel_positivity, 100)
 
 
 # 6. Closed amplitude, L1 and Laplace inversion agree pairwise within 1e-3.
 def test_criterion_06_triple_agreement():
-    start = time.time()
-    (worst,), summary = criteria.triple_agreement(20)
-    assert worst.value < TRIPLE_AGREEMENT_TOL
-    _report("06 triple agreement", time.time() - start, 300.0, summary)
+    _gate("06 triple agreement", 300.0, criteria.triple_agreement, 20)
 
 
 # 7. L1 convergence order within 2 - a +- 0.2 for a in {0.3, 0.5, 0.8}.
 def test_criterion_07_l1_order():
-    start = time.time()
-    observed = []
-    for alpha in (0.3, 0.5, 0.8):
-        orders = sv.FracOrders.single(alpha)
-        grading = min(3.0, max(1.5, (2.0 - alpha) / alpha))
-        ends = []
-        for n in (512, 1024, 2048):
-            cfg = orc.L1Config(t_final=1.0, n_steps=n, grading=grading)
-            _, us = orc.l1_solve_mode(1.0, orders, 1.0, None, cfg)
-            ends.append(us[-1])
-        order = math.log2(abs(ends[0] - ends[1]) / abs(ends[1] - ends[2]))
-        observed.append(order)
-        assert abs(order - (2.0 - alpha)) < 0.2
-    _report("07 L1 order", time.time() - start, 120.0,
-            "orders " + ", ".join(f"{o:.3f}" for o in observed))
+    _gate("07 L1 order", 120.0, criteria.l1_order, 512)
 
 
 # 8. Long-time decay: fitted exponent -0.3 +- 0.05 for a = (0.9, 0.3) and
 #    bounded scaled remainder over t in [1e2, 1e4].
-def test_criterion_08_decay_rate(laplace_op, laplace_spectrum):
+def test_criterion_08_decay_rate(decay_problem, laplace_spectrum):
     start = time.time()
-    orders = sv.FracOrders(alphas=(0.9, 0.3), qs=(1.0, 1.5))
-    n = np.arange(1, laplace_spectrum.n_modes + 1, dtype=float)
-    a = sp.synthesize(n ** -2.0, laplace_spectrum)
-    p = sv.Problem(orders=orders, operator=laplace_op, spectrum=laplace_spectrum, initial=a)
-    sol = sv.ModalSolution(p)
+    sol = sv.ModalSolution(decay_problem)
     ts = np.logspace(2, 4, 15)
     norms = sp.modal_frac_norm(sol.modal_values(ts), 1.0, laplace_spectrum)
     fit = an.decay_fit(ts, norms)
@@ -138,13 +108,9 @@ def test_criterion_08_decay_rate(laplace_op, laplace_spectrum):
 
 # 9. Two-sided bound: ||u(t)||_{D(-L)} t^{a_m} confined to a fixed positive
 #    band over two decades.
-def test_criterion_09_two_sided_band(laplace_op, laplace_spectrum):
+def test_criterion_09_two_sided_band(decay_problem, laplace_spectrum):
     start = time.time()
-    orders = sv.FracOrders(alphas=(0.9, 0.3), qs=(1.0, 1.5))
-    n = np.arange(1, laplace_spectrum.n_modes + 1, dtype=float)
-    a = sp.synthesize(n ** -2.0, laplace_spectrum)
-    p = sv.Problem(orders=orders, operator=laplace_op, spectrum=laplace_spectrum, initial=a)
-    sol = sv.ModalSolution(p)
+    sol = sv.ModalSolution(decay_problem)
 
     def banded(ts):
         return sp.modal_frac_norm(sol.modal_values(ts), 1.0, laplace_spectrum) * ts ** 0.3
@@ -184,12 +150,9 @@ def test_criterion_10_short_time(laplace_op, laplace_spectrum):
 
 # 11. Lipschitz stability: ratio spread < 5 across a 7-level perturbation
 #     halving sequence, per channel and combined.
-def test_criterion_11_lipschitz(laplace_op, laplace_spectrum):
+def test_criterion_11_lipschitz(stability_base):
     start = time.time()
-    orders = sv.FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
-    n = np.arange(1, laplace_spectrum.n_modes + 1, dtype=float)
-    a = sp.synthesize(n ** -2.5, laplace_spectrum)
-    base = sv.Problem(orders=orders, operator=laplace_op, spectrum=laplace_spectrum, initial=a)
+    base = stability_base
     base_sol = sv.ModalSolution(base)
     spreads = {}
     for channel in ("alpha", "q", "diffusion", "all"):
@@ -208,31 +171,12 @@ def test_criterion_11_lipschitz(laplace_op, laplace_spectrum):
 
 # 12. Counterexample: roots to 1e-12; the mode grows 10x, the control decays.
 def test_criterion_12_counterexample():
-    start = time.time()
-    (roots, peak, verdicts), summary = criteria.counterexample(4096)
-    assert roots.value <= COUNTEREXAMPLE_ROOT_TOL
-    assert peak.value >= COUNTEREXAMPLE_GROWTH
-    assert verdicts.value == "grows/decays"
-    _report("12 counterexample", time.time() - start, 60.0, summary)
+    _gate("12 counterexample", 60.0, criteria.counterexample, 4096)
 
 
 # 13. Equation residual: the homogeneous solution satisfies the per-mode
 #     multi-term equation under independent Caputo quadrature to
 #     < ODE_RESIDUAL_TOL_MULTI (1e-3) relative at mid-range times, and the
 #     single-term one to < ODE_RESIDUAL_TOL_SINGLE (1e-4).
-def test_criterion_13_equation_residual(laplace_spectrum):
-    start = time.time()
-    orders = sv.FracOrders(alphas=(0.8, 0.4), qs=(1.0, 1.0))
-    quad = sv.QuadConfig(n_panels=384, grading=3.5)
-    worst = 0.0
-    for mode in (0, 4, 14):
-        lam = float(laplace_spectrum.lambdas[mode])
-        for t in (0.5, 1.5):
-            r = sv.mode_ode_residual(orders, lam, t, quad)
-            worst = max(worst, r)
-            assert r < ODE_RESIDUAL_TOL_MULTI
-    single = sv.FracOrders.single(0.5)
-    r1 = sv.mode_ode_residual(single, float(laplace_spectrum.lambdas[0]), 1.0, quad)
-    assert r1 < ODE_RESIDUAL_TOL_SINGLE
-    _report("13 equation residual", time.time() - start, 120.0,
-            f"worst multi-term {worst:.2e}, single-term {r1:.2e}")
+def test_criterion_13_equation_residual():
+    _gate("13 equation residual", 120.0, criteria.equation_residual, 384)

@@ -10,24 +10,6 @@ from mtfrac.specfun import (_compositions, e_solver_many, gamma_real,
                             multinomial_coefficient)
 
 
-@pytest.fixture(scope="module")
-def decay_problem(laplace_op, laplace_spectrum):
-    orders = sv.FracOrders(alphas=(0.9, 0.3), qs=(1.0, 1.5))
-    n = np.arange(1, laplace_spectrum.n_modes + 1, dtype=float)
-    a = sp.synthesize(n ** -2.0, laplace_spectrum)
-    return sv.Problem(orders=orders, operator=laplace_op,
-                      spectrum=laplace_spectrum, initial=a)
-
-
-@pytest.fixture(scope="module")
-def stability_base(laplace_op, laplace_spectrum):
-    orders = sv.FracOrders(alphas=(0.8, 0.5), qs=(1.0, 1.5))
-    n = np.arange(1, laplace_spectrum.n_modes + 1, dtype=float)
-    a = sp.synthesize(n ** -2.5, laplace_spectrum)
-    return sv.Problem(orders=orders, operator=laplace_op,
-                      spectrum=laplace_spectrum, initial=a)
-
-
 def test_decay_fit_exact_power_law():
     ts = np.logspace(0.0, 2.0, 12)
     fit = an.decay_fit(ts, 3.0 * ts ** -0.3)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from mtfrac import criteria
+
 _ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -24,6 +26,8 @@ def test_bench_kernel_one_repeat_prints_every_timing(tmp_path):
                 "synthesize_block", "project_block", "lipschitz_diffusion",
                 "verify_command"):
         assert report[key] >= 0.0, key
+    assert list(report["verify_checks"]) == [row[0] for row in criteria.verify_checks()]
+    assert min(report["verify_checks"].values()) >= 0.0
     assert sorted(report["propagator"], key=float) == ["0.001", "0.1", "2.0", "300.0"]
     blocks = [report["thm23_block_m2"], report["thm23_block_m3"], report["thm21_block"]]
     for entry in blocks + list(report["propagator"].values()):

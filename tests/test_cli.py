@@ -1,6 +1,7 @@
 import configparser
 import csv
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -251,12 +252,19 @@ _FORCED = dict(initial_kind="zero", source_kind="mode-const:1:1.0", source_t_fin
     ("mml-eval", dict(t_grid="-1:2:4:linear"), "t_grid times must be non-negative"),
     ("asymptotics", dict(_FORCED), "asymptotics runs on homogeneous problems"),
     ("stability", dict(_FORCED), "stability runs on homogeneous problems"),
+    ("stability", dict(gamma=0.0), r"gamma and tau must lie in \(0, 1\]"),
+    ("stability", dict(tau=1.5), r"gamma and tau must lie in \(0, 1\]"),
+    ("stability", dict(perturb_eps=2.0), r"orders must lie in \(0, 1\), got -0\.5"),
+    ("stability", dict(alphas=(0.96, 0.5), qs=(1.0, 1.0)), "orders outside the admissible set"),
+    ("stability", dict(diffusion="constant:60"), "diffusion outside the admissible set"),
+    ("mml-eval", dict(beta0=2.5), r"beta0 must lie in \(0, 2\)"),
+    ("counterexample", dict(lam=0.2), r"needs 9 lam\^2 - 4 lam > 0"),
 ])
 def test_validate_rejects_configs_that_fail_mid_run(tmp_path, monkeypatch, command,
                                                     keys, message):
     # Past validate, each of these configs fails only after the
-    # eigendecomposition, or, for mml-eval, prints a series value of -4.3e28
-    # at t = -1: run must stop in validate, before either.
+    # eigendecomposition or in the command's own evaluation (for mml-eval at
+    # t = -1, a series value of -4.3e28): run must stop in validate.
     def no_decomposition(op):
         raise AssertionError("reached the eigendecomposition")
 
@@ -525,13 +533,21 @@ def test_coefficient_invariants_rejected_at_parse(tmp_path):
 
 def test_verify_suite_passes_every_check():
     header, rows, results = cli._cmd_verify(cli.RunConfig(command="verify"))
-    assert [status for _, status, _ in rows] == ["pass"] * 10
-    # Six checks run an acceptance criterion and name it; each check gives
+    assert [status for _, status, _ in rows] == ["pass"] * 12
+    # Eight checks run an acceptance criterion and name it; each check gives
     # every measured value against its bound.
     assert sorted(detail.split(":")[0] for _, _, detail in rows
                   if detail.startswith("criterion ")) == [
-        f"criterion {n}" for n in ("01", "02", "04", "05", "06", "12")]
+        f"criterion {n}" for n in ("01", "02", "04", "05", "06", "07", "12", "13")]
     assert all(" measured " in detail and ", bound " in detail for _, _, detail in rows)
+
+
+def test_verify_table_runs_every_check_of_criteria_once():
+    checks = {fn for name, fn in vars(criteria).items() if inspect.isfunction(fn)
+              and not name.startswith("_") and fn.__module__ == criteria.__name__
+              and inspect.get_annotations(fn, eval_str=True).get("return") is criteria.Outcome}
+    functions = [fn for _, _, fn, _ in criteria.verify_checks()]
+    assert sorted(functions, key=id) == sorted(checks, key=id)
 
 
 def test_verify_kernel_positivity_evaluates_20_samples(monkeypatch):

@@ -161,23 +161,6 @@ def test_series_batch_matches_series_alone():
 # Contour evaluation: beyond the series crossover, mml_eval takes the window
 # contour of the solver family at t = 1
 
-def _family(alphas, qs, beta0, lam, t):
-    orders = FracOrders(alphas=alphas, qs=qs)
-    return (sf.solver_params(orders, beta0), sf.solver_args(orders, lam, t))
-
-
-def test_contour_agrees_with_series_overlap():
-    for alphas, qs, lam, t in (
-        ((0.5,), (1.0,), 2.0, 1.0),
-        ((0.9, 0.3), (1.0, 1.5), 2.0, 1.0),
-        ((0.8, 0.5, 0.2), (1.0, 1.0, 1.0), 1.5, 1.0),
-    ):
-        params, args = _family(alphas, qs, 1.0 + alphas[0], lam, t)
-        rs = sf.mml_series(params, args)
-        rc = sf.e_solver(lam, FracOrders(alphas=alphas, qs=qs), 1.0 + alphas[0], t)
-        assert abs(rs.value - rc) / abs(rc) < 1e-8
-
-
 def test_contour_large_argument_bound():
     # |E| <= C / |z_1| along the negative axis; the scaled product must stay
     # bounded as |z_1| sweeps three decades.

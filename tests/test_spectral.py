@@ -33,13 +33,6 @@ def test_operator_invariants_rejected():
                       diffusion=np.ones(n + 2), potential=np.zeros(n))
 
 
-def test_discrete_spectrum_closed_form(small_op, small_spectrum):
-    h = small_op.h
-    n = np.arange(1, small_op.n_interior + 1)
-    closed = (4.0 / h ** 2) * np.sin(n * h / 2.0) ** 2
-    np.testing.assert_allclose(small_spectrum.lambdas, closed, rtol=1e-10)
-
-
 def test_lambda1_second_order_continuum_convergence():
     errs = []
     for n in (63, 127, 255):
@@ -49,10 +42,6 @@ def test_lambda1_second_order_continuum_convergence():
     ratios = [errs[i] / errs[i + 1] for i in range(2)]
     for r in ratios:
         assert abs(r - 4.0) < 0.4  # within 10% of second order
-
-
-def test_orthonormality(small_spectrum):
-    assert sp.check_orthonormal(small_spectrum) < 1e-10
 
 
 def test_project_eigenmode(small_spectrum):
